@@ -36,6 +36,7 @@ from .exactnum import (
     series_inverse,
     series_power,
 )
+from .ntheory import is_prime, prime_divisors
 from .polymap import PolyMap
 
 _ONE = Fraction(1)
@@ -325,8 +326,8 @@ class DeltaV:
 
 def delta_v(P: PolyMap, p: int) -> DeltaV:
     """Exact escape threshold at the prime p (both divisibility branches)."""
-    if p < 2:
-        raise DomainError("p must be a prime")
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     D = P.degree
     coeff_max = max([_ONE] + [padic_abs(c, p) for c in P.lower_coefficients() if c != 0])
     if D % p != 0:
@@ -341,25 +342,10 @@ def delta_v(P: PolyMap, p: int) -> DeltaV:
 def delta_exception_set(P: PolyMap) -> list[int]:
     """Primes where delta_v can exceed 1: divisors of D and of coefficient
     denominators."""
-    primes = set(_prime_divisors(P.degree))
+    primes = set(prime_divisors(P.degree))
     for c in P.lower_coefficients():
-        primes.update(_prime_divisors(c.denominator))
+        primes.update(prime_divisors(c.denominator))
     return sorted(primes)
-
-
-def _prime_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -382,7 +368,7 @@ def good_place(P: PolyMap, alpha) -> PlaceReport | None:
     alpha = Fraction(alpha)
     if alpha == 0:
         return None
-    for p in _prime_divisors(alpha.denominator):
+    for p in prime_divisors(alpha.denominator):
         dv = delta_v(P, p)
         if dv.exceeded_by(alpha):
             av = padic_abs(alpha, p)

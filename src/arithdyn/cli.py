@@ -40,6 +40,15 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+def _rational(text, what: str) -> Fraction:
+    """Exact rational from a command-line value ("3/4", "2.5", "-7"); a
+    malformed one is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _CliError(f"{what}: cannot parse rational {text!r}") from exc
+
+
 def parse_number(text):
     """Exact rational ("3/4", "2.5", "-7") or e-power ("e", "e^3") values."""
     if isinstance(text, (int, Fraction)):
@@ -48,7 +57,7 @@ def parse_number(text):
         return text
     text = text.strip()
     if text == "e" or text.startswith("e^"):
-        k = Fraction(text[2:]) if text.startswith("e^") else Fraction(1)
+        k = _rational(text[2:], "exponent of e") if text.startswith("e^") else Fraction(1)
         b = ball_e(192)
         if k.denominator != 1:
             raise _CliError(f"only integer powers of e are supported: {text!r}")
@@ -56,10 +65,7 @@ def parse_number(text):
         for _ in range(abs(k.numerator)):
             out = out * b
         return out.inverse() if k < 0 else out
-    try:
-        return Fraction(text)
-    except ValueError as exc:
-        raise _CliError(f"cannot parse number {text!r}") from exc
+    return _rational(text, "number")
 
 
 def _fr(x: Fraction) -> str:
@@ -91,7 +97,7 @@ def _maybe_map(args) -> PolyMap:
 def _alpha(args) -> Fraction:
     if getattr(args, "alpha", None) is None:
         raise _CliError("--alpha is required for this verb")
-    return Fraction(args.alpha)
+    return _rational(args.alpha, "--alpha")
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +109,7 @@ def _run_height(args):
 
     prec = args.precision
     if args.rational is not None:
-        hv = height_rational(Fraction(args.rational), prec)
+        hv = height_rational(_rational(args.rational, "--rational"), prec)
     elif args.min_poly is not None:
         _, prim = parse_poly(args.min_poly).to_int_primitive()
         hv = height_algebraic(AlgebraicNumber.create(prim), prec)

@@ -196,10 +196,25 @@ class IntPoly(_BasePoly):
         return r.is_zero() and all(c.denominator == 1 for c in q.coeffs)
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
-        q, r = self.to_rat().divmod(other.to_rat())
-        if not r.is_zero() or any(c.denominator != 1 for c in q.coeffs):
+        """self / other over Z; DomainError unless the quotient is integral and
+        the remainder zero (long division in integers, stopping at the first
+        quotient coefficient lc(other) does not divide)."""
+        if other.is_zero():
+            raise DomainError("polynomial division by zero")
+        rem = list(self.coeffs)
+        d, lc, oc = other.degree, other.lead, other.coeffs
+        q = [0] * max(0, len(rem) - d)
+        for i in range(len(rem) - 1, d - 1, -1):
+            c, r = divmod(rem[i], lc)
+            if r:
+                raise DomainError("exact_div: not divisible over Z")
+            if c:
+                q[i - d] = c
+                for j in range(d):
+                    rem[i - d + j] -= c * oc[j]
+        if any(rem[:d]):
             raise DomainError("exact_div: not divisible over Z")
-        return IntPoly(c.numerator for c in q.coeffs)
+        return IntPoly(q)
 
     def to_json(self) -> list[str]:
         return [f"{c}/1" for c in self.coeffs]

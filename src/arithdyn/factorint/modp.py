@@ -1,15 +1,32 @@
 """Dense polynomial arithmetic over F_p and Z/m (lists, constant term first).
 
 Coefficients are plain ints reduced into [0, m).  Only what the Zassenhaus
-driver needs: ring ops, division by a monic polynomial, gcd/gcdex over a
-prime field, powmod, distinct-degree and equal-degree splitting.
+driver needs: ring ops, division, gcd/gcdex over a prime field, powmod,
+distinct-degree and equal-degree splitting.
+
+Products use Kronecker substitution: each operand is packed into one big
+integer, one coefficient per fixed-width slot wide enough for a sum of
+products of residues, the two integers are multiplied once, and the slots of
+the product are unpacked and reduced.  Slots of 1, 2, 4 or 8 bytes go through
+``array`` buffers; wider slots (the Hensel moduli p^l) through ``to_bytes``.
+
+Division by g takes the quotient from a schoolbook loop over the top
+coefficients alone and the remainder f - q*g from one product.  For a fixed
+g, ``Modulus`` computes rev(g)^{-1} once by Newton iteration, so every
+reduction in ``pow_mod``, ``distinct_degree`` and ``equal_degree_split``
+costs two products.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 
 from ..errors import DomainError
+
+_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def trim(f: list[int]) -> list[int]:
@@ -20,6 +37,50 @@ def trim(f: list[int]) -> list[int]:
 
 def from_int_poly(coeffs, m: int) -> list[int]:
     return trim([c % m for c in coeffs])
+
+
+def _residues(f, m):
+    """f itself when every coefficient is in [0, m), else a reduced copy."""
+    if f and (min(f) < 0 or max(f) >= m):
+        return [c % m for c in f]
+    return f
+
+
+def _slot_bytes(m: int, terms: int) -> int:
+    """Slot width holding a sum of ``terms`` products of residues mod m."""
+    k = (2 * (m - 1).bit_length() + terms.bit_length() + 7) // 8
+    if k <= 8:
+        return 1 if k == 1 else 2 if k == 2 else 4 if k <= 4 else 8
+    return k
+
+
+def _pack(f, k: int) -> int:
+    """sum(f[i] << 8*k*i) for residues f[i] < 2**(8*k)."""
+    if k <= 8:
+        a = array(_TYPECODES[k], f)
+        if _BIG_ENDIAN:
+            a.byteswap()
+        return int.from_bytes(a.tobytes(), "little")
+    return int.from_bytes(b"".join([c.to_bytes(k, "little") for c in f]), "little")
+
+
+def _unpack(x: int, k: int, slots: int):
+    """The ``slots`` k-byte slots of x (x < 2**(8*k*slots)), lowest first."""
+    b = x.to_bytes(k * slots, "little")
+    if k <= 8:
+        a = array(_TYPECODES[k], b)
+        if _BIG_ENDIAN:
+            a.byteswap()
+        return a
+    return [int.from_bytes(b[i:i + k], "little") for i in range(0, len(b), k)]
+
+
+def _product_slots(f, g, m):
+    """Unreduced coefficients of f*g (residue lists) by one Kronecker product."""
+    k = _slot_bytes(m, min(len(f), len(g)))
+    x = _pack(f, k)
+    y = x if f is g else _pack(g, k)
+    return _unpack(x * y, k, len(f) + len(g) - 1)
 
 
 def add(f, g, m):
@@ -33,14 +94,13 @@ def sub(f, g, m):
 
 
 def mul(f, g, m):
+    """f*g over Z/m (inputs need not be reduced or trimmed)."""
     if not f or not g:
         return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return trim([c % m for c in out])
+    same = f is g
+    f = _residues(f, m)
+    g = f if same else _residues(g, m)
+    return trim([c % m for c in _product_slots(f, g, m)])
 
 
 def scalar(f, c, m):
@@ -48,29 +108,93 @@ def scalar(f, c, m):
     return trim([a * c % m for a in f])
 
 
+def _inverse_series(a, k: int, m: int) -> list[int]:
+    """b with a*b = 1 mod x^k over Z/m (a[0] a unit), by Newton iteration."""
+    b = [pow(a[0], -1, m)]
+    j = 1
+    while j < k:
+        j = min(2 * j, k)
+        e = [-c % m for c in mul(a[:j], b, m)[:j]]  # 1 - a*b, zero below the old j
+        e[0] = (e[0] + 2) % m
+        b = mul(b, e, m)[:j]
+    return b
+
+
+def _quotient(f, g, m) -> list[int]:
+    """Quotient of trimmed residue lists f by g, len(f) >= len(g), lc(g) a unit.
+
+    Schoolbook on the top len(f) - deg g coefficients only.  A one-off Newton
+    inverse of rev(g) measured slower for quotients of up to 64 coefficients
+    mod small primes and of up to 384 (the largest tried) mod 238-476 bit
+    prime powers, and no faster on whole factorizations; only ``Modulus``,
+    which reuses its inverse, uses one.
+    """
+    n = len(g) - 1
+    k = len(f) - n
+    inv = pow(g[-1], -1, m)
+    top = f[n:]
+    q = [0] * k
+    for i in range(k - 1, -1, -1):
+        c = top[i] * inv % m
+        q[i] = c
+        if c:
+            for j in range(max(0, i - n), i):
+                top[j] -= c * g[n - i + j]
+    return q
+
+
+def _divmod(f, g, m):
+    """divmod_general for trimmed residue lists f and g, g nonzero."""
+    n = len(g) - 1
+    if len(f) <= n:
+        return [], f
+    q = _quotient(f, g, m)
+    if n == 0:
+        return q, []
+    low = _product_slots(q, g[:n], m)[:n]
+    return q, trim([(a - b) % m for a, b in zip(f, low)])
+
+
 def divmod_general(f, g, m):
-    """Division when lc(g) is invertible mod m (always true for monic g)."""
+    """(q, r) with f = q*g + r and deg r < deg g, when lc(g) is a unit mod m
+    (always true for monic g)."""
+    g = trim(list(_residues(g, m)))
     if not g:
         raise DomainError("division by zero polynomial")
-    inv = pow(g[-1], -1, m)
-    rem = [c % m for c in f]
-    dg = len(g) - 1
-    if len(rem) - 1 < dg:
-        return [], trim(rem)
-    q = [0] * (len(rem) - dg)
-    for i in range(len(rem) - 1, dg - 1, -1):
-        c = rem[i] % m
-        if c == 0:
-            continue
-        fac = c * inv % m
-        q[i - dg] = fac
-        for j, gc in enumerate(g):
-            rem[i - dg + j] = (rem[i - dg + j] - fac * gc) % m
-    return trim(q), trim(rem)
+    return _divmod(trim(list(_residues(f, m))), g, m)
 
 
-def rem_monic(f, g, m):
-    return divmod_general(f, g, m)[1]
+class Modulus:
+    """A fixed g over Z/m with unit leading coefficient, n = deg g >= 1, for
+    repeated remainders of products: rev(g)^{-1} mod x^(n-1) and the low part
+    of g are packed once, so reducing a product of two reduced polynomials
+    costs two Kronecker products."""
+
+    __slots__ = ("g", "m", "n", "k", "inv", "low")
+
+    def __init__(self, g, m: int):
+        self.g = trim(list(_residues(g, m)))
+        self.m = m
+        self.n = n = len(self.g) - 1
+        if n < 1:
+            raise DomainError("modulus must have positive degree")
+        self.k = _slot_bytes(m, n)
+        self.inv = _pack(_inverse_series(self.g[::-1], n - 1, m), self.k) if n > 1 else 0
+        self.low = _pack(self.g[:n], self.k)
+
+    def rem(self, f):
+        """f mod g, for any integer coefficient list f."""
+        f = trim(list(_residues(f, self.m)))
+        n, m, k = self.n, self.m, self.k
+        q_len = len(f) - n
+        if q_len <= 0:
+            return f
+        if q_len >= n:
+            return divmod_general(f, self.g, m)[1]
+        rev = _unpack(_pack(f[:-q_len - 1:-1], k) * self.inv, k, q_len + n - 2)
+        q = [c % m for c in reversed(rev[:q_len])]
+        low = _unpack(_pack(q, k) * self.low, k, q_len + n - 1)
+        return trim([(a - b) % m for a, b in zip(f, low[:n])])
 
 
 def monic(f, p):
@@ -84,7 +208,7 @@ def gcd(f, g, p):
     a, b = [c % p for c in f], [c % p for c in g]
     trim(a), trim(b)
     while b:
-        a, b = b, divmod_general(a, b, p)[1]
+        a, b = b, _divmod(a, b, p)[1]
     return monic(a, p)
 
 
@@ -95,7 +219,7 @@ def gcdex(f, g, p):
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = divmod_general(r0, r1, p)
+        q, r = _divmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, sub(s0, mul(q, s1, p), p)
         t0, t1 = t1, sub(t0, mul(q, t1, p), p)
@@ -109,15 +233,16 @@ def deriv(f, m):
     return trim([i * c % m for i, c in enumerate(f) if i >= 1])
 
 
-def pow_mod(f, e: int, g, m):
-    """f**e mod g (g monic) over Z/m."""
+def pow_mod(f, e: int, mod: Modulus):
+    """f**e mod g over Z/m, for the fixed g of ``mod``."""
     out = [1]
-    base = rem_monic(f, g, m)
+    base = mod.rem(f)
     while e:
         if e & 1:
-            out = rem_monic(mul(out, base, m), g, m)
-        base = rem_monic(mul(base, base, m), g, m)
+            out = mod.rem(mul(out, base, mod.m))
         e >>= 1
+        if e:
+            base = mod.rem(mul(base, base, mod.m))
     return out
 
 
@@ -131,14 +256,16 @@ def distinct_degree(f, p):
     h = [0, 1]  # x
     g = list(f)
     d = 0
+    mod = None
     while len(g) - 1 >= 2 * (d + 1):
         d += 1
-        h = pow_mod(h, p, g, p)
+        mod = mod or Modulus(g, p)
+        h = pow_mod(h, p, mod)
         gd = gcd(sub(h, [0, 1], p), g, p)
         if len(gd) > 1:
             out.append((gd, d))
             g = divmod_general(g, gd, p)[0]
-            h = rem_monic(h, g, p)
+            mod = None
     if len(g) > 1:
         out.append((g, len(g) - 1))
     return out
@@ -149,6 +276,7 @@ def equal_degree_split(f, d: int, p, rng: random.Random):
     n = len(f) - 1
     if n == d:
         return [f]
+    mod = Modulus(f, p)
     while True:
         r = [rng.randrange(p) for _ in range(n)] + [1]
         r = trim(r)
@@ -161,22 +289,23 @@ def equal_degree_split(f, d: int, p, rng: random.Random):
             t = list(r)
             acc = list(r)
             for _ in range(d - 1):
-                acc = pow_mod(acc, 2, f, p)
+                acc = pow_mod(acc, 2, mod)
                 t = add(t, acc, p)
             g = gcd(t, f, p)
         else:
             e = (p ** d - 1) // 2
-            t = sub(pow_mod(r, e, f, p), [1], p)
+            t = sub(pow_mod(r, e, mod), [1], p)
             g = gcd(t, f, p)
         if 1 < len(g) < len(f):
             q = divmod_general(f, g, p)[0]
             return equal_degree_split(g, d, p, rng) + equal_degree_split(q, d, p, rng)
 
 
-def factor_squarefree_monic(f, p, rng: random.Random):
-    """Monic irreducible factors of a monic squarefree f over F_p, sorted."""
+def factor_squarefree_monic(pieces, p, rng: random.Random):
+    """Monic irreducible factors over F_p, sorted, of a monic squarefree f
+    given by its distinct-degree pieces ``distinct_degree(f, p)``."""
     out = []
-    for prod, d in distinct_degree(f, p):
+    for prod, d in pieces:
         out.extend(equal_degree_split(prod, d, p, rng))
     out.sort(key=lambda g: (len(g), g))
     return out

@@ -1,16 +1,20 @@
 """Complete factorization of univariate integer polynomials into irreducibles.
 
-Pipeline: content/sign normalization, Yun squarefree decomposition, then for
-each squarefree part a Zassenhaus round: reduction mod a small prime chosen
-for determinism and factor count, quadratic multifactor Hensel lifting to a
-power above twice the Mignotte factor-coefficient bound, and subset
-recombination with degree-set and trailing-coefficient pruning.  The subset
-search exhausts all candidate splits, which is what certifies irreducibility
-of everything that survives.
+Pipeline: content/sign normalization, then the squarefree split: a prime p
+not dividing lc(f) with f mod p squarefree certifies f squarefree, and only
+without one does Yun's decomposition over Q run.  Each squarefree part gets a
+Zassenhaus round: small primes are screened by distinct-degree factorization
+alone (factor count, realizable degrees, and an early exit when f stays
+irreducible mod p); only the chosen prime, picked for fewest factors, gets
+equal-degree splitting.  Then quadratic multifactor Hensel lifting to a power
+above twice the Mignotte factor-coefficient bound, and subset recombination
+with degree-set and trailing-coefficient pruning.  The subset search
+exhausts all candidate splits, which is what certifies irreducibility of
+everything that survives.
 
 Deterministic: the equal-degree splitting RNG is seeded from the caller's
-seed, primes are scanned in increasing order, outputs are sorted by
-(degree, coefficient tuple).
+seed and the chosen prime, primes are scanned in increasing order, outputs
+are sorted by (degree, coefficient tuple).
 """
 
 from __future__ import annotations
@@ -18,14 +22,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import isqrt
 
 from ..errors import DomainError
 from ..exactnum import IntPoly, RatPoly
+from ..ntheory import is_prime
 from . import modp
 
 _PRIME_KEEP = 5  # modular factorizations kept for degree-set pruning
+# Primes tried for a squarefree certificate before Yun's algorithm.  Over 324
+# squarefree iterate differences (ten maps, six base points, n <= 6) the
+# first certifying prime was at most the tenth; on non-squarefree inputs of
+# degree 81-128 a failed scan of 16 primes cost 0.4-0.6 of Yun's time.
+_CERTIFICATE_PRIMES = 16
 
 
 @dataclass(frozen=True)
@@ -98,12 +108,27 @@ def _yun_squarefree(f: IntPoly) -> list[tuple[IntPoly, int]]:
     return out
 
 
+def _squarefree_parts(f: IntPoly) -> list[tuple[IntPoly, int]]:
+    """Squarefree decomposition of a primitive f with positive lc.
+
+    If p does not divide lc(f) and f mod p is squarefree, f is squarefree: a
+    square factor g^2 of f would reduce to a square of positive degree mod p.
+    Such a prime among the first ``_CERTIFICATE_PRIMES`` settles the common
+    case; otherwise Yun's algorithm over Q decides.
+    """
+    if f.degree >= 1:
+        for p in islice(_primes_from(3), _CERTIFICATE_PRIMES):
+            if f.lead % p and modp.is_squarefree(modp.from_int_poly(f.coeffs, p), p):
+                return [(f, 1)]
+    return _yun_squarefree(f)
+
+
 def _primes_from(start: int):
     n = max(3, start)
     if n % 2 == 0:
         n += 1
     while True:
-        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
+        if is_prime(n):
             yield n
         n += 2
 
@@ -194,26 +219,27 @@ def _factor_squarefree(f: IntPoly, seed: int) -> list[IntPoly]:
     n = f.degree
     if n == 1:
         return [f]
-    candidates = []  # (num_factors, p, monic factors mod p)
+    candidates = []  # (num_factors, p, distinct-degree pieces of f mod p)
     masks = []
     for p in _primes_from(3):
         if f.lead % p == 0:
             continue
         fp = modp.from_int_poly(f.coeffs, p)
-        if len(fp) - 1 != n or not modp.is_squarefree(fp, p):
+        if not modp.is_squarefree(fp, p):
             continue
-        rng = random.Random(seed * 0x1F123BB5 + p)
-        mods = modp.factor_squarefree_monic(modp.monic(fp, p), p, rng)
-        if len(mods) == 1:
+        pieces = modp.distinct_degree(modp.monic(fp, p), p)
+        degrees = [d for prod, d in pieces for _ in range((len(prod) - 1) // d)]
+        if len(degrees) == 1:
             return [f]
-        candidates.append((len(mods), p, mods))
-        masks.append(_degree_mask([len(g) - 1 for g in mods]))
-        if len(candidates) >= _PRIME_KEEP or len(mods) <= 3:
+        candidates.append((len(degrees), p, pieces))
+        masks.append(_degree_mask(degrees))
+        if len(candidates) >= _PRIME_KEEP or len(degrees) <= 3:
             break
     allowed_degrees = masks[0]
     for m in masks[1:]:
         allowed_degrees &= m
-    _, p, mods = min(candidates, key=lambda c: (c[0], c[1]))
+    _, p, pieces = min(candidates, key=lambda c: (c[0], c[1]))
+    mods = modp.factor_squarefree_monic(pieces, p, random.Random(seed * 0x1F123BB5 + p))
     bound = _mignotte_lift_bound(f)
     ell = 1
     while p ** ell <= bound:
@@ -279,7 +305,7 @@ def factor_over_Z(f: IntPoly, seed: int = 0) -> FactorReport:
     unit = -1 if content < 0 else 1
     content = abs(content)
     parts: dict[IntPoly, int] = {}
-    for sqf, mult in _yun_squarefree(prim):
+    for sqf, mult in _squarefree_parts(prim):
         for irr in _factor_squarefree(sqf, seed):
             parts[irr] = parts.get(irr, 0) + mult
     factors = tuple(sorted(parts.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs)))

@@ -16,74 +16,13 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .exactnum import RealBall, ball_log
+from .ntheory import factorize, is_prime
 from .polymap import DEFAULT_DEGREE_CAP, PolyMap
-
-
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division + Pollard rho (deterministic)."""
-    if n <= 0:
-        raise DomainError("factorization needs a positive integer")
-    out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.extend([d, m // d])
-    return out
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):  # deterministic < 3.3e24
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 1000):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise DomainError(f"failed to split {n}")
 
 
 def _carmichael(n: int) -> int:
     lam = 1
-    for p, k in _factorize(n).items():
+    for p, k in factorize(n).items():
         if p == 2 and k >= 3:
             v = 2 ** (k - 2)
         else:
@@ -100,7 +39,7 @@ def mult_order(a: int, n: int) -> int:
     if math.gcd(a, n) != 1:
         raise DomainError(f"{a} is not invertible modulo {n}")
     f = _carmichael(n)
-    for p in sorted(_factorize(f)):
+    for p in sorted(factorize(f)):
         while f % p == 0 and pow(a, f // p, n) == 1:
             f //= p
     return f
@@ -130,7 +69,7 @@ def lifting_exponent(a: int, q: int) -> LiftingExponent:
     n up to m + 3 against direct order computation."""
     if a <= 1:
         raise DomainError("a must exceed 1")
-    if not _is_prime(q):
+    if not is_prime(q):
         raise DomainError(f"{q} is not prime")
     if a % q == 0:
         raise DomainError(f"{q} divides {a}")
@@ -157,7 +96,7 @@ def cyclotomic_degree_qp(p: int, b: int) -> int:
     """
     if b < 1:
         raise DomainError("b must be >= 1")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     k = 0
     b0 = b
@@ -183,7 +122,7 @@ def galcor_lower_bound(p: int, b: int, D: int, prec: int = 64) -> GalcorBound:
     """Minimal m with [cyclotomic degree] >= b * D^(-m), for b | D^infinity."""
     if D < 2:
         raise DomainError("D must be >= 2")
-    for q in _factorize(b) if b > 1 else {}:
+    for q in factorize(b) if b > 1 else {}:
         if D % q != 0:
             raise DomainError(f"prime {q} of b does not divide D = {D}")
     deg = cyclotomic_degree_qp(p, b)
@@ -231,7 +170,7 @@ def padic_degree_bound(P: PolyMap, alpha, n: int, prec: int = 64,
     D = P.degree
     bound = cyclotomic_degree_qp(p, D ** n)
     m0 = 0
-    for q in _factorize(D):
+    for q in factorize(D):
         if q != p:
             m0 = max(m0, lifting_exponent(p, q).m)
     m_uniform = m0 + (1 if D % p == 0 else 0)

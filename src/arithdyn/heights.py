@@ -28,6 +28,7 @@ from .exactnum import (
     complex_roots_with_radii,
 )
 from .factorint import factor_over_Z
+from .ntheory import prime_divisors
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def weil_height_tuple(ts, prec: int = 64) -> HeightValue:
     nonzero = [t for t in ts if t != 0]
     primes = set()
     for t in nonzero:
-        for p in _prime_divisors(t.denominator):
+        for p in prime_divisors(t.denominator):
             primes.add(p)
     total = arch
     for p in sorted(primes):
@@ -160,21 +161,6 @@ def _vp(q: Fraction, p: int) -> int:
         d //= p
         v -= 1
     return v
-
-
-def _prime_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own algorithms: factor search by
 exhaustive coefficient boxes with Mignotte-style bounds, naive multiplicative
 orders by repeated multiplication, naive series multiplication on full
-coefficient dicts.
+coefficient dicts, and schoolbook polynomial arithmetic over Z/m as the
+reference for the Kronecker and Newton kernels of ``factorint.modp``.
 """
 
 from __future__ import annotations
@@ -124,4 +125,48 @@ def dict_series_pow(d: dict[int, Fraction], k: int) -> dict[int, Fraction]:
     out = {0: Fraction(1)}
     for _ in range(k):
         out = dict_series_mul(out, d)
+    return out
+
+
+def school_mul(f: list[int], g: list[int], m: int) -> list[int]:
+    """f*g over Z/m by the schoolbook double loop (trimmed, reduced)."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    out = [c % m for c in out]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def school_divmod(f: list[int], g: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Long division by a trimmed g whose leading coefficient is a unit mod m."""
+    inv = pow(g[-1], -1, m)
+    rem = [c % m for c in f]
+    dg = len(g) - 1
+    q = [0] * max(0, len(rem) - dg)
+    for i in range(len(rem) - 1, dg - 1, -1):
+        fac = rem[i] * inv % m
+        q[i - dg] = fac
+        for j, gc in enumerate(g):
+            rem[i - dg + j] = (rem[i - dg + j] - fac * gc) % m
+    for out in (q, rem):
+        while out and out[-1] == 0:
+            out.pop()
+    return q, rem
+
+
+def school_pow_mod(f: list[int], e: int, g: list[int], m: int) -> list[int]:
+    """f**e mod g by square-and-multiply on the schoolbook kernels."""
+    out = [1]
+    base = school_divmod(f, g, m)[1]
+    while e:
+        if e & 1:
+            out = school_divmod(school_mul(out, base, m), g, m)[1]
+        base = school_divmod(school_mul(base, base, m), g, m)[1]
+        e >>= 1
     return out

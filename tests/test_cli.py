@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from arithdyn.cli import main
 
 
@@ -92,6 +94,22 @@ def test_exit_codes(capsys):
     # resource guard: degree cap
     assert main(["iterate", "--map", "X^2", "--n", "13"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["snap", "--map", "X^2+1", "--alpha", "1/0", "--n", "2"],
+    ["snap", "--map", "X^2+1", "--alpha", "abc", "--n", "2"],
+    ["height", "--rational", "1/0"],
+    ["height", "--rational", "1/x"],
+])
+def test_malformed_rationals_are_usage_errors(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_delta_v_rejects_a_composite_prime(capsys):
+    assert main(["delta-v", "--map", "X^2+1", "--prime", "4"]) == 2
+    assert capsys.readouterr().err.startswith("domain error: ")
 
 
 def test_census_verdicts_csv(capsys):

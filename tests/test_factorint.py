@@ -1,15 +1,20 @@
+import math
 import random
 import time
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arithdyn.dynamics import snap_degree_multiset
 from arithdyn.errors import DomainError
 from arithdyn.exactnum import IntPoly, RatPoly
 from arithdyn.factorint import factor_over_Q, factor_over_Z, irreducible_degree_multiset
-from oracles import exhaustive_factorization
+from arithdyn.factorint import modp, zassenhaus
+from arithdyn.polymap import PolyMap
+from oracles import exhaustive_factorization, school_divmod, school_mul, school_pow_mod
 
 # a pool of known irreducibles for reconstruction stress tests
 IRREDUCIBLES = [
@@ -130,3 +135,153 @@ def test_json_schema():
     j = rep.to_json()
     assert set(j) == {"content", "unit", "factors"}
     assert j["factors"][0] == {"coeffs": ["-2/1", "1/1"], "mult": 1}
+
+
+# --- F_p[x] kernels against the schoolbook references -----------------------
+# Moduli cover every slot width of the Kronecker packing: 1- and 2-byte slots
+# (p = 2, 3), 4 bytes (101), 8 bytes (65521), and wide byte-string slots for a
+# 61-bit prime and Hensel-sized prime powers of hundreds of bits.  Lengths up
+# to 70 cross the 1 -> 2 byte slot change at 16 terms for p = 3.
+KERNEL_MODULI = [2, 3, 101, 65521, (1 << 61) - 1, 3 ** 200, 5 ** 150]
+
+
+def _trimmed(f, m):
+    out = [c % m for c in f]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@st.composite
+def _raw_poly(draw, m, max_len=70):
+    """Unreduced coefficients (negative or >= m) with optional trailing zeros."""
+    body = draw(st.lists(st.integers(-2 * m, 2 * m), max_size=max_len))
+    return body + [0] * draw(st.integers(0, 2))
+
+
+@st.composite
+def _divisor(draw, m, max_len=40):
+    """A divisor whose leading coefficient is a unit mod m, maybe untrimmed."""
+    unit = draw(st.integers(1, 3 * m).filter(lambda u: math.gcd(u, m) == 1))
+    body = draw(st.lists(st.integers(-2 * m, 2 * m), max_size=max_len))
+    return body + [unit] + [0] * draw(st.integers(0, 1))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_kronecker_mul_matches_schoolbook(data):
+    m = data.draw(st.sampled_from(KERNEL_MODULI))
+    f = data.draw(_raw_poly(m))
+    g = data.draw(_raw_poly(m))
+    assert modp.mul(f, g, m) == school_mul(f, g, m)
+    assert modp.mul(f, f, m) == school_mul(f, f, m)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_division_and_remainders_match_schoolbook(data):
+    m = data.draw(st.sampled_from(KERNEL_MODULI))
+    f = data.draw(_raw_poly(m, 90))
+    g = data.draw(_divisor(m))
+    q_ref, r_ref = school_divmod(f, _trimmed(g, m), m)
+    assert modp.divmod_general(f, g, m) == (q_ref, r_ref)
+    if len(_trimmed(g, m)) > 1:
+        # quotients shorter and longer than deg g take different paths
+        assert modp.Modulus(g, m).rem(f) == r_ref
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_pow_mod_matches_schoolbook(data):
+    m = data.draw(st.sampled_from(KERNEL_MODULI))
+    f = data.draw(_raw_poly(m, 30))
+    g = _trimmed(data.draw(_divisor(m, 25)), m)
+    if len(g) < 2:
+        g = g + [1]
+    e = data.draw(st.integers(0, 70))
+    assert modp.pow_mod(f, e, modp.Modulus(g, m)) == school_pow_mod(f, e, g, m)
+
+
+@pytest.mark.parametrize("m", KERNEL_MODULI)
+def test_kernels_on_zero_and_constant_polynomials(m):
+    g = [5, -1, 1]
+    for f in ([], [0], [0, 0], [7], [m], [-1, 0, 0]):
+        assert modp.mul(f, g, m) == school_mul(f, g, m)
+        assert modp.mul(g, f, m) == school_mul(g, f, m)
+        assert modp.divmod_general(f, g, m) == school_divmod(f, _trimmed(g, m), m)
+        assert modp.Modulus(g, m).rem(f) == school_divmod(f, _trimmed(g, m), m)[1]
+    f = [4, -9, 2, 0, 1]
+    unit = 7 if m % 7 else 11
+    assert modp.divmod_general(f, [unit, 0], m) == school_divmod(f, [unit], m)
+    with pytest.raises(DomainError):
+        modp.divmod_general(f, [0, m], m)
+
+
+def test_prime_sequence_is_the_odd_primes():
+    odd_primes = [n for n in range(3, 3000, 2) if all(n % d for d in range(3, math.isqrt(n) + 1, 2))]
+    assert list(islice(zassenhaus._primes_from(3), len(odd_primes))) == odd_primes
+    assert next(zassenhaus._primes_from(90)) == 97
+
+
+# --- iterate towers ----------------------------------------------------------
+
+
+def test_cubic_tower_degree_243_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    P = PolyMap.from_text("X^3+X+1")
+    t0 = time.time()
+    rep = snap_degree_multiset(P, 1, 5)
+    assert time.time() - t0 < 10
+    x = sympy.symbols("x")
+    diff = P.iterate_poly(5) - P.iterate_value(F(1), 5)
+    _, prim = diff.to_int_primitive()
+    _, factors = sympy.factor_list(sum(int(c) * x ** i for i, c in enumerate(prim.coeffs)), x)
+    expected = sorted((sympy.degree(g, x), m) for g, m in factors)
+    assert rep.factor_report.degree_multiset() == expected
+    assert expected == [(1, 1), (2, 1), (6, 1), (18, 1), (54, 1), (162, 1)]
+
+
+def test_quadratic_tower_degree_256():
+    t0 = time.time()
+    rep = snap_degree_multiset(PolyMap.from_text("X^2+1"), 1, 8)
+    assert time.time() - t0 < 5
+    # computed by sympy factor_list (16 s there, so not re-run here)
+    assert rep.factor_report.degree_multiset() == [
+        (1, 2), (2, 1), (4, 1), (8, 1), (16, 1), (32, 1), (64, 1), (128, 1)]
+
+
+def _count_yun_calls(monkeypatch):
+    calls = []
+    original = zassenhaus._yun_squarefree
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(zassenhaus, "_yun_squarefree", counted)
+    return calls
+
+
+def test_squarefree_certificate_skips_primes_of_bad_reduction(monkeypatch):
+    # X(X - N) is X^2 mod every odd prime up to 23, so it is certified mod 29
+    N = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+    yun = _count_yun_calls(monkeypatch)
+    rep = factor_over_Z(IntPoly([0, -N, 1]))
+    assert yun == []
+    assert [(list(f.coeffs), m) for f, m in rep.factors] == [([-N, 1], 1), ([0, 1], 1)]
+
+
+def test_yun_decides_when_every_certificate_prime_divides_the_discriminant(monkeypatch):
+    N = math.prod(islice(zassenhaus._primes_from(3), zassenhaus._CERTIFICATE_PRIMES))
+    yun = _count_yun_calls(monkeypatch)
+    rep = factor_over_Z(IntPoly([0, -N, 1]))
+    assert len(yun) == 1
+    assert [(list(f.coeffs), m) for f, m in rep.factors] == [([-N, 1], 1), ([0, 1], 1)]
+    assert rep.is_squarefree()
+
+
+def test_multiplicities_survive_the_squarefree_split():
+    f = IntPoly([-1, 0, 1]) ** 2 * IntPoly([3, 1])
+    rep = factor_over_Z(f)
+    assert [(list(g.coeffs), m) for g, m in rep.factors] == [([-1, 1], 2), ([1, 1], 2), ([3, 1], 1)]
+    assert not rep.is_squarefree()

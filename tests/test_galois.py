@@ -172,3 +172,14 @@ def test_padic_degree_bound_cubic_tight():
     assert rep.place.prime == 3
     assert rep.bound == 6
     assert rep.snap_max_degree == 6
+
+
+def test_primality_and_prime_divisors_match_trial_division():
+    from arithdyn.ntheory import is_prime, prime_divisors
+
+    primes = [n for n in range(2, 4000) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    assert [n for n in range(-5, 4000) if is_prime(n)] == primes
+    for n in range(1, 4000):
+        assert prime_divisors(n) == [p for p in primes if n % p == 0]
+    assert prime_divisors(-360) == [2, 3, 5]
+    assert prime_divisors(3 ** 5 * 1_000_003) == [3, 1_000_003]

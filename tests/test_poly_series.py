@@ -48,6 +48,21 @@ def test_divmod_identity(a, b):
     assert r.degree < pb.degree
 
 
+ints = st.lists(st.integers(-6, 6), max_size=6)
+
+
+@given(a=ints, b=ints.filter(any), r=ints)
+@settings(max_examples=200, deadline=None)
+def test_int_exact_div_agrees_with_rational_division(a, b, r):
+    f = IntPoly(a) * IntPoly(b) + IntPoly(r)
+    q, rem = f.to_rat().divmod(IntPoly(b).to_rat())
+    if rem.is_zero() and all(c.denominator == 1 for c in q.coeffs):
+        assert f.exact_div(IntPoly(b)).to_rat() == q
+    else:
+        with pytest.raises(DomainError):
+            f.exact_div(IntPoly(b))
+
+
 def test_compose():
     p = parse_poly("X^2+1")
     assert p.compose(p) == parse_poly("X^4 + 2*X^2 + 2")
