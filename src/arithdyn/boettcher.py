@@ -212,8 +212,7 @@ def psi_eval(frame: BoettcherFrame, w: ComplexBall, tol: Fraction | None = None,
         raise TailBoundError(
             f"psi truncation tail {float(tail):.3g} above tolerance; raise the series order"
         )
-    val = w + acc
-    return ComplexBall(val.re, val.im, val.rad + tail)
+    return (w + acc).widen(tail)
 
 
 @dataclass(frozen=True)

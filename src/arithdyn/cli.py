@@ -401,8 +401,10 @@ def _run_vanish(args):
     points = []
     if args.points.strip():
         for pair in args.points.split(";"):
-            x, y = pair.split(",")
-            points.append((Fraction(x), Fraction(y)))
+            xy = pair.split(",")
+            if len(xy) != 2:
+                raise _CliError(f"--points: need x,y pairs separated by ';', got {pair!r}")
+            points.append((_rational(xy[0], "--points"), _rational(xy[1], "--points")))
     poly = vanishing_polynomial(points, args.t_max)
     res = poly.to_json() | {"total_degree": poly.total_degree, "text": str(poly)}
     rows = [{"i": i, "j": j, "c": str(c)} for (i, j), c in poly.terms]
@@ -572,7 +574,7 @@ def _sweep_worker(payload):
     return rows
 
 
-def _run_sweep(args):
+def _run_sweep(args, verb_parsers):
     if args.sweep_verb not in _HANDLERS:
         raise _CliError(f"unknown sweep verb {args.sweep_verb!r}")
     vary = [args.vary] if isinstance(args.vary, str) else args.vary
@@ -586,9 +588,12 @@ def _run_sweep(args):
             parts = body.split(":")
             if len(parts) not in (2, 3):
                 raise _CliError(f"malformed range in --vary {spec!r}")
-            a, b = int(parts[0]), int(parts[1])
-            step = int(parts[2]) if len(parts) == 3 else 1
-            values = list(range(a, b + 1, step))
+            try:
+                a, b = int(parts[0]), int(parts[1])
+                step = int(parts[2]) if len(parts) == 3 else 1
+                values = list(range(a, b + 1, step))
+            except ValueError as exc:
+                raise _CliError(f"malformed range in --vary {spec!r}") from exc
         else:
             values = [v for v in body.split(",") if v != ""]
         ranges.append((name, values))
@@ -598,6 +603,11 @@ def _run_sweep(args):
     if len(tuples) > args.job_cap:
         raise ResourceGuardError(f"sweep of {len(tuples)} jobs exceeds cap {args.job_cap}")
     base = vars(args).copy()
+    # options the swept verb has and sweep leaves unset take the verb's own defaults
+    verb_defaults = vars(verb_parsers[args.sweep_verb].parse_args([]))
+    for k, v in verb_defaults.items():
+        if base.get(k) is None:
+            base[k] = v
     payloads = []
     for t in tuples:
         d = base.copy()
@@ -864,7 +874,7 @@ def main(argv=None) -> int:
             if getattr(args, key, None) is None:
                 raise _CliError(f"{args.verb} requires --{key.replace('_', '-')}")
         if args.verb == "sweep":
-            result, rows = _run_sweep(args)
+            result, rows = _run_sweep(args, parser._verb_parsers)
         else:
             result, rows = _HANDLERS[args.verb](args)
         _emit(args, result, rows)

@@ -10,7 +10,14 @@ the numerator terms into a single exact factor 16 q, so only integer powers
 of q are ever evaluated.  The discriminant uses
 (2 pi)^12 q prod (1 - q^n)^24 with q = exp(2 pi i tau).  All truncation
 tails are bounded by explicit geometric majorants (|q| <= e^-pi resp.
-e^-2pi on the domain) and added to the enclosure radius.
+e^-2pi on the domain), rounded up and added to the enclosure radius by
+``widen``.
+
+When tau is exactly purely imaginary (an exact point i t, as for the disk
+pullbacks z -> 2i/(1-z) that the census scans), the nome exp(-scale pi t)
+is real: it is a RealBall, and the same series loops then run in real ball
+arithmetic, with no complex products.  Any other tau takes the same loops
+over ComplexBall.  Either way the result is returned as a ComplexBall.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from ..exactnum import (
     ball_cexp,
     ball_exp,
     ball_pi,
+    rad_up,
 )
 
 
@@ -33,24 +41,34 @@ def _check_domain(tau: ComplexBall):
         raise DomainError("modular evaluation requires Im tau >= 1 (certified)")
 
 
-def _nome(tau: ComplexBall, scale: int, prec: int) -> ComplexBall:
-    """exp(scale * pi * i * tau) as a ball (scale = 1 or 2)."""
+def _nome(tau: ComplexBall, scale: int, prec: int) -> RealBall | ComplexBall:
+    """exp(scale * pi * i * tau) as a ball (scale = 1 or 2); a RealBall when
+    tau is exactly purely imaginary."""
     pi_b = ball_pi(prec)
     re = pi_b * RealBall(tau.im, tau.rad) * (-scale)
+    if tau.re == 0 and tau.rad == 0:
+        # exp at the working precision: its outward rounding of the interval
+        # endpoints at prec bits would leave the real nome wider than the
+        # complex path's exp(centre) plus growth term
+        return ball_exp(re, prec + 32).round_to(prec + 32)
     im = pi_b * RealBall(tau.re, tau.rad) * scale
     return ball_cexp(ComplexBall.from_real_pair(re, im), prec).round_to(prec + 32)
 
 
-def _pow4(z: ComplexBall, work: int) -> ComplexBall:
+def _pow4(z, work: int):
     z2 = (z * z).round_to(work)
     return (z2 * z2).round_to(work)
+
+
+def _complex(v: RealBall | ComplexBall) -> ComplexBall:
+    return ComplexBall(v.mid, 0, v.rad) if isinstance(v, RealBall) else v
 
 
 @dataclass(frozen=True)
 class ModularValue:
     value: ComplexBall
     terms: int
-    tail_bound: Fraction  # majorant folded into the radius
+    tail_bound: Fraction  # majorant added to the radius, rounded up
 
 
 def lambda_eval(tau: ComplexBall, N: int = 12, prec: int = 128,
@@ -64,30 +82,30 @@ def lambda_eval(tau: ComplexBall, N: int = 12, prec: int = 128,
     # A = sum_{n=0..N} q^(n^2+n), tail <= |q|^((N+1)(N+2)) / (1-|q|)
     # B = 1 + 2 sum_{n=1..N} q^(n^2), tail <= 2 |q|^((N+1)^2) / (1-|q|)
     work = prec + 32
+    one = type(q).exact(1)
     q2 = (q * q).round_to(work)
-    a = ComplexBall.exact(1)  # n = 0 term
-    cur = ComplexBall.exact(1)
-    step = ComplexBall.exact(1)
+    a = one  # n = 0 term
+    cur = one
+    step = one
     for n in range(1, N + 1):
         step = (step * q2).round_to(work)  # q^(2n)
         cur = (cur * step).round_to(work)  # q^(n^2+n)
         a = (a + cur).round_to(work)
-    a_tail = qa ** ((N + 1) * (N + 2)) / (1 - qa)
-    a = ComplexBall(a.re, a.im, a.rad + a_tail)
-    b = ComplexBall.exact(1)
-    cur = ComplexBall.exact(1)
+    a_tail = rad_up(qa ** ((N + 1) * (N + 2)) / (1 - qa))
+    a = a.widen(a_tail)
+    b = one
+    cur = one
     odd = q  # q^(2n-1), starting at n = 1
     for n in range(1, N + 1):
         cur = (cur * odd).round_to(work)  # q^(n^2) = q^((n-1)^2) * q^(2n-1)
         odd = (odd * q2).round_to(work)
         b = (b + 2 * cur).round_to(work)
-    b_tail = 2 * qa ** ((N + 1) * (N + 1)) / (1 - qa)
-    b = ComplexBall(b.re, b.im, b.rad + b_tail)
+    b_tail = rad_up(2 * qa ** ((N + 1) * (N + 1)) / (1 - qa))
+    b = b.widen(b_tail)
     value = (16 * q * _pow4(a, work) / _pow4(b, work)).round_to(work)
-    tail = a_tail + b_tail
     if tol is not None and value.rad > tol:
         raise TailBoundError("lambda enclosure too wide; raise N or precision")
-    return ModularValue(value, N, tail)
+    return ModularValue(_complex(value), N, a_tail + b_tail)
 
 
 def delta_eval(tau: ComplexBall, N: int = 24, prec: int = 128,
@@ -99,11 +117,12 @@ def delta_eval(tau: ComplexBall, N: int = 24, prec: int = 128,
     if qa >= 1:
         raise DomainError("nome modulus not certified below 1")
     work = prec + 32
-    prod = ComplexBall.exact(1)
-    qn = ComplexBall.exact(1)
+    one = type(q).exact(1)
+    prod = one
+    qn = one
     for n in range(1, N + 1):
         qn = (qn * q).round_to(work)
-        term = ComplexBall.exact(1) - qn
+        term = one - qn
         t2 = (term * term).round_to(work)
         t4 = (t2 * t2).round_to(work)
         t8 = (t4 * t4).round_to(work)
@@ -111,13 +130,13 @@ def delta_eval(tau: ComplexBall, N: int = 24, prec: int = 128,
     # |log prod_{n>N} (1-q^n)^24| <= 24 sum_{n>N} |q|^n/(1-|q|) <= t below
     t = 24 * qa ** (N + 1) / (1 - qa) ** 2
     growth = ball_exp(RealBall.exact(t), prec).hi - 1
-    prod = ComplexBall(prod.re, prod.im, prod.rad + prod.abs_upper() * growth)
-    two_pi = ball_pi(prec) * 2
-    factor = two_pi ** 12
-    value = (prod * q * ComplexBall.from_real_pair(factor, RealBall.exact(0))).round_to(work)
+    tail = rad_up(prod.abs_upper() * growth)
+    prod = prod.widen(tail)
+    factor = (ball_pi(prec) * 2) ** 12
+    value = (prod * q * factor).round_to(work)
     if tol is not None and value.rad > tol:
         raise TailBoundError("delta enclosure too wide; raise N or precision")
-    return ModularValue(value, N, t)
+    return ModularValue(_complex(value), N, tail)
 
 
 def modular_eval(which: str, tau: ComplexBall, N: int | None = None,
@@ -132,9 +151,9 @@ def modular_eval(which: str, tau: ComplexBall, N: int | None = None,
 def lambda_disk_pullback(z, N: int = 12, prec: int = 128) -> RealBall:
     """lambda(2i/(1-z)) for rational z in (0,1): real, certified.
 
-    The pulled-back point is purely imaginary with Im >= 2, where lambda is
-    real (all q-powers are real); the complex enclosure is collapsed to a
-    real interval.
+    The pulled-back point is exactly purely imaginary with Im >= 2, where
+    the nome and lambda are real, so ``lambda_eval`` runs in real-ball
+    arithmetic and its result has a zero imaginary part.
     """
     z = Fraction(z)
     if not 0 < z < 1:

@@ -1,14 +1,20 @@
 """Midpoint-radius enclosures with exact rational bookkeeping.
 
 A ball stores an exact rational midpoint and an exact nonnegative rational
-radius, so the ring operations (+, -, *, /) introduce no rounding error at
-all: the returned ball contains the image of every point of the input balls.
-Rounding happens only on request (``round_to``), which shortens the midpoint
-to a dyadic of the caller-supplied working precision and pushes the exact
-rounding error into the radius.  Transcendental functions (log, exp, sqrt,
-sin, cos, pi) are delegated to mpmath's directed-rounding interval context
-and converted back to midpoint-radius form, so every enclosure produced here
-is rigorous.
+radius.  The ring operations (+, -, *, /) stay exact: the returned ball
+contains the image of every point of the input balls, with no rounding at
+all.  ``widen(err)`` is the one place where a rounding error or a
+truncation majorant enters a radius: the rounding error of ``round_to``
+(which shortens the midpoint to a dyadic of the caller-supplied working
+precision), the growth term of ``ball_cexp``, and the series tails of
+``countkit.modular`` and ``boettcher.psi_eval``.  It keeps the midpoint and
+rounds ``rad + err`` up to a short dyadic (32 significant bits), so radii
+stay short and stay certified, following the midpoint-radius design of Arb
+(Johansson, IEEE TC 2017).  (``dynamics.canonical_height_stats`` keeps an
+exact sum: its two radius terms each fill half of the caller's eps.)
+Transcendental functions (log, exp, sqrt, sin, cos, pi) are delegated to
+mpmath's directed-rounding interval context and converted back to
+midpoint-radius form, so every enclosure produced here is rigorous.
 
 Containment contract: every operation returns a ball whose closed disk (or
 closed interval for RealBall) contains f(z) for all z in the input balls.
@@ -108,7 +114,7 @@ def _round_fraction(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     return newv, abs(newv - q)
 
 
-def _rad_up(r: Fraction, bits: int = 32) -> Fraction:
+def rad_up(r: Fraction, bits: int = 32) -> Fraction:
     """Round a radius up to a short dyadic (soundness-preserving compaction)."""
     if r == 0:
         return _ZERO
@@ -162,6 +168,9 @@ class RealBall:
 
     def is_exact(self) -> bool:
         return self.rad == 0
+
+    def abs_upper(self) -> Fraction:
+        return abs(self.mid) + self.rad
 
     def contains(self, q) -> bool:
         q = Fraction(q)
@@ -237,9 +246,13 @@ class RealBall:
             return RealBall(abs(self.mid), self.rad)
         return RealBall.from_endpoints(_ZERO, abs(self.mid) + self.rad)
 
+    def widen(self, err) -> "RealBall":
+        """Same midpoint, radius rad + err rounded up to a short dyadic."""
+        return RealBall(self.mid, rad_up(self.rad + err))
+
     def round_to(self, prec: int) -> "RealBall":
         mid, err = _round_fraction(self.mid, prec)
-        return RealBall(mid, _rad_up(self.rad + err))
+        return RealBall(mid, self.rad).widen(err)
 
     # -- certified comparisons -------------------------------------------
 
@@ -451,10 +464,14 @@ class ComplexBall:
             e >>= 1
         return out
 
+    def widen(self, err) -> "ComplexBall":
+        """Same midpoint, radius rad + err rounded up to a short dyadic."""
+        return ComplexBall(self.re, self.im, rad_up(self.rad + err))
+
     def round_to(self, prec: int) -> "ComplexBall":
         re, e1 = _round_fraction(self.re, prec)
         im, e2 = _round_fraction(self.im, prec)
-        return ComplexBall(re, im, _rad_up(self.rad + sqrt_up(e1 * e1 + e2 * e2)))
+        return ComplexBall(re, im, self.rad).widen(sqrt_up(e1 * e1 + e2 * e2))
 
 
 def _as_complex(x) -> ComplexBall:
@@ -477,7 +494,7 @@ def ball_cexp(z: ComplexBall, prec: int = DEFAULT_PREC) -> ComplexBall:
         return centre
     # |exp(w) - exp(m)| <= |exp(m)| (e^r - 1)
     growth = ball_exp(RealBall.exact(z.rad), prec).hi - 1
-    return ComplexBall(centre.re, centre.im, centre.rad + ex.hi * growth)
+    return centre.widen(ex.hi * growth)
 
 
 def ball_decimal(mid: Fraction, rad: Fraction, digits: int) -> tuple[str, str]:

@@ -264,9 +264,9 @@ def _recombine(f: IntPoly, lifted: list[list[int]], pl: int, allowed_degrees: in
             hit = False
             cur_lead = cur.lead % pl
             const_cur = cur[0] * cur.lead  # divisor target for trailing-coeff test
-            for S in combinations(remaining, s):
-                degs = sum(len(lifted[i]) - 1 for i in S)
-                if not (allowed_degrees >> degs) & 1:
+            degs = [len(lifted[i]) - 1 for i in remaining]
+            for S, dS in zip(combinations(remaining, s), combinations(degs, s)):
+                if not (allowed_degrees >> sum(dS)) & 1:
                     continue
                 # trailing-coefficient quick test
                 tc = cur_lead

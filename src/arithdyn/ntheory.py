@@ -30,11 +30,17 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+# Miller-Rabin to the first thirteen prime bases is a proof of primality below
+# this bound (Sorenson-Webster 2015); the first twelve stop at 3.2e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PROVEN_PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the first twelve prime bases: exact below 3.3e24."""
+    """Miller-Rabin to the first thirteen prime bases: exact below 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -42,7 +48,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):  # deterministic < 3.3e24
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -72,8 +78,14 @@ def _pollard_rho(n: int) -> int:
 
 
 def prime_divisors(n: int) -> list[int]:
-    """Distinct primes dividing n, increasing, by trial division."""
+    """Distinct primes dividing n, increasing.
+
+    Below ``PROVEN_PRIME_BOUND`` every factor ``factorize`` returns is a
+    proven prime; larger n fall back to trial division up to sqrt(n).
+    """
     n = abs(n)
+    if 1 < n < PROVEN_PRIME_BOUND:
+        return sorted(factorize(n))
     out = []
     d = 2
     while d * d <= n:

@@ -3,8 +3,10 @@
 These deliberately avoid the library's own algorithms: factor search by
 exhaustive coefficient boxes with Mignotte-style bounds, naive multiplicative
 orders by repeated multiplication, naive series multiplication on full
-coefficient dicts, and schoolbook polynomial arithmetic over Z/m as the
-reference for the Kronecker and Newton kernels of ``factorint.modp``.
+coefficient dicts, schoolbook polynomial arithmetic over Z/m as the
+reference for the Kronecker and Newton kernels of ``factorint.modp``, and
+mpmath's theta functions and q-Pochhammer symbol at 200 digits as the
+reference for the lambda and discriminant enclosures of ``countkit.modular``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+
+import mpmath
 
 from arithdyn.exactnum import IntPoly
 
@@ -170,3 +174,31 @@ def school_pow_mod(f: list[int], e: int, g: list[int], m: int) -> list[int]:
         base = school_divmod(school_mul(base, base, m), g, m)[1]
         e >>= 1
     return out
+
+
+ORACLE_DPS = 200
+
+
+def lambda_oracle(tau_re: Fraction, tau_im: Fraction) -> mpmath.mpc:
+    """lambda(tau) = (theta_2 / theta_3)^4 at the nome exp(pi i tau), 200 digits."""
+    with mpmath.workdps(ORACLE_DPS):
+        tau = mpmath.mpc(mpmath.mpf(tau_re.numerator) / tau_re.denominator,
+                         mpmath.mpf(tau_im.numerator) / tau_im.denominator)
+        q = mpmath.exp(mpmath.pi * 1j * tau)
+        return (mpmath.jtheta(2, 0, q) / mpmath.jtheta(3, 0, q)) ** 4
+
+
+def delta_oracle(tau_re: Fraction, tau_im: Fraction) -> mpmath.mpc:
+    """(2 pi)^12 q (q; q)_inf^24 at q = exp(2 pi i tau), 200 digits."""
+    with mpmath.workdps(ORACLE_DPS):
+        tau = mpmath.mpc(mpmath.mpf(tau_re.numerator) / tau_re.denominator,
+                         mpmath.mpf(tau_im.numerator) / tau_im.denominator)
+        q = mpmath.exp(2 * mpmath.pi * 1j * tau)
+        return (2 * mpmath.pi) ** 12 * q * mpmath.qp(q) ** 24
+
+
+def mpf_fraction(x: mpmath.mpf) -> Fraction:
+    """The exact value of a finite mpf."""
+    sign, man, exp, _ = x._mpf_
+    v = Fraction(int(man)) * Fraction(2) ** int(exp)
+    return -v if sign else v

@@ -140,3 +140,26 @@ def test_round_to_soundness():
     y = x.round_to(40)
     assert y.contains(x.mid)
     assert y.rad > 0
+
+
+def _significant_bits(r: Fraction) -> int:
+    """Bits of the odd part of a dyadic rational's numerator."""
+    assert r.denominator & (r.denominator - 1) == 0, "radius must be dyadic"
+    n = r.numerator
+    return (n >> ((n & -n).bit_length() - 1)).bit_length() if n else 0
+
+
+@given(mid=rationals, rad=st.fractions(min_value=0, max_value=10, max_denominator=10 ** 40),
+       err=st.fractions(min_value=0, max_value=10, max_denominator=10 ** 40),
+       im=rationals)
+@settings(max_examples=200, deadline=None)
+def test_widen_contains_the_exactly_widened_ball(mid, rad, err, im):
+    exact = RealBall(mid, rad + err)
+    w = RealBall(mid, rad).widen(err)
+    assert w.mid == mid and w.contains_ball(exact)
+    assert w.contains(exact.lo) and w.contains(exact.hi)
+    assert _significant_bits(w.rad) <= 33
+    cw = ComplexBall(mid, im, rad).widen(err)
+    assert (cw.re, cw.im) == (mid, im) and cw.rad >= rad + err
+    assert cw.contains(mid + rad + err, im) and cw.contains(mid, im - rad - err)
+    assert _significant_bits(cw.rad) <= 33

@@ -107,6 +107,36 @@ def test_malformed_rationals_are_usage_errors(argv, capsys):
     assert capsys.readouterr().err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["vanish", "--points", "1,1;1", "--t-max", "2"],
+    ["vanish", "--points", "1,1;x,2", "--t-max", "2"],
+    ["sweep", "--verb", "snap", "--map", "X^2+1", "--alpha", "1", "--vary", "n=a:b"],
+    ["sweep", "--verb", "snap", "--map", "X^2+1", "--alpha", "1", "--vary", "n=1:3:0"],
+])
+def test_malformed_points_and_ranges_are_usage_errors(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_sweep_passes_the_verbs_own_defaults(capsys):
+    rc, out = run_cli(["sweep", "--verb", "masser-t", "--AZ", "2", "--vary", "d=1,2",
+                       "--format", "csv"], capsys)
+    assert rc == 0
+    swept = [line.split(",", 1)[1] for line in out.strip().splitlines()[2:]]
+    direct = []
+    for d in ("1", "2"):
+        rc, out = run_cli(["masser-t", "--AZ", "2", "--d", d, "--format", "csv"], capsys)
+        assert rc == 0
+        direct.append(out.strip().splitlines()[2])
+    assert swept == direct
+
+
+def test_weil_height_with_a_large_prime_denominator(capsys):
+    rc, out = run_cli(["weil-height", "--tuple", "1/2305843009213693951"], capsys)
+    assert rc == 0
+    assert json.loads(out)["result"]["exact"] == "2305843009213693951/1"
+
+
 def test_delta_v_rejects_a_composite_prime(capsys):
     assert main(["delta-v", "--map", "X^2+1", "--prime", "4"]) == 2
     assert capsys.readouterr().err.startswith("domain error: ")

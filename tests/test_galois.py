@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from math import gcd
 
@@ -183,3 +184,41 @@ def test_primality_and_prime_divisors_match_trial_division():
         assert prime_divisors(n) == [p for p in primes if n % p == 0]
     assert prime_divisors(-360) == [2, 3, 5]
     assert prime_divisors(3 ** 5 * 1_000_003) == [3, 1_000_003]
+
+
+def test_prime_divisors_match_a_sieve_up_to_1e5():
+    from arithdyn.ntheory import prime_divisors
+
+    N = 10 ** 5
+    spf = list(range(N + 1))  # smallest prime factor, by sieve
+    for p in range(2, int(N ** 0.5) + 1):
+        if spf[p] == p:
+            for m in range(p * p, N + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    for n in range(1, N + 1):
+        want, m = [], n
+        while m > 1:
+            p = spf[m]
+            want.append(p)
+            while m % p == 0:
+                m //= p
+        assert prime_divisors(n) == want, n
+
+
+def test_prime_divisors_of_a_large_prime_are_fast():
+    from arithdyn.ntheory import prime_divisors
+
+    t0 = time.time()
+    assert prime_divisors(2 ** 61 - 1) == [2 ** 61 - 1]
+    assert prime_divisors(6 * (2 ** 61 - 1)) == [2, 3, 2 ** 61 - 1]
+    assert time.time() - t0 < 1
+
+
+def test_strong_pseudoprimes_to_the_first_twelve_prime_bases_are_composite():
+    from arithdyn.ntheory import is_prime, prime_divisors
+
+    # the least strong pseudoprime to the bases 2..37 (Sorenson-Webster)
+    n = 318665857834031151167461
+    assert not is_prime(n)
+    assert prime_divisors(n) == [399165290221, 798330580441]

@@ -3,10 +3,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from arithdyn.countkit import delta_eval, lambda_eval, modular_eval
-from arithdyn.countkit.modular import delta_disk_pullback, lambda_disk_pullback
+from arithdyn.countkit import delta_eval, enumerate_rationals, lambda_eval, modular_eval
+from arithdyn.countkit.modular import _nome, delta_disk_pullback, lambda_disk_pullback
 from arithdyn.errors import DomainError
 from arithdyn.exactnum import ComplexBall, ball_exp, ball_pi
+from oracles import ORACLE_DPS, delta_oracle, lambda_oracle, mpf_fraction
+
+# the oracle's own error, far below every enclosure radius tested here
+ORACLE_SLACK = F(1, 10 ** (ORACLE_DPS - 10))
+
+
+def _contains_oracle(ball, ref) -> bool:
+    """ball (real or complex) contains the mpmath value ref up to its 200 digits."""
+    re, im = mpf_fraction(ref.real), mpf_fraction(ref.imag)
+    if isinstance(ball, ComplexBall):
+        return (re - ball.re) ** 2 + (im - ball.im) ** 2 <= (ball.rad + ORACLE_SLACK) ** 2
+    return abs(im) <= ORACLE_SLACK and abs(re - ball.mid) <= ball.rad + ORACLE_SLACK
 
 
 def test_lambda_leading_term_at_3i():
@@ -67,3 +79,46 @@ def test_delta_eval_positive_on_imaginary_axis():
     mv = delta_eval(ComplexBall(0, 2), N=16, prec=128)
     assert mv.value.abs_lower() > 0
     assert abs(float(mv.value.im)) <= float(mv.value.rad)
+
+
+@pytest.mark.parametrize("prec", [96, 128, 512])
+def test_real_axis_pullbacks_contain_the_mpmath_values(prec):
+    for z in enumerate_rationals(8):
+        t = 2 / (1 - z)
+        lam = lambda_disk_pullback(z, N=16, prec=prec)
+        assert _contains_oracle(lam, lambda_oracle(F(0), t)), (z, prec)
+        dl = delta_disk_pullback(z, N=24, prec=prec)
+        assert _contains_oracle(dl, delta_oracle(F(0), t)), (z, prec)
+        assert lam.rad < lam.mid / 2 ** (prec - 8) and dl.rad < dl.mid / 2 ** (prec - 8)
+
+
+@pytest.mark.parametrize("prec", [96, 128, 512])
+@pytest.mark.parametrize("evaluate, N", [(lambda_eval, 16), (delta_eval, 24)])
+def test_complex_path_on_the_imaginary_axis_overlaps_the_real_path(evaluate, N, prec):
+    for z in enumerate_rationals(8):
+        t = 2 / (1 - z)
+        real_v = evaluate(ComplexBall(0, t), N=N, prec=prec).value
+        assert real_v.im == 0
+        # a nonzero input radius sends tau through the complex nome
+        complex_v = evaluate(ComplexBall(0, t, F(1, 2 ** 400)), N=N, prec=prec).value
+        d2 = (complex_v.re - real_v.re) ** 2 + complex_v.im ** 2
+        assert d2 <= (complex_v.rad + real_v.rad) ** 2
+        assert complex_v.rad >= real_v.rad
+
+
+def test_off_axis_tau_contains_the_mpmath_values():
+    tau_re, tau_im = F(1, 3), F(3, 2)
+    tau = ComplexBall(tau_re, tau_im)
+    lam = lambda_eval(tau, N=16, prec=128)
+    assert _contains_oracle(lam.value, lambda_oracle(tau_re, tau_im))
+    dl = delta_eval(tau, N=24, prec=128)
+    assert _contains_oracle(dl.value, delta_oracle(tau_re, tau_im))
+
+
+def test_tail_bound_is_the_rounded_up_majorant():
+    N = 4
+    qa = _nome(ComplexBall(0, 2), 1, 128).abs_upper()
+    majorant = (qa ** ((N + 1) * (N + 2)) + 2 * qa ** ((N + 1) ** 2)) / (1 - qa)
+    tail = lambda_eval(ComplexBall(0, 2), N=N, prec=128).tail_bound
+    assert majorant <= tail <= majorant * (1 + F(1, 2 ** 30))
+    assert tail.denominator & (tail.denominator - 1) == 0  # a short dyadic
