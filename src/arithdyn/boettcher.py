@@ -312,9 +312,6 @@ class DeltaV:
             return RealBall.exact(self.exact)
         return ball_root(RealBall.exact(self.power), self.power_exponent, prec)
 
-    def log_free_ball(self, prec: int = 96) -> RealBall:
-        return self.value_ball(prec)
-
     def describe(self) -> str:
         if self.prime is None:
             return f"arch:{self.exact}"

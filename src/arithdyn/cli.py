@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 unknown verb or malformed parameters, 2 domain
 errors, 3 resource-guard trips.
 
 Config files are key=value lines ('#' comments allowed); keys are the long
-option names with dashes replaced by underscores.  Explicit command-line
-flags override config values, which override built-in defaults.
+option names with dashes replaced by underscores, and a key the verb does
+not declare is a usage error.  Explicit command-line flags override config
+values, which override built-in defaults.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import DomainError, ResourceGuardError
@@ -49,7 +53,7 @@ def _rational(text, what: str) -> Fraction:
         raise _CliError(f"{what}: cannot parse rational {text!r}") from exc
 
 
-def parse_number(text):
+def parse_number(text, what: str = "number"):
     """Exact rational ("3/4", "2.5", "-7") or e-power ("e", "e^3") values."""
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
@@ -57,15 +61,99 @@ def parse_number(text):
         return text
     text = text.strip()
     if text == "e" or text.startswith("e^"):
-        k = _rational(text[2:], "exponent of e") if text.startswith("e^") else Fraction(1)
+        k = _rational(text[2:], f"{what}: exponent of e") if text.startswith("e^") else Fraction(1)
         b = ball_e(192)
         if k.denominator != 1:
-            raise _CliError(f"only integer powers of e are supported: {text!r}")
+            raise _CliError(f"{what}: only integer powers of e are supported: {text!r}")
         out = RealBall.exact(1)
         for _ in range(abs(k.numerator)):
             out = out * b
         return out.inverse() if k < 0 else out
-    return _rational(text, "number")
+    return _rational(text, what)
+
+
+# ---------------------------------------------------------------------------
+# the verb table: every verb and parameter is declared once, below
+
+
+class Param(NamedTuple):
+    """One ``--name`` option.  ``kind`` is how its value is parsed: "int",
+    "rational", "number" (``parse_number``), "text", "flag" or "list"
+    (repeatable text)."""
+
+    name: str
+    kind: str = "text"
+    default: object = None
+    required: bool = False
+    dest: str | None = None
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def key(self) -> str:
+        """Namespace attribute, jobspec key and config key."""
+        return self.dest or self.name.replace("-", "_")
+
+
+class Verb(NamedTuple):
+    name: str
+    help: str
+    params: tuple[Param, ...]
+    run: Callable  # typed namespace -> (result_for_json, rows_for_csv)
+
+
+VERBS: dict[str, Verb] = {}
+
+COMMON = (
+    Param("output"),
+    Param("format", default="json", choices=("json", "csv")),
+    Param("precision", "int", 128),
+    Param("seed", "int", 0),
+    Param("jobs", "int", 1),
+    Param("degree-cap", "int", DEFAULT_DEGREE_CAP),
+    Param("config"),
+)
+
+
+_req = partial(Param, required=True)
+_MAP, _ALPHA, _N = _req("map"), _req("alpha", "rational"), _req("n", "int")
+
+
+def _verb(name: str, help: str, *params: Param):
+    def register(run):
+        VERBS[name] = Verb(name, help, params, run)
+        return run
+    return register
+
+
+def _value(p: Param, raw):
+    """The typed value of a parameter, parsed once from its text (typed
+    values pass through unchanged)."""
+    if raw is None or p.kind == "list":
+        return raw
+    if p.kind == "int":
+        try:
+            return int(raw)
+        except ValueError as exc:
+            raise _CliError(f"--{p.name}: cannot parse integer {raw!r}") from exc
+    if p.kind == "rational":
+        return _rational(raw, f"--{p.name}")
+    if p.kind == "number":
+        return parse_number(raw, f"--{p.name}")
+    if p.kind == "flag":
+        return raw if isinstance(raw, bool) else str(raw).lower() in ("1", "true", "yes")
+    if p.choices and raw not in p.choices:
+        raise _CliError(f"--{p.name}: invalid choice {raw!r} (choose from {', '.join(p.choices)})")
+    return str(raw)
+
+
+def _typed(values: dict, params) -> argparse.Namespace:
+    return argparse.Namespace(**(values | {p.key: _value(p, values.get(p.key)) for p in params}))
+
+
+def _check_required(verb: Verb, values: dict) -> None:
+    for p in verb.params:
+        if p.required and values.get(p.key) is None:
+            raise _CliError(f"{verb.name} requires --{p.name}")
 
 
 def _fr(x: Fraction) -> str:
@@ -84,368 +172,333 @@ def _ball_json(b, prec: int) -> dict:
 
 
 def _ball_cell(b, prec: int) -> str:
-    j = _ball_json(b, prec)
-    return f"{j['mid']}+/-{j['rad']}"
-
-
-def _maybe_map(args) -> PolyMap:
-    if not getattr(args, "map", None):
-        raise _CliError("--map is required for this verb")
-    return PolyMap.from_text(args.map)
-
-
-def _alpha(args) -> Fraction:
-    if getattr(args, "alpha", None) is None:
-        raise _CliError("--alpha is required for this verb")
-    return _rational(args.alpha, "--alpha")
+    return "{mid}+/-{rad}".format(**_ball_json(b, prec))
 
 
 # ---------------------------------------------------------------------------
-# verb handlers: each returns (result_for_json, rows_for_csv)
+# verb handlers: each takes the typed namespace and returns
+# (result_for_json, rows_for_csv)
 
 
-def _run_height(args):
+@_verb("height", "multiplicative/log height of a rational or algebraic number",
+       Param("rational", "rational"), Param("min-poly"))
+def _run_height(a):
     from .heights import AlgebraicNumber, height_algebraic, height_rational
 
-    prec = args.precision
-    if args.rational is not None:
-        hv = height_rational(_rational(args.rational, "--rational"), prec)
-    elif args.min_poly is not None:
-        _, prim = parse_poly(args.min_poly).to_int_primitive()
-        hv = height_algebraic(AlgebraicNumber.create(prim), prec)
+    if a.rational is not None:
+        hv = height_rational(a.rational, a.precision)
+        source = _fr(a.rational)
+    elif a.min_poly is not None:
+        _, prim = parse_poly(a.min_poly).to_int_primitive()
+        hv = height_algebraic(AlgebraicNumber.create(prim), a.precision)
+        source = a.min_poly
     else:
         raise _CliError("height needs --rational or --min-poly")
     res = hv.to_json(_DIGITS)
-    return res, [res | {"input": args.rational or args.min_poly}]
+    return res, [res | {"input": source}]
 
 
-def _run_weil_height(args):
+@_verb("weil-height", "exact Weil height of a rational tuple", _req("tuple"))
+def _run_weil_height(a):
     from .heights import weil_height_tuple
 
-    ts = [Fraction(t) for t in args.tuple.split(",") if t.strip()]
-    hv = weil_height_tuple(ts, args.precision)
-    res = hv.to_json(_DIGITS)
+    ts = [_rational(t, "--tuple") for t in a.tuple.split(",") if t.strip()]
+    res = weil_height_tuple(ts, a.precision).to_json(_DIGITS)
     return res, [res]
 
 
-def _run_iterate(args):
-    P = _maybe_map(args)
-    out = P.iterate_poly(args.n, args.degree_cap)
+@_verb("iterate", "exact expanded n-th iterate", _MAP, _N)
+def _run_iterate(a):
+    out = PolyMap.from_text(a.map).iterate_poly(a.n, a.degree_cap)
     res = {"degree": out.degree, "coeffs": out.to_json()}
-    return res, [{"degree": out.degree, "coeffs": " ".join(out.to_json())}]
+    return res, [{"degree": out.degree, "coeffs": " ".join(res["coeffs"])}]
 
 
-def _run_canonical_height(args):
+@_verb("canonical-height", "canonical height enclosure with certified tail",
+       _MAP, _ALPHA, Param("eps", "rational", "1/1000000"))
+def _run_canonical_height(a):
     from .dynamics import canonical_height_stats
 
-    P = _maybe_map(args)
-    stats = canonical_height_stats(P, _alpha(args), Fraction(args.eps), args.precision)
-    res = {
-        "alpha": _fr(stats.alpha),
-        "n_used": stats.n,
-        "canonical": _ball_json(stats.canonical, args.precision),
-        "gap_constant": _ball_json(stats.gap_constant, args.precision),
-        "orbit_height_mults": [_fr(h) for h in stats.heights],
-    }
-    row = {
-        "alpha": _fr(stats.alpha),
-        "n_used": stats.n,
-        "canonical": _ball_cell(stats.canonical, args.precision),
-    }
+    stats = canonical_height_stats(PolyMap.from_text(a.map), a.alpha, a.eps, a.precision)
+    row = {"alpha": _fr(stats.alpha), "n_used": stats.n,
+           "canonical": _ball_cell(stats.canonical, a.precision)}
+    res = row | {"canonical": _ball_json(stats.canonical, a.precision),
+                 "gap_constant": _ball_json(stats.gap_constant, a.precision),
+                 # bit lengths: the heights themselves run to millions of digits
+                 "orbit_height_bits": [h.numerator.bit_length() for h in stats.heights]}
     return res, [row]
 
 
-def _snap_row(P, alpha, n, args):
+@_verb("snap", "root-degree multiset of the n-th iterate difference",
+       _MAP, _ALPHA, _N, Param("delta", "rational", "1/2"), Param("eps-shape", "rational", "1/8"))
+def _run_snap(a):
     from .countkit import bound_shape
     from .dynamics import snap_degree_multiset
 
-    rep = snap_degree_multiset(P, alpha, n, args.degree_cap, args.seed)
-    delta = Fraction(args.delta)
-    p, q = delta.numerator, delta.denominator
-    thr_rhs = P.degree ** (p * n)
-    count = sum(1 for d in rep.multiset if d ** q <= thr_rhs)
-    prop = Fraction(count, P.degree ** n)
-    shape = bound_shape("degree_lower", D=P.degree, n=n, eps=Fraction(args.eps_shape),
-                        prec=args.precision)
-    return rep, {
-        "alpha": _fr(alpha),
-        "n": n,
+    P = PolyMap.from_text(a.map)
+    rep = snap_degree_multiset(P, a.alpha, a.n, a.degree_cap, a.seed)
+    shape = bound_shape("degree_lower", D=P.degree, n=a.n, eps=a.eps_shape, prec=a.precision)
+    row = {
+        "alpha": _fr(a.alpha),
+        "n": a.n,
         "D": P.degree,
         "r": rep.distinct_factors,
         "r_with_multiplicity": rep.with_multiplicity,
         "max_degree": rep.max_degree,
-        "proportion": _fr(prop),
-        "bound_shape_value": _ball_cell(shape, args.precision),
+        "proportion": _fr(rep.low_degree_share(a.delta)),
+        "bound_shape_value": _ball_cell(shape, a.precision),
         "squarefree": rep.squarefree,
     }
+    res = {"multiset": list(rep.multiset), "squarefree": rep.squarefree,
+           "value": _fr(rep.value), "factors": rep.factor_report.to_json()}
+    return res | {k: row[k] for k in ("alpha", "n", "D", "r", "max_degree")}, [row]
 
 
-def _run_snap(args):
-    P = _maybe_map(args)
-    rep, row = _snap_row(P, _alpha(args), args.n, args)
-    res = {
-        "multiset": list(rep.multiset),
-        "squarefree": rep.squarefree,
-        "value": _fr(rep.value),
-        "factors": rep.factor_report.to_json(),
-    } | {k: row[k] for k in ("alpha", "n", "D", "r", "max_degree")}
-    return res, [row]
-
-
-def _run_irreducible_count(args):
+@_verb("irreducible-count", "irreducible-factor counts of the iterate difference",
+       _MAP, _ALPHA, _N)
+def _run_irreducible_count(a):
     from .dynamics import irreducible_count
 
-    P = _maybe_map(args)
-    r, rm = irreducible_count(P, _alpha(args), args.n, args.degree_cap, args.seed)
+    r, rm = irreducible_count(PolyMap.from_text(a.map), a.alpha, a.n, a.degree_cap, a.seed)
     res = {"r": r, "with_multiplicity": rm}
     return res, [res]
 
 
-def _run_proportion(args):
+@_verb("proportion", "share of roots of degree <= D^(delta n)",
+       _MAP, _ALPHA, _N, _req("delta", "rational"))
+def _run_proportion(a):
     from .dynamics import low_degree_proportion
 
-    P = _maybe_map(args)
-    prop = low_degree_proportion(P, _alpha(args), args.n, Fraction(args.delta),
-                                 args.degree_cap, args.seed)
-    res = {"proportion": _fr(prop), "delta": _fr(Fraction(args.delta))}
+    prop = low_degree_proportion(PolyMap.from_text(a.map), a.alpha, a.n, a.delta,
+                                 a.degree_cap, a.seed)
+    res = {"proportion": _fr(prop), "delta": _fr(a.delta)}
     return res, [res]
 
 
-def _run_factor(args):
+@_verb("factor", "complete factorization over Z", _req("poly"))
+def _run_factor(a):
     from .factorint import factor_over_Q
 
-    poly = parse_poly(args.poly)
-    scale, rep = factor_over_Q(poly, args.seed)
+    scale, rep = factor_over_Q(parse_poly(a.poly), a.seed)
     rj = rep.to_json()
-    res = {"scale": _fr(scale)} | rj
-    rows = [
+    return {"scale": _fr(scale)} | rj, [
         {"degree": len(f["coeffs"]) - 1, "mult": f["mult"], "coeffs": " ".join(f["coeffs"])}
-        for f in rj["factors"]
-    ]
-    return res, rows
+        for f in rj["factors"]]
 
 
-def _run_boettcher_series(args):
+@_verb("boettcher-series", "conjugacy-at-infinity series coefficients (exact)",
+       _MAP, Param("order", "int", 10))
+def _run_boettcher_series(a):
     from .boettcher import boettcher_series
 
-    P = _maybe_map(args)
-    B = boettcher_series(P, args.order)
-    coeffs = {f"b{k}": _fr(B.b(k)) for k in range(args.order + 1)}
-    return {"order": args.order, "coefficients": coeffs}, [
-        {"k": k, "b_k": _fr(B.b(k))} for k in range(args.order + 1)
+    B = boettcher_series(PolyMap.from_text(a.map), a.order)
+    coeffs = {f"b{k}": _fr(B.b(k)) for k in range(a.order + 1)}
+    return {"order": a.order, "coefficients": coeffs}, [
+        {"k": k, "b_k": _fr(B.b(k))} for k in range(a.order + 1)
     ]
 
 
-def _run_delta_v(args):
+@_verb("delta-v", "nonarchimedean escape threshold at a prime", _MAP, _req("prime", "int"))
+def _run_delta_v(a):
     from .boettcher import delta_v
 
-    P = _maybe_map(args)
-    dv = delta_v(P, args.prime)
-    res = {
-        "prime": args.prime,
-        "exact": _fr(dv.exact) if dv.exact is not None else None,
-        "power": _fr(dv.power) if dv.power is not None else None,
-        "power_exponent": dv.power_exponent,
-        "value": _ball_cell(dv.value_ball(args.precision), args.precision),
-    }
+    dv = delta_v(PolyMap.from_text(a.map), a.prime)
+    res = {"prime": a.prime, "exact": _fr(dv.exact) if dv.exact is not None else None,
+           "power": _fr(dv.power) if dv.power is not None else None,
+           "power_exponent": dv.power_exponent,
+           "value": _ball_cell(dv.value_ball(a.precision), a.precision)}
     return res, [res]
 
 
-def _run_good_place(args):
+@_verb("good-place", "first place with |alpha|_v above the threshold", _MAP, _ALPHA)
+def _run_good_place(a):
     from .boettcher import good_place
 
-    P = _maybe_map(args)
-    rep = good_place(P, _alpha(args))
+    rep = good_place(PolyMap.from_text(a.map), a.alpha)
     if rep is None:
         res = {"found": False}
     else:
-        res = {
-            "found": True,
-            "place": "arch" if rep.prime is None else rep.prime,
-            "abs_value": _fr(rep.abs_value),
-            "threshold": rep.delta.describe(),
-            "margin": _ball_cell(rep.margin, args.precision),
-        }
+        res = {"found": True, "place": "arch" if rep.prime is None else rep.prime,
+               "abs_value": _fr(rep.abs_value), "threshold": rep.delta.describe(),
+               "margin": _ball_cell(rep.margin, a.precision)}
     return res, [res]
 
 
-def _run_escape_radius(args):
+@_verb("escape-radius", "archimedean escape radius 1 + sum|a_i|", _MAP)
+def _run_escape_radius(a):
     from .boettcher import escape_domain_radius
 
-    er = escape_domain_radius(_maybe_map(args))
+    er = escape_domain_radius(PolyMap.from_text(a.map))
     res = {"radius": _fr(er.radius), "safe": _fr(er.safe)}
     return res, [res]
 
 
-def _run_fstar(args):
+@_verb("fstar", "escape-parametrized root function, certified",
+       _MAP, _ALPHA, Param("tau-re", "rational", "0"), Param("tau-im", "rational", "1/24"),
+       Param("order", "int", 16))
+def _run_fstar(a):
     from .boettcher import fstar_eval
 
-    P = _maybe_map(args)
-    tau = ComplexBall(Fraction(args.tau_re), Fraction(args.tau_im))
-    out = fstar_eval(P, _alpha(args), tau, N=args.order, prec=args.precision)
-    res = {
-        "value": _ball_json(out.value, args.precision),
-        "rho": _fr(out.rho),
-        "distortion": _fr(out.distortion),
-        "phi_tail": _fr(out.phi_tail),
-        "psi_tail": _fr(out.psi_tail),
-    }
-    return res, [{"value": _ball_cell(out.value, args.precision)}]
+    out = fstar_eval(PolyMap.from_text(a.map), a.alpha, ComplexBall(a.tau_re, a.tau_im),
+                     N=a.order, prec=a.precision)
+    res = {"value": _ball_json(out.value, a.precision), "rho": _fr(out.rho),
+           "distortion": _fr(out.distortion), "phi_tail": _fr(out.phi_tail),
+           "psi_tail": _fr(out.psi_tail)}
+    return res, [{"value": _ball_cell(out.value, a.precision)}]
 
 
-def _run_order(args):
+@_verb("order", "multiplicative order of a modulo n", _req("a", "int"), _req("n", "int"))
+def _run_order(a):
     from .galois import mult_order
 
-    res = {"order": mult_order(args.a, args.n)}
-    return res, [res | {"a": args.a, "n": args.n}]
+    res = {"order": mult_order(a.a, a.n)}
+    return res, [res | {"a": a.a, "n": a.n}]
 
 
-def _run_lifting_exponent(args):
+@_verb("lifting-exponent", "(e, m) data governing orders modulo prime powers",
+       _req("a", "int"), _req("q", "int"))
+def _run_lifting_exponent(a):
     from .galois import lifting_exponent
 
-    le = lifting_exponent(args.a, args.q)
+    le = lifting_exponent(a.a, a.q)
     res = {"a": le.a, "q": le.q, "e": le.e, "m": le.m}
     return res, [res]
 
 
-def _run_cyclotomic_degree(args):
+@_verb("cyclotomic-degree", "exact degree of the b-th cyclotomic extension of Q_p",
+       _req("p", "int"), _req("b", "int"))
+def _run_cyclotomic_degree(a):
     from .galois import cyclotomic_degree_qp
 
-    res = {"degree": cyclotomic_degree_qp(args.p, args.b)}
-    return res, [res | {"p": args.p, "b": args.b}]
+    res = {"degree": cyclotomic_degree_qp(a.p, a.b)}
+    return res, [res | {"p": a.p, "b": a.b}]
 
 
-def _run_galcor(args):
+@_verb("galcor", "cyclotomic degree lower bound b * D^-m",
+       _req("p", "int"), _req("b", "int"), _req("D", "int"))
+def _run_galcor(a):
     from .galois import galcor_lower_bound
 
-    g = galcor_lower_bound(args.p, args.b, args.D, args.precision)
-    res = {
-        "degree": g.degree,
-        "m": g.m,
-        "bound": _fr(g.bound),
-        "m_cap": _ball_cell(g.m_cap, args.precision),
-    }
+    g = galcor_lower_bound(a.p, a.b, a.D, a.precision)
+    res = {"degree": g.degree, "m": g.m, "bound": _fr(g.bound),
+           "m_cap": _ball_cell(g.m_cap, a.precision)}
     return res, [res]
 
 
-def _run_padic_bound(args):
+@_verb("padic-bound", "degree lower bound for iterate roots at a good prime",
+       _MAP, _ALPHA, _N, Param("no-cross-check", "flag", False))
+def _run_padic_bound(a):
     from .galois import padic_degree_bound
 
-    P = _maybe_map(args)
-    rep = padic_degree_bound(P, _alpha(args), args.n, args.precision,
-                             args.degree_cap, not args.no_cross_check, args.seed)
-    res = {
-        "place": rep.place.describe(),
-        "bound": rep.bound,
-        "cap_form": _fr(rep.cap_form),
-        "m_uniform": rep.m_uniform,
-        "m_height_cap": _ball_cell(rep.m_height_cap, args.precision),
-        "count_coefficient": rep.count_coefficient,
-        "snap_max_degree": rep.snap_max_degree,
-    }
+    rep = padic_degree_bound(PolyMap.from_text(a.map), a.alpha, a.n, a.precision,
+                             a.degree_cap, not a.no_cross_check, a.seed)
+    res = {"place": rep.place.describe(), "bound": rep.bound, "cap_form": _fr(rep.cap_form),
+           "m_uniform": rep.m_uniform, "m_height_cap": _ball_cell(rep.m_height_cap, a.precision),
+           "count_coefficient": rep.count_coefficient, "snap_max_degree": rep.snap_max_degree}
     return res, [res]
 
 
-def _run_bounded_region(args):
+@_verb("bounded-region", "height test against the product of escape thresholds",
+       _MAP, _ALPHA)
+def _run_bounded_region(a):
     from .dynamics import bounded_height_region_check
 
-    P = _maybe_map(args)
-    rep = bounded_height_region_check(P, _alpha(args), args.precision)
-    res = {
-        "height": _fr(rep.height),
-        "threshold_product": _ball_cell(rep.threshold_product, args.precision),
-        "exceeds": rep.exceeds,
-        "witness": rep.witness_place.describe() if rep.witness_place else None,
-        "places": [dv.describe() for dv in rep.nontrivial_places],
-    }
-    return res, [
-        {k: res[k] for k in ("height", "threshold_product", "exceeds", "witness")}
-    ]
+    rep = bounded_height_region_check(PolyMap.from_text(a.map), a.alpha, a.precision)
+    row = {"height": _fr(rep.height),
+           "threshold_product": _ball_cell(rep.threshold_product, a.precision),
+           "exceeds": rep.exceeds,
+           "witness": rep.witness_place.describe() if rep.witness_place else None}
+    return row | {"places": [dv.describe() for dv in rep.nontrivial_places]}, [row]
 
 
-def _run_cover(args):
+@_verb("cover", "grid cover of a disk by smaller disks",
+       _req("R", "rational"), _req("r", "rational"))
+def _run_cover(a):
     from .countkit import cover_count_bound_holds, disk_cover
 
-    centers = disk_cover(Fraction(args.R), Fraction(args.r))
-    res = {
-        "count": len(centers),
-        "bound_holds": cover_count_bound_holds(len(centers), Fraction(args.R), Fraction(args.r)),
-        "centers": [[_fr(x), _fr(y)] for x, y in centers],
-    }
-    rows = [{"cx": _fr(x), "cy": _fr(y)} for x, y in centers]
-    return res, rows
+    centers = disk_cover(a.R, a.r)
+    res = {"count": len(centers),
+           "bound_holds": cover_count_bound_holds(len(centers), a.R, a.r),
+           "centers": [[_fr(x), _fr(y)] for x, y in centers]}
+    return res, [{"cx": _fr(x), "cy": _fr(y)} for x, y in centers]
 
 
-def _run_jensen(args):
+@_verb("jensen", "zero-count bound on nested disks", _req("M", "rational"),
+       _req("g0", "rational"), _req("r", "rational"), _req("R", "rational"))
+def _run_jensen(a):
     from .countkit import jensen_zero_bound
 
-    res = {"zero_bound": jensen_zero_bound(Fraction(args.M), Fraction(args.g0),
-                                           Fraction(args.r), Fraction(args.R),
-                                           args.precision)}
+    res = {"zero_bound": jensen_zero_bound(a.M, a.g0, a.r, a.R, a.precision)}
     return res, [res]
 
 
-def _run_masser_t(args):
+@_verb("masser-t", "minimal interpolation degree satisfying the threshold inequality",
+       _req("AZ", "number"), Param("M", "number", "1"), Param("H", "number", "1"),
+       _req("d", "int"))
+def _run_masser_t(a):
     from .countkit import masser_T_threshold
 
-    T = masser_T_threshold(parse_number(args.AZ), parse_number(args.M),
-                           parse_number(args.H), args.d, args.precision)
+    T = masser_T_threshold(a.AZ, a.M, a.H, a.d, a.precision)
     mid, rad = ball_decimal(T, Fraction(0), 12)
     res = {"T": _fr(T), "T_decimal": {"mid": mid, "rad": rad}}
     return res, [{"T": _fr(T), "T_decimal": f"{mid}+/-{rad}"}]
 
 
-def _run_vanish(args):
+@_verb("vanish", "integer polynomial vanishing at given rational points",
+       Param("points", default=""), _req("t-max", "int"))
+def _run_vanish(a):
     from .countkit import vanishing_polynomial
 
     points = []
-    if args.points.strip():
-        for pair in args.points.split(";"):
+    if a.points.strip():
+        for pair in a.points.split(";"):
             xy = pair.split(",")
             if len(xy) != 2:
                 raise _CliError(f"--points: need x,y pairs separated by ';', got {pair!r}")
             points.append((_rational(xy[0], "--points"), _rational(xy[1], "--points")))
-    poly = vanishing_polynomial(points, args.t_max)
+    poly = vanishing_polynomial(points, a.t_max)
     res = poly.to_json() | {"total_degree": poly.total_degree, "text": str(poly)}
-    rows = [{"i": i, "j": j, "c": str(c)} for (i, j), c in poly.terms]
-    return res, rows
+    return res, [{"i": i, "j": j, "c": str(c)} for (i, j), c in poly.terms]
 
 
-def _run_power_lemma(args):
+@_verb("power-lemma", "extremal partition combinatorics (construction or oracle)",
+       Param("theta", "rational", "2"), Param("c", "rational", "1"),
+       Param("oracle", "flag", False), Param("X", "int"), Param("M", "int"))
+def _run_power_lemma(a):
     from .countkit import power_lemma_min_X, power_lemma_oracle
 
-    if args.oracle:
-        if args.X is None:
+    if a.oracle:
+        if a.X is None:
             raise _CliError("--oracle needs --X")
-        out = power_lemma_oracle(args.X, Fraction(args.c), Fraction(args.theta))
+        out = power_lemma_oracle(a.X, a.c, a.theta)
         res = {"max_M": out.max_M, "witness": list(out.witness)}
     else:
-        if args.M is None:
+        if a.M is None:
             raise _CliError("construction mode needs --M")
-        con = power_lemma_min_X(args.M, Fraction(args.c), Fraction(args.theta))
+        con = power_lemma_min_X(a.M, a.c, a.theta)
         res = {"X_min": con.X_min, "counts": list(con.counts), "witness": list(con.witness)}
     return res, [res]
 
 
-def _run_bound_shape(args):
+@_verb("bound-shape", "evaluate a bound shape with a caller-supplied constant",
+       _req("tag"), Param("c", "number", "1"), Param("d", "int"), Param("H", "number"),
+       Param("l", "number"), Param("D", "int"), Param("n", "int"), Param("eps", "rational"))
+def _run_bound_shape(a):
     from .countkit import bound_shape
 
-    kwargs = {}
-    if args.d is not None:
-        kwargs["d"] = args.d
-    if args.H is not None:
-        kwargs["H"] = parse_number(args.H)
-    if args.l is not None:
-        kwargs["l"] = parse_number(args.l)
-    if args.D is not None:
-        kwargs["D"] = args.D
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.eps is not None:
-        kwargs["eps"] = Fraction(args.eps)
-    val = bound_shape(args.tag, c=parse_number(args.c), prec=args.precision, **kwargs)
-    res = {"tag": args.tag, "value": _ball_json(val, args.precision)}
-    return res, [{"tag": args.tag, "value": _ball_cell(val, args.precision)}]
+    kwargs = {k: getattr(a, k) for k in ("d", "H", "l", "D", "n", "eps")
+              if getattr(a, k) is not None}
+    val = bound_shape(a.tag, c=a.c, prec=a.precision, **kwargs)
+    res = {"tag": a.tag, "value": _ball_json(val, a.precision)}
+    return res, [{"tag": a.tag, "value": _ball_cell(val, a.precision)}]
+
+
+def _map_jobs(fn, payloads: list, jobs: int) -> list:
+    """``fn`` over ``payloads``, in a process pool when more than one job is asked for."""
+    if jobs <= 1 or len(payloads) <= 1:
+        return [fn(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, payloads))
 
 
 def _census_chunk(payload):
@@ -457,343 +510,193 @@ def _census_chunk(payload):
                           precision, escalations)
 
 
-def _run_census(args):
+@_verb("census", "bounded-height rational census with certified verdicts",
+       _req("function"), _req("height", "rational"), Param("value", "rational", "1/2"),
+       Param("order", "int", 16), Param("map"), Param("alpha", "rational"),
+       Param("escalations", "int", 1))
+def _run_census(a):
     from .countkit import EVALUATORS, CensusResult, enumerate_rationals
 
-    if args.function not in EVALUATORS:
-        raise _CliError(f"unknown census function {args.function!r}")
-    params = {}
-    if args.function == "const":
-        params["value"] = Fraction(args.value)
-    if args.function in ("lambda", "delta", "fstar"):
-        params["N"] = args.order
-    if args.function == "fstar":
-        params["map_text"] = args.map or "X^2"
-        params["alpha"] = Fraction(args.alpha if args.alpha is not None else 4)
-    H = Fraction(args.height)
-    qs = enumerate_rationals(H)
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(qs) < 4:
-        records = _census_chunk((args.function, params, [str(q) for q in qs], str(H),
-                                 args.precision, args.escalations))
-    else:
-        chunks = [qs[i::jobs] for i in range(jobs)]
-        payloads = [
-            (args.function, params, [str(q) for q in chunk], str(H),
-             args.precision, args.escalations)
-            for chunk in chunks if chunk
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_census_chunk, payloads))
-        by_q = {}
-        for part in parts:
-            for rec in part:
-                by_q[rec.q] = rec
-        records = [by_q[q] for q in qs]
-    count = sum(1 for r in records
-                if r.verdict == "candidate-rational" and not r.excluded_zero)
-    result = CensusResult(H, args.precision, count, tuple(records))
-    res = {
-        "count": result.count,
-        "verdicts": result.verdict_counts(),
-        "records": [
-            {
-                "q": _fr(r.q),
-                "mid": ball_decimal(r.value.mid, r.value.rad, _DIGITS)[0],
-                "rad": ball_decimal(r.value.mid, r.value.rad, _DIGITS)[1],
-                "verdict": r.verdict,
-                "candidate": _fr(r.candidate) if r.candidate is not None else None,
-                "excluded_zero": r.excluded_zero,
-            }
-            for r in result.records
-        ],
-    }
-    rows = [
-        {
-            "q": _fr(r.q),
-            "mid": ball_decimal(r.value.mid, r.value.rad, _DIGITS)[0],
-            "rad": ball_decimal(r.value.mid, r.value.rad, _DIGITS)[1],
-            "verdict": r.verdict,
-            "candidate": _fr(r.candidate) if r.candidate is not None else "",
-        }
-        for r in result.records
-    ]
-    return res, rows
+    if a.function not in EVALUATORS:
+        raise _CliError(f"unknown census function {a.function!r}")
+    # each evaluator takes the keywords it needs and ignores the rest
+    params = {"value": a.value, "N": a.order, "map_text": a.map or "X^2",
+              "alpha": a.alpha if a.alpha is not None else Fraction(4)}
+    qs = enumerate_rationals(a.height)
+    jobs = max(1, a.jobs) if len(qs) >= 4 else 1
+    # at least one chunk, so the evaluator is built (and checked) even for no q
+    payloads = [(a.function, params, [str(q) for q in qs[i::jobs]], str(a.height), a.precision,
+                 a.escalations) for i in range(min(jobs, len(qs)) or 1)]
+    by_q = {rec.q: rec for part in _map_jobs(_census_chunk, payloads, jobs) for rec in part}
+    records = [by_q[q] for q in qs]
+    count = sum(r.verdict == "candidate-rational" and not r.excluded_zero for r in records)
+    result = CensusResult(a.height, a.precision, count, tuple(records))
+    cells = []
+    for r in result.records:
+        mid, rad = ball_decimal(r.value.mid, r.value.rad, _DIGITS)
+        cells.append({"q": _fr(r.q), "mid": mid, "rad": rad, "verdict": r.verdict,
+                      "candidate": _fr(r.candidate) if r.candidate is not None else None,
+                      "excluded_zero": r.excluded_zero})
+    res = {"count": result.count, "verdicts": result.verdict_counts(), "records": cells}
+    return res, [{k: v for k, v in c.items() if k != "excluded_zero"} for c in cells]
 
 
-def _run_modular(args):
+@_verb("modular", "rigorous modular value on the upper half-plane",
+       _req("which"), Param("tau-re", "rational", "0"), _req("tau-im", "rational"),
+       Param("order", "int"))
+def _run_modular(a):
     from .countkit import modular_eval
 
-    tau = ComplexBall(Fraction(args.tau_re), Fraction(args.tau_im))
-    mv = modular_eval(args.which, tau, args.order, args.precision)
-    res = {
-        "which": args.which,
-        "value": _ball_json(mv.value, args.precision),
-        "terms": mv.terms,
-        # rounded outward: the radius slot of ball_decimal rounds up
-        "tail_bound": ball_decimal(Fraction(0), Fraction(mv.tail_bound), _DIGITS)[1],
-    }
-    return res, [{"which": args.which, "value": _ball_cell(mv.value, args.precision)}]
-
-
-_HANDLERS = {
-    "height": _run_height,
-    "weil-height": _run_weil_height,
-    "iterate": _run_iterate,
-    "canonical-height": _run_canonical_height,
-    "snap": _run_snap,
-    "irreducible-count": _run_irreducible_count,
-    "proportion": _run_proportion,
-    "factor": _run_factor,
-    "boettcher-series": _run_boettcher_series,
-    "delta-v": _run_delta_v,
-    "good-place": _run_good_place,
-    "escape-radius": _run_escape_radius,
-    "fstar": _run_fstar,
-    "order": _run_order,
-    "lifting-exponent": _run_lifting_exponent,
-    "cyclotomic-degree": _run_cyclotomic_degree,
-    "galcor": _run_galcor,
-    "padic-bound": _run_padic_bound,
-    "bounded-region": _run_bounded_region,
-    "cover": _run_cover,
-    "jensen": _run_jensen,
-    "masser-t": _run_masser_t,
-    "vanish": _run_vanish,
-    "power-lemma": _run_power_lemma,
-    "bound-shape": _run_bound_shape,
-    "census": _run_census,
-    "modular": _run_modular,
-}
+    mv = modular_eval(a.which, ComplexBall(a.tau_re, a.tau_im), a.order, a.precision)
+    res = {"which": a.which, "value": _ball_json(mv.value, a.precision), "terms": mv.terms,
+           # rounded outward: the radius slot of ball_decimal rounds up
+           "tail_bound": ball_decimal(Fraction(0), Fraction(mv.tail_bound), _DIGITS)[1]}
+    return res, [{"which": a.which, "value": _ball_cell(mv.value, a.precision)}]
 
 
 def _sweep_worker(payload):
-    verb, argd = payload
-    ns = argparse.Namespace(**argd)
-    _, rows = _HANDLERS[verb](ns)
-    return rows
+    verb, values = payload
+    return VERBS[verb].run(argparse.Namespace(**values))[1]
 
 
-def _run_sweep(args, verb_parsers):
-    if args.sweep_verb not in _HANDLERS:
-        raise _CliError(f"unknown sweep verb {args.sweep_verb!r}")
-    vary = [args.vary] if isinstance(args.vary, str) else args.vary
+def _vary_values(spec: str) -> tuple[str, list]:
+    if "=" not in spec:
+        raise _CliError(f"malformed --vary {spec!r} (need name=a:b or name=v1,v2,...)")
+    name, body = spec.split("=", 1)
+    if ":" not in body:
+        return name, [v for v in body.split(",") if v != ""]
+    parts = body.split(":")
+    if len(parts) not in (2, 3):
+        raise _CliError(f"malformed range in --vary {spec!r}")
+    try:
+        a, b = int(parts[0]), int(parts[1])
+        step = int(parts[2]) if len(parts) == 3 else 1
+        return name, list(range(a, b + 1, step))
+    except ValueError as exc:
+        raise _CliError(f"malformed range in --vary {spec!r}") from exc
+
+
+@_verb("sweep", "run a verb over parameter ranges, one CSV row per tuple",
+       Param("verb", required=True, dest="sweep_verb"), Param("vary", "list", []),
+       Param("job-cap", "int", 10000))
+def _run_sweep(a):
+    """Runs the target verb once per tuple of ``--vary`` values; every other
+    parameter of the target verb comes from its own flags and defaults."""
+    verb = VERBS[a.sweep_verb]
+    declared = {p.key: p for p in COMMON + verb.params}
     ranges = []
-    for spec in vary:
-        if "=" not in spec:
-            raise _CliError(f"malformed --vary {spec!r} (need name=a:b or name=v1,v2,...)")
-        name, body = spec.split("=", 1)
-        name = name.replace("-", "_")
-        if ":" in body:
-            parts = body.split(":")
-            if len(parts) not in (2, 3):
-                raise _CliError(f"malformed range in --vary {spec!r}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-                step = int(parts[2]) if len(parts) == 3 else 1
-                values = list(range(a, b + 1, step))
-            except ValueError as exc:
-                raise _CliError(f"malformed range in --vary {spec!r}") from exc
-        else:
-            values = [v for v in body.split(",") if v != ""]
-        ranges.append((name, values))
+    for spec in a.vary:
+        name, values = _vary_values(spec)
+        p = declared.get(name.replace("-", "_"))
+        if p is None:
+            raise _CliError(f"--vary: {verb.name} has no parameter {name!r}")
+        if any(q.key == p.key for q, _ in ranges):
+            raise _CliError(f"--vary: {name!r} is swept twice")
+        ranges.append((p, values))
     tuples = [[]]
-    for name, values in ranges:
-        tuples = [t + [(name, v)] for t in tuples for v in values]
-    if len(tuples) > args.job_cap:
-        raise ResourceGuardError(f"sweep of {len(tuples)} jobs exceeds cap {args.job_cap}")
-    base = vars(args).copy()
-    # options the swept verb has and sweep leaves unset take the verb's own defaults
-    verb_defaults = vars(verb_parsers[args.sweep_verb].parse_args([]))
-    for k, v in verb_defaults.items():
-        if base.get(k) is None:
-            base[k] = v
+    for p, values in ranges:
+        tuples = [t + [(p, v)] for t in tuples for v in values]
+    if len(tuples) > a.job_cap:
+        raise ResourceGuardError(f"sweep of {len(tuples)} jobs exceeds cap {a.job_cap}")
     payloads = []
     for t in tuples:
-        d = base.copy()
-        for name, v in t:
-            if name in _INT_KEYS or (name in _SOFT_INT and str(v).lstrip("-").isdigit()):
-                d[name] = int(v)
-            else:
-                d[name] = v
-        payloads.append((args.sweep_verb, d))
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(payloads) <= 1:
-        all_rows = [_sweep_worker(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            all_rows = list(pool.map(_sweep_worker, payloads))
-    rows = []
-    for t, rr in zip(tuples, all_rows):
-        for row in rr:
-            rows.append({name: v for name, v in t} | row)
-    res = {"verb": args.sweep_verb, "jobs": len(payloads), "rows": rows}
-    return res, rows
+        values = vars(a) | {p.key: _value(p, v) for p, v in t}
+        _check_required(verb, values)
+        payloads.append((verb.name, values))
+    rows = [{p.key: v for p, v in t} | row
+            for t, rr in zip(tuples, _map_jobs(_sweep_worker, payloads, a.jobs)) for row in rr]
+    return {"verb": verb.name, "jobs": len(payloads), "rows": rows}, rows
 
 
 # ---------------------------------------------------------------------------
+# parsing: the table above builds every parser, check and coercion
 
 
-def _build_parser() -> _Parser:
+def _add_params(parser: argparse.ArgumentParser, params) -> None:
+    for p in params:
+        kw = {"dest": p.key, "default": p.default}
+        if p.kind == "flag":
+            kw["action"] = "store_true"
+        elif p.kind == "list":
+            kw["action"] = "append"
+        elif p.kind == "int":
+            kw["type"] = int
+        if p.choices:
+            kw["choices"] = p.choices
+        parser.add_argument(f"--{p.name}", **kw)
+
+
+def _top_parser() -> _Parser:
     parser = _Parser(prog="arithdyn", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb")
-    parser._verb_parsers = {}
-
-    def add(name, *specs, **kw):
-        p = sub.add_parser(name, **kw)
-        p.add_argument("--output", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--precision", type=int, default=128)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--config", default=None)
-        p.add_argument("--degree-cap", dest="degree_cap", type=int, default=DEFAULT_DEGREE_CAP)
-        for spec in specs:
-            flags, skw = spec
-            p.add_argument(*flags, **skw)
-        parser._verb_parsers[name] = p
-        return p
-
-    A = lambda *flags, **kw: (flags, kw)  # noqa: E731
-
-    add("height", A("--rational"), A("--min-poly", dest="min_poly"),
-        help="multiplicative/log height of a rational or algebraic number")
-    add("weil-height", A("--tuple"), help="exact Weil height of a rational tuple")
-    add("iterate", A("--map"), A("--n", type=int), help="exact expanded n-th iterate")
-    add("canonical-height", A("--map"), A("--alpha"),
-        A("--eps", default="1/1000000"),
-        help="canonical height enclosure with certified tail")
-    add("snap", A("--map"), A("--alpha"),
-        A("--n", type=int), A("--delta", default="1/2"),
-        A("--eps-shape", dest="eps_shape", default="1/8"),
-        help="root-degree multiset of the n-th iterate difference")
-    add("irreducible-count", A("--map"), A("--alpha"), A("--n", type=int),
-        help="irreducible-factor counts of the iterate difference")
-    add("proportion", A("--map"), A("--alpha"),
-        A("--n", type=int), A("--delta"),
-        help="share of roots of degree <= D^(delta n)")
-    add("factor", A("--poly"), help="complete factorization over Z")
-    add("boettcher-series", A("--map"), A("--order", type=int, default=10),
-        help="conjugacy-at-infinity series coefficients (exact)")
-    add("delta-v", A("--map"), A("--prime", type=int),
-        help="nonarchimedean escape threshold at a prime")
-    add("good-place", A("--map"), A("--alpha"),
-        help="first place with |alpha|_v above the threshold")
-    add("escape-radius", A("--map"), help="archimedean escape radius 1 + sum|a_i|")
-    add("fstar", A("--map"), A("--alpha"),
-        A("--tau-re", dest="tau_re", default="0"), A("--tau-im", dest="tau_im", default="1/24"),
-        A("--order", type=int, default=16),
-        help="escape-parametrized root function, certified")
-    add("order", A("--a", type=int), A("--n", type=int),
-        help="multiplicative order of a modulo n")
-    add("lifting-exponent", A("--a", type=int), A("--q", type=int),
-        help="(e, m) data governing orders modulo prime powers")
-    add("cyclotomic-degree", A("--p", type=int), A("--b", type=int),
-        help="exact degree of the b-th cyclotomic extension of Q_p")
-    add("galcor", A("--p", type=int), A("--b", type=int), A("--D", type=int),
-        help="cyclotomic degree lower bound b * D^-m")
-    add("padic-bound", A("--map"), A("--alpha"),
-        A("--n", type=int), A("--no-cross-check", action="store_true"),
-        help="degree lower bound for iterate roots at a good prime")
-    add("bounded-region", A("--map"), A("--alpha"),
-        help="height test against the product of escape thresholds")
-    add("cover", A("--R"), A("--r"), help="grid cover of a disk by smaller disks")
-    add("jensen", A("--M"), A("--g0"), A("--r"), A("--R"),
-        help="zero-count bound on nested disks")
-    add("masser-t", A("--AZ"), A("--M", default="1"),
-        A("--H", default="1"), A("--d", type=int),
-        help="minimal interpolation degree satisfying the threshold inequality")
-    add("vanish", A("--points", default=""), A("--t-max", dest="t_max", type=int),
-        help="integer polynomial vanishing at given rational points")
-    add("power-lemma", A("--theta", default="2"), A("--c", default="1"),
-        A("--oracle", action="store_true"), A("--X", type=int), A("--M", type=int),
-        help="extremal partition combinatorics (construction or oracle)")
-    add("bound-shape", A("--tag"), A("--c", default="1"),
-        A("--d", type=int), A("--H"), A("--l"), A("--D", type=int),
-        A("--n", type=int), A("--eps"),
-        help="evaluate a bound shape with a caller-supplied constant")
-    add("census", A("--function"), A("--height"),
-        A("--value", default="1/2"), A("--order", type=int, default=16),
-        A("--map"), A("--alpha"), A("--escalations", type=int, default=1),
-        help="bounded-height rational census with certified verdicts")
-    add("modular", A("--which"),
-        A("--tau-re", dest="tau_re", default="0"), A("--tau-im", dest="tau_im"),
-        A("--order", type=int, default=None),
-        help="rigorous modular value on the upper half-plane")
-    add("sweep", A("--verb", dest="sweep_verb"), A("--vary", action="append", default=[]),
-        A("--job-cap", dest="job_cap", type=int, default=10000),
-        # passthrough parameters for the swept verb
-        A("--map"), A("--alpha"), A("--n", type=int), A("--delta", default="1/2"),
-        A("--eps", default="1/1000000"), A("--eps-shape", dest="eps_shape", default="1/8"),
-        A("--prime", type=int), A("--p", type=int), A("--b", type=int),
-        A("--D", type=int), A("--a", type=int), A("--q", type=int),
-        A("--theta", default="2"), A("--c", default="1"), A("--oracle", action="store_true"),
-        A("--X", type=int), A("--M", type=int), A("--rational"), A("--tuple"),
-        A("--poly"), A("--order", type=int, default=10), A("--tag"), A("--H"), A("--l"),
-        A("--function"), A("--height"), A("--value", default="1/2"),
-        A("--escalations", type=int, default=1), A("--no-cross-check", action="store_true"),
-        A("--R"), A("--r"), A("--g0"), A("--AZ"), A("--d", type=int),
-        A("--points", default=""), A("--t-max", dest="t_max", type=int),
-        A("--tau-re", dest="tau_re", default="0"), A("--tau-im", dest="tau_im", default="1/24"),
-        A("--min-poly", dest="min_poly"), A("--which"),
-        help="run a verb over parameter ranges, one CSV row per tuple")
+    for v in VERBS.values():
+        sub.add_parser(v.name, help=v.help)
     return parser
 
 
 def _load_config(path: str) -> dict:
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliError(f"cannot read config {path!r}: {exc}") from exc
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _CliError(f"malformed config line {line!r}")
-            k, v = line.split("=", 1)
-            out[k.strip().replace("-", "_")] = v.strip()
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise _CliError(f"malformed config line {line!r}")
+        k, v = line.split("=", 1)
+        out[k.strip().replace("-", "_")] = v.strip()
     return out
 
 
-_INT_KEYS = {"n", "precision", "seed", "jobs", "degree_cap", "order", "prime", "p",
-             "b", "D", "a", "q", "X", "t_max", "job_cap", "escalations"}
+def _config_defaults(cfg: dict, params, verb: str) -> dict:
+    """Config values as parser defaults, coerced by the verb's own types;
+    text-valued ones stay as written, so the jobspec shows them verbatim."""
+    declared = {p.key: p for p in params}
+    out = {}
+    for k, v in cfg.items():
+        p = declared.get(k)
+        if p is None:
+            raise _CliError(f"config key {k!r} is not a parameter of {verb}")
+        out[k] = [v] if p.kind == "list" else _value(p, v) if p.kind in ("int", "flag") else v
+    return out
 
-_REQUIRED = {
-    "weil-height": ("tuple",),
-    "iterate": ("map", "n"),
-    "canonical-height": ("map", "alpha"),
-    "snap": ("map", "alpha", "n"),
-    "irreducible-count": ("map", "alpha", "n"),
-    "proportion": ("map", "alpha", "n", "delta"),
-    "factor": ("poly",),
-    "boettcher-series": ("map",),
-    "delta-v": ("map", "prime"),
-    "good-place": ("map", "alpha"),
-    "escape-radius": ("map",),
-    "fstar": ("map", "alpha"),
-    "order": ("a", "n"),
-    "lifting-exponent": ("a", "q"),
-    "cyclotomic-degree": ("p", "b"),
-    "galcor": ("p", "b", "D"),
-    "padic-bound": ("map", "alpha", "n"),
-    "bounded-region": ("map", "alpha"),
-    "cover": ("R", "r"),
-    "jensen": ("M", "g0", "r", "R"),
-    "masser-t": ("AZ", "d"),
-    "vanish": ("t_max",),
-    "bound-shape": ("tag",),
-    "census": ("function", "height"),
-    "modular": ("which", "tau_im"),
-    "sweep": ("verb",),
-}
+
+def _parse(argv: list[str]) -> tuple[argparse.Namespace, tuple[Param, ...]]:
+    """The raw namespace (what the jobspec prints) and the declared params."""
+    if not argv or argv[0] not in VERBS:
+        _top_parser().parse_args(argv)  # --help, --version, or a usage error
+        raise _CliError("no verb given (see --help)")
+    verb = VERBS[argv[0]]
+    # --config (and sweep's --verb) decide which params the verb takes
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    pre.add_argument("--verb", dest="sweep_verb")
+    known, _ = pre.parse_known_args(argv[1:])
+    cfg = _load_config(known.config) if known.config else {}
+    params = COMMON + verb.params
+    target = (known.sweep_verb or cfg.get("sweep_verb")) if verb.name == "sweep" else None
+    if target is not None:
+        if target not in VERBS or target == "sweep":
+            raise _CliError(f"unknown sweep verb {target!r}")
+        params += VERBS[target].params
+    parser = _Parser(prog=f"arithdyn {verb.name}", description=verb.help)
+    _add_params(parser, params)
+    parser.set_defaults(**_config_defaults(cfg, params, verb.name))
+    args = parser.parse_args(argv[1:])
+    args.verb = verb.name
+    _check_required(verb, vars(args))
+    return args, params
 
 
 def _jobspec(args) -> dict:
-    skip = {"output", "config"}
     spec = {}
     for k, v in sorted(vars(args).items()):
-        if k in skip or v is None or k == "vary" and not v:
+        if k in ("output", "config") or v is None or k == "vary" and not v:
             continue
         if isinstance(v, (list, tuple)):
             spec[k] = [str(x) for x in v]
@@ -818,8 +721,10 @@ def _emit(args, result, rows):
             lines.append("")
         text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _CliError(f"cannot write output {args.output!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -833,50 +738,11 @@ def _csv_cell(v) -> str:
     return s
 
 
-_BOOL_KEYS = {"oracle", "no_cross_check"}
-_SOFT_INT = {"M", "d"}  # int for some verbs, free-form number for others
-
-
-def _config_defaults(parser, argv):
-    if "--config" not in argv:
-        return
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise _CliError("--config needs a path")
-    cfg = _load_config(argv[i + 1])
-    conv = {}
-    for k, v in cfg.items():
-        if k == "verb":
-            # the subcommand itself cannot come from a config file; the
-            # sweep target verb uses the key sweep_verb
-            raise _CliError("config key 'verb' is not allowed; use sweep_verb")
-        if k in _INT_KEYS:
-            conv[k] = int(v)
-        elif k in _BOOL_KEYS:
-            conv[k] = v.lower() in ("1", "true", "yes")
-        elif k in _SOFT_INT and v.lstrip("-").isdigit():
-            conv[k] = int(v)
-        else:
-            conv[k] = v
-    for p in parser._verb_parsers.values():
-        p.set_defaults(**conv)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        _config_defaults(parser, argv)
-        args = parser.parse_args(argv)
-        if not getattr(args, "verb", None):
-            raise _CliError("no verb given (see --help)")
-        for key in _REQUIRED.get(args.verb, ()):
-            if getattr(args, key, None) is None:
-                raise _CliError(f"{args.verb} requires --{key.replace('_', '-')}")
-        if args.verb == "sweep":
-            result, rows = _run_sweep(args, parser._verb_parsers)
-        else:
-            result, rows = _HANDLERS[args.verb](args)
+        args, params = _parse(argv)
+        result, rows = VERBS[args.verb].run(_typed(vars(args), params))
         _emit(args, result, rows)
         return 0
     except _CliError as exc:

@@ -18,14 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import DomainError
-from ..exactnum import RealBall, ball_log, sqrt_up
+from ..exactnum import RealBall, as_real_ball, ball_log, sqrt_up
 from ..exactnum.linalg import kernel_basis
-
-
-def _as_ball(x) -> RealBall:
-    if isinstance(x, RealBall):
-        return x
-    return RealBall.exact(Fraction(x))
 
 
 def _threshold_gap(AZ: RealBall, M: RealBall, H: RealBall, d: int, T: Fraction,
@@ -50,7 +44,7 @@ def masser_T_threshold(AZ, M, H, d: int, prec: int = 128,
     """
     if d < 1:
         raise DomainError("d must be >= 1")
-    AZ, M, H = _as_ball(AZ), _as_ball(M), _as_ball(H)
+    AZ, M, H = as_real_ball(AZ), as_real_ball(M), as_real_ball(H)
     if not AZ.gt(RealBall.exact(1)):
         raise DomainError("threshold unsatisfiable: AZ <= 1 (or not certifiable)")
     if M.lt(RealBall.exact(0)) or H.lt(RealBall.exact(1)):
@@ -109,9 +103,6 @@ class BivarIntPoly:
     def eval(self, x, y) -> Fraction:
         x, y = Fraction(x), Fraction(y)
         return sum((c * x ** i * y ** j for (i, j), c in self.terms), Fraction(0))
-
-    def max_coeff(self) -> int:
-        return max((abs(c) for _, c in self.terms), default=0)
 
     def to_json(self) -> dict:
         return {"terms": [{"i": i, "j": j, "c": str(c)} for (i, j), c in self.terms]}

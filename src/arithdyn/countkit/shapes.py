@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import DomainError
-from ..exactnum import RealBall, ball_e, ball_exp, ball_log
-
-
-def _as_ball(x) -> RealBall:
-    if isinstance(x, RealBall):
-        return x
-    return RealBall.exact(Fraction(x))
+from ..exactnum import RealBall, as_real_ball, ball_e, ball_exp, ball_log
 
 
 @dataclass(frozen=True)
@@ -37,13 +31,6 @@ class DecayProfile:
         la = ball_log(self.a, self.prec)
         lb = ball_log(self.b, self.prec)
         object.__setattr__(self, "log_ratio", la / lb)
-
-    def normalized(self) -> bool:
-        """True unless the strong normalization a >= b^e, a >= e provably fails."""
-        e = ball_e(self.prec)
-        if self.a.lt(e):
-            return False
-        return not ball_log(self.a, self.prec).lt(e * ball_log(self.b, self.prec))
 
 
 SHAPE_TAGS = (
@@ -74,7 +61,7 @@ def bound_shape(tag: str, *, c=1, d=None, H=None, l=None, D=None, n=None,
     """
     if tag not in SHAPE_TAGS:
         raise DomainError(f"unknown bound shape {tag!r}; known: {', '.join(SHAPE_TAGS)}")
-    c = _as_ball(c)
+    c = as_real_ball(c)
     if tag in ("degree_lower", "factor_count"):
         if D is None or n is None or eps is None:
             raise DomainError(f"{tag} needs D, n, eps")
@@ -94,7 +81,7 @@ def bound_shape(tag: str, *, c=1, d=None, H=None, l=None, D=None, n=None,
     d = int(d)
     if d < 2:
         raise DomainError("d must be >= 2")
-    H = _as_ball(H)
+    H = as_real_ball(H)
     if H.lt(ball_e(prec)):
         raise DomainError("need H >= e")
     log_d = ball_log(RealBall.exact(d), prec)
@@ -106,7 +93,7 @@ def bound_shape(tag: str, *, c=1, d=None, H=None, l=None, D=None, n=None,
     # remaining tags need the decay log-ratio l
     if l is None:
         raise DomainError(f"{tag} needs the decay log-ratio l")
-    l = _as_ball(l)
+    l = as_real_ball(l)
     if not l.gt(RealBall.exact(1)):
         raise DomainError("need l > 1 (certified) so that log l > 0")
     log_l = ball_log(l, prec)

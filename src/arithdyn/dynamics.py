@@ -176,6 +176,19 @@ class SnapReport:
     def max_degree(self) -> int:
         return max(self.multiset)
 
+    def low_degree_share(self, delta) -> Fraction:
+        """Exact share of roots of degree <= D^(delta n) among all D^n roots.
+
+        The comparison d <= D^(delta n) is exact: with delta = p/q it reads
+        d^q <= (D^n)^p.
+        """
+        delta = Fraction(delta)
+        if delta <= 0:
+            raise DomainError("delta must be positive")
+        p, q = delta.numerator, delta.denominator
+        bound = self.degree ** p
+        return Fraction(sum(1 for d in self.multiset if d ** q <= bound), self.degree)
+
 
 def snap_degree_multiset(P: PolyMap, alpha, n: int,
                          degree_cap: int = DEFAULT_DEGREE_CAP, seed: int = 0) -> SnapReport:
@@ -211,19 +224,8 @@ def irreducible_count(P: PolyMap, alpha, n: int,
 
 def low_degree_proportion(P: PolyMap, alpha, n: int, delta,
                           degree_cap: int = DEFAULT_DEGREE_CAP, seed: int = 0) -> Fraction:
-    """Exact share of roots of degree <= D^(delta n) among all D^n roots.
-
-    The comparison d <= D^(delta n) is exact: with delta = p/q it reads
-    d^q <= D^(p n).
-    """
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-    rep = snap_degree_multiset(P, alpha, n, degree_cap, seed)
-    p, q = delta.numerator, delta.denominator
-    thr_rhs = P.degree ** (p * n)
-    count = sum(1 for d in rep.multiset if d ** q <= thr_rhs)
-    return Fraction(count, P.degree ** n)
+    """Exact share of roots of degree <= D^(delta n) among all D^n roots."""
+    return snap_degree_multiset(P, alpha, n, degree_cap, seed).low_degree_share(delta)
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,7 @@ def bounded_height_region_check(P: PolyMap, alpha, prec: int = 96) -> BoundedReg
         if dv.is_trivial():
             continue
         nontrivial.append(dv)
-        prod = prod * dv.log_free_ball(prec)
+        prod = prod * dv.value_ball(prec)
     arch = escape_domain_radius(P)
     prod = prod * RealBall.exact(arch.radius)
     hb = RealBall.exact(H)

@@ -30,7 +30,7 @@ from math import isqrt
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
-from ..errors import DomainError
+from ..errors import CertificationError, DomainError
 
 DEFAULT_PREC = 128
 
@@ -46,12 +46,14 @@ def _ctx(prec: int) -> MPIntervalContext:
 
 
 def _fraction_from_mpf_tuple(t) -> Fraction:
+    """The exact value of an mpmath mpf tuple; a non-finite one (inf, nan)
+    cannot be certified."""
     sign, man, exp, bc = t
     man = int(man)
     if man == 0:
         if exp == 0:
             return _ZERO
-        raise DomainError("non-finite value in interval endpoint")
+        raise CertificationError("non-finite value in mpmath result")
     v = Fraction(man) * (Fraction(2) ** int(exp))
     return -v if sign else v
 
@@ -188,7 +190,7 @@ class RealBall:
     # -- exact ring operations ------------------------------------------
 
     def __add__(self, other):
-        other = _as_real(other)
+        other = as_real_ball(other)
         return RealBall(self.mid + other.mid, self.rad + other.rad)
 
     __radd__ = __add__
@@ -197,14 +199,14 @@ class RealBall:
         return RealBall(-self.mid, self.rad)
 
     def __sub__(self, other):
-        other = _as_real(other)
+        other = as_real_ball(other)
         return RealBall(self.mid - other.mid, self.rad + other.rad)
 
     def __rsub__(self, other):
-        return _as_real(other) - self
+        return as_real_ball(other) - self
 
     def __mul__(self, other):
-        other = _as_real(other)
+        other = as_real_ball(other)
         a, ra, b, rb = self.mid, self.rad, other.mid, other.rad
         return RealBall(a * b, abs(a) * rb + abs(b) * ra + ra * rb)
 
@@ -218,7 +220,7 @@ class RealBall:
         return RealBall.from_endpoints(lo, hi)
 
     def __truediv__(self, other):
-        other = _as_real(other)
+        other = as_real_ball(other)
         if other.rad == 0:
             if other.mid == 0:
                 raise DomainError("division by zero")
@@ -226,7 +228,7 @@ class RealBall:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _as_real(other) / self
+        return as_real_ball(other) / self
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -258,23 +260,24 @@ class RealBall:
 
     def lt(self, other) -> bool:
         """True only if every point of self is < every point of other."""
-        other = _as_real(other)
+        other = as_real_ball(other)
         return self.hi < other.lo
 
     def gt(self, other) -> bool:
-        other = _as_real(other)
+        other = as_real_ball(other)
         return self.lo > other.hi
 
     def le(self, other) -> bool:
-        other = _as_real(other)
+        other = as_real_ball(other)
         return self.hi <= other.lo
 
     def ge(self, other) -> bool:
-        other = _as_real(other)
+        other = as_real_ball(other)
         return self.lo >= other.hi
 
 
-def _as_real(x) -> RealBall:
+def as_real_ball(x) -> RealBall:
+    """A RealBall as is; an int or Fraction as the exact ball around it."""
     if isinstance(x, RealBall):
         return x
     if isinstance(x, (int, Fraction)):
@@ -287,7 +290,7 @@ def _as_real(x) -> RealBall:
 
 def _lift_unary(fname):
     def op(x, prec: int = DEFAULT_PREC) -> RealBall:
-        x = _as_real(x)
+        x = as_real_ball(x)
         ctx = _ctx(prec)
         u = _iv_from_endpoints(x.lo, x.hi, ctx)
         return RealBall._from_iv(getattr(ctx, fname)(u))
@@ -301,7 +304,7 @@ ball_cos = _lift_unary("cos")
 
 
 def ball_log(x, prec: int = DEFAULT_PREC) -> RealBall:
-    x = _as_real(x)
+    x = as_real_ball(x)
     if x.lo <= 0:
         raise DomainError("log of interval touching (-inf, 0]")
     ctx = _ctx(prec)
@@ -309,7 +312,7 @@ def ball_log(x, prec: int = DEFAULT_PREC) -> RealBall:
 
 
 def ball_sqrt(x, prec: int = DEFAULT_PREC) -> RealBall:
-    x = _as_real(x)
+    x = as_real_ball(x)
     if x.lo < 0:
         raise DomainError("sqrt of interval reaching below 0")
     ctx = _ctx(prec)
@@ -326,9 +329,9 @@ def ball_e(prec: int = DEFAULT_PREC) -> RealBall:
 
 def ball_pow(x, y, prec: int = DEFAULT_PREC) -> RealBall:
     """x ** y for positive x and real-ball/rational exponent y."""
-    y = _as_real(y)
+    y = as_real_ball(y)
     if y.is_exact() and y.mid.denominator == 1 and y.mid >= 0:
-        return _as_real(x) ** int(y.mid)
+        return as_real_ball(x) ** int(y.mid)
     return ball_exp(y * ball_log(x, prec), prec)
 
 
@@ -337,7 +340,7 @@ def ball_root(x, k: int, prec: int = DEFAULT_PREC) -> RealBall:
     if k <= 0:
         raise DomainError("root index must be positive")
     if k == 1:
-        return _as_real(x)
+        return as_real_ball(x)
     if k == 2:
         return ball_sqrt(x, prec)
     return ball_exp(ball_log(x, prec) / k, prec)
@@ -382,9 +385,6 @@ class ComplexBall:
     def abs_lower(self) -> Fraction:
         b = sqrt_down(self.abs_sq_mid()) - self.rad
         return b if b > 0 else _ZERO
-
-    def abs_ball(self) -> RealBall:
-        return RealBall.from_endpoints(self.abs_lower(), self.abs_upper())
 
     def contains(self, re, im=0) -> bool:
         d2 = (Fraction(re) - self.re) ** 2 + (Fraction(im) - self.im) ** 2

@@ -59,25 +59,3 @@ def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     for r, pc in enumerate(pivots):
         out[pc] = m[r][n]
     return out
-
-
-def det(matrix: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    n = len(m)
-    sign = 1
-    d = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        pv = m[c][c]
-        d *= pv
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * d

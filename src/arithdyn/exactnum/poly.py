@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 
 from ..errors import DomainError
-from .ball import ComplexBall, RealBall, _as_complex, _as_real
+from .ball import ComplexBall, RealBall, _as_complex, as_real_ball
 
 
 def _strip(coeffs):
@@ -188,9 +188,6 @@ class IntPoly(_BasePoly):
     def l2_norm_sq(self) -> int:
         return sum(c * c for c in self.coeffs)
 
-    def l1_norm(self) -> int:
-        return sum(abs(c) for c in self.coeffs)
-
     def divides(self, other: "IntPoly") -> bool:
         q, r = other.to_rat().divmod(self.to_rat())
         return r.is_zero() and all(c.denominator == 1 for c in q.coeffs)
@@ -281,7 +278,7 @@ def poly_from_json(arr) -> RatPoly:
 
 
 _TERM_RE = re.compile(
-    r"""^(?P<coef>\d+(?:/\d+)?)?\s*(?:\*)?\s*
+    r"""^(?P<coef>\d+(?:/0*[1-9]\d*)?)?\s*(?:\*)?\s*
         (?P<var>[Xx])?(?:\^(?P<exp>\d+))?$""",
     re.VERBOSE,
 )
@@ -330,7 +327,7 @@ def ball_eval_poly(p: RatPoly | IntPoly, z: RealBall | ComplexBall, prec: int | 
         conv = _as_complex
     else:
         acc = RealBall.exact(0)
-        conv = _as_real
+        conv = as_real_ball
     for c in reversed(p.coeffs):
         acc = acc * z + conv(Fraction(c))
         if prec is not None:

@@ -21,7 +21,7 @@ from fractions import Fraction
 import mpmath
 
 from ..errors import CertificationError, DomainError
-from .ball import ComplexBall, sqrt_up, _round_fraction
+from .ball import ComplexBall, _fraction_from_mpf_tuple, _round_fraction, sqrt_up
 from .poly import IntPoly, RatPoly
 
 
@@ -136,20 +136,9 @@ def _mp_ev(cs, z):
 
 def _mpc_to_exact(z: mpmath.mpc, prec: int) -> tuple[Fraction, Fraction]:
     re_t, im_t = z._mpc_
-    re, _ = _round_fraction(_mpf_tuple_to_fraction(re_t), prec + 16)
-    im, _ = _round_fraction(_mpf_tuple_to_fraction(im_t), prec + 16)
+    re, _ = _round_fraction(_fraction_from_mpf_tuple(re_t), prec + 16)
+    im, _ = _round_fraction(_fraction_from_mpf_tuple(im_t), prec + 16)
     return re, im
-
-
-def _mpf_tuple_to_fraction(t) -> Fraction:
-    sign, man, exp, bc = t
-    man = int(man)
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
-        raise CertificationError("non-finite approximation")
-    v = Fraction(man) * Fraction(2) ** int(exp)
-    return -v if sign else v
 
 
 def _residual_radius(p: IntPoly, re: Fraction, im: Fraction) -> Fraction:

@@ -49,14 +49,6 @@ class TruncSeries:
         """The series z, certified down to cert_exp."""
         return cls(1, [Fraction(1)] + [_ZERO] * (1 - cert_exp))
 
-    @classmethod
-    def from_poly(cls, p: RatPoly, cert_exp: int) -> "TruncSeries":
-        """A polynomial viewed as a series, certified down to cert_exp (exact)."""
-        if p.is_zero():
-            return cls(cert_exp, [_ZERO])
-        d = p.degree
-        return cls(d, [Fraction(p[d - i]) for i in range(d - cert_exp + 1)])
-
     @property
     def order(self) -> int:
         """Number of retained (certified) coefficient slots."""

@@ -22,6 +22,7 @@ from .exactnum import (
     ComplexBall,
     IntPoly,
     RealBall,
+    as_real_ball,
     ball_e,
     ball_log,
     ball_root,
@@ -56,11 +57,6 @@ class AlgebraicNumber:
             if len(rep.factors) != 1 or rep.factors[0][1] != 1:
                 raise DomainError("minimal polynomial is reducible")
         return cls(min_poly, root_selector)
-
-    @classmethod
-    def from_rational(cls, q) -> "AlgebraicNumber":
-        q = Fraction(q)
-        return cls(IntPoly([-q.numerator, q.denominator]))
 
     @property
     def degree(self) -> int:
@@ -190,12 +186,6 @@ def modulus_lower_bound(alpha: AlgebraicNumber, d: int, prec: int = 64) -> Modul
     return ModulusBound(ball, exact, consistent)
 
 
-def _as_ball(x, prec: int) -> RealBall:
-    if isinstance(x, RealBall):
-        return x
-    return RealBall.exact(Fraction(x))
-
-
 def alpha_radius_cap(a, b, d: int, H, prec: int = 96) -> RealBall:
     """The modulus cap 1 - 1/(2 * l * d * log H) with l = log(a)/log(b).
 
@@ -205,9 +195,7 @@ def alpha_radius_cap(a, b, d: int, H, prec: int = 96) -> RealBall:
     """
     if d < 2:
         raise DomainError("d must be at least 2")
-    a = _as_ball(a, prec)
-    b = _as_ball(b, prec)
-    H = _as_ball(H, prec)
+    a, b, H = as_real_ball(a), as_real_ball(b), as_real_ball(H)
     e = ball_e(prec)
     # inclusive hypotheses: reject only when provably violated
     if a.lt(e):
