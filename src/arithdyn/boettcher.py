@@ -2,10 +2,12 @@
 nonarchimedean escape thresholds with the good-place search.
 
 For a monic degree-D map P there is a unique formal series
-phi(z) = z + b0 + b1/z + b2/z^2 + ... with phi(P(z)) = phi(z)^D; the
-coefficients are solved degree by degree (b_k enters linearly with
-multiplier D).  The same function is analytic for |z| beyond the escape
-radius, and the telescoping product representation
+phi(z) = z + b0 + b1/z + b2/z^2 + ... with phi(P(z)) = phi(z)^D.  It is
+the fixed point of phi <- (phi o P)^(1/D) (the D-th root with leading term
+z): if phi is exact down to z^c, then phi o P is exact down to z^((c-1)D+1)
+and its root down to z^((c-2)D+2), so from phi = z (c = 1) each step
+multiplies 2 - c by D.  The same function is analytic for |z| beyond the
+escape radius, and the telescoping product representation
 
     phi(z) = z * prod_k ( P^k(z) / P^(k-1)(z)^D )^(D^-k)
 
@@ -35,8 +37,9 @@ from .exactnum import (
     series_compose_poly,
     series_inverse,
     series_power,
+    series_root,
 )
-from .ntheory import is_prime, prime_divisors
+from .ntheory import is_prime, prime_divisors, valuation
 from .polymap import PolyMap
 
 _ONE = Fraction(1)
@@ -56,29 +59,25 @@ class BoettcherSeries:
 
 
 def boettcher_series(P: PolyMap, N: int) -> BoettcherSeries:
-    """Solve phi(P(z)) = phi(z)^D for the exact coefficients b_0..b_N."""
+    """Solve phi(P(z)) = phi(z)^D for the exact coefficients b_0..b_N by the
+    fixed point phi <- (phi o P)^(1/D), starting from phi = z."""
     if N < 1:
         raise DomainError("series order must be >= 1")
     D = P.degree
-    coeffs = [Fraction(1)] + [Fraction(0)] * (N + 1)  # z^1, z^0, ..., z^-N
-    for k in range(N + 1):
-        phi = TruncSeries(1, coeffs)
-        lhs = series_compose_poly(phi, P.poly)
-        rhs = series_power(phi, D)
-        mismatch = lhs.coefficient(D - 1 - k) - rhs.coefficient(D - 1 - k)
-        coeffs[k + 1] = mismatch / D
-    phi = TruncSeries(1, coeffs)
+    # the largest c with (c - 2) D + 2 <= -N: one step from phi exact down
+    # to z^need reaches z^-N, so deeper terms are dropped before the last step
+    need = 2 + (-N - 2) // D
+    phi = TruncSeries.identity(1)
+    while phi.cert_exp > -N:
+        phi = phi.truncate(max(phi.cert_exp, need))
+        phi = series_root(series_compose_poly(phi, P.poly), D)
+    phi = phi.truncate(-N)
     resid = series_compose_poly(phi, P.poly) - series_power(phi, D)
     floor = max(resid.cert_exp, D - 1 - N)
     for e in range(D, floor - 1, -1):
         if resid.coefficient(e) != 0:
             raise DomainError("functional-equation residual nonzero (solver bug)")
     return BoettcherSeries(P, phi, N)
-
-
-def inverse_series(B: BoettcherSeries) -> TruncSeries:
-    """Compositional inverse psi with psi(phi(z)) = z to the certified order."""
-    return series_inverse(B.phi)
 
 
 @dataclass(frozen=True)
@@ -266,16 +265,7 @@ def padic_abs(x: Fraction, p: int) -> Fraction:
     x = Fraction(x)
     if x == 0:
         return Fraction(0)
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return Fraction(1, p ** v) if v >= 0 else Fraction(p ** (-v))
+    return Fraction(p) ** -valuation(x, p)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,10 @@ def _rational(text, what: str) -> Fraction:
         raise _CliError(f"{what}: cannot parse rational {text!r}") from exc
 
 
+# the exact ball e^k grows with |k|; e^1000 already takes most of a second
+_MAX_E_POWER = 1000
+
+
 def parse_number(text, what: str = "number"):
     """Exact rational ("3/4", "2.5", "-7") or e-power ("e", "e^3") values."""
     if isinstance(text, (int, Fraction)):
@@ -62,12 +66,11 @@ def parse_number(text, what: str = "number"):
     text = text.strip()
     if text == "e" or text.startswith("e^"):
         k = _rational(text[2:], f"{what}: exponent of e") if text.startswith("e^") else Fraction(1)
-        b = ball_e(192)
         if k.denominator != 1:
             raise _CliError(f"{what}: only integer powers of e are supported: {text!r}")
-        out = RealBall.exact(1)
-        for _ in range(abs(k.numerator)):
-            out = out * b
+        if abs(k) > _MAX_E_POWER:
+            raise ResourceGuardError(f"{what}: |exponent of e| above {_MAX_E_POWER}: {text!r}")
+        out = ball_e(192) ** abs(k.numerator)
         return out.inverse() if k < 0 else out
     return _rational(text, what)
 

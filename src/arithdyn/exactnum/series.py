@@ -8,16 +8,21 @@ cert_exp has been discarded and is unknown.
 
 Certified-order bookkeeping under the operations:
 
-* sum:      cert = max(cert_1, cert_2)
-* product:  cert = max(cert_1 + lead_2, cert_2 + lead_1)
-* s(p(z)) for a monic polynomial p of degree d >= 2 and s with leading
-  term z: the unknown tail of s starts at exponent cert_s - 1 and enters
-  the composition with leading exponent (cert_s - 1) * d, so the result is
-  certified down to (cert_s - 1) * d + 1.
-* s(t(z)) for series t with leading term z: certified down to
-  max(cert_s, cert_t).
+* sum:        cert = max(cert_1, cert_2)
+* product:    cert = max(cert_1 + lead_2, cert_2 + lead_1)
+* reciprocal: 1/s keeps the number of terms of s, so cert = cert_s - 2 lead_s
+* D-th root of s = z^D + ...: keeps the number of terms, cert = cert_s - D + 1
+* s(p(z)) for a monic polynomial p of degree D >= 2 and s with leading term
+  z: Horner's rule in r = 1/p over the known coefficients of s, starting
+  from the unknown tail (certified nowhere); each step multiplies by r
+  (leading exponent -D), so the product rule alone certifies the result
+  down to (cert_s - 1) * D + 1.
+* compositional inverse of s = z + b_0 + b_1/z + ... by Lagrange inversion,
+  d_k = -[z^-1](s^k) / k: certified to the same depth as s.
 
-All coefficients are exact Fractions; no floating point is involved.
+Every series operation is built from the sum, the product and these two
+recurrences.  All coefficients are exact Fractions; no floating point is
+involved.
 """
 
 from __future__ import annotations
@@ -132,18 +137,17 @@ class TruncSeries:
         lead = self.lead_exp + other.lead_exp
         if lead < cert:
             return TruncSeries(cert, [_ZERO])
-        acc = {e: _ZERO for e in range(cert, lead + 1)}
-        for i, a in enumerate(self.coeffs):
+        # slot i + j is the exponent lead - (i + j); slots from n on are uncertified
+        n = lead - cert + 1
+        b = other.coeffs
+        acc = [_ZERO] * n
+        for i, a in enumerate(self.coeffs[:n]):
             if a == 0:
                 continue
-            ea = self.lead_exp - i
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                e = ea + other.lead_exp - j
-                if e >= cert:
-                    acc[e] += a * b
-        return TruncSeries(lead, [acc[e] for e in range(lead, cert - 1, -1)])
+            for j in range(min(len(b), n - i)):
+                if b[j]:
+                    acc[i + j] += a * b[j]
+        return TruncSeries(lead, acc)
 
     __rmul__ = __mul__
 
@@ -160,34 +164,39 @@ def series_power(s: TruncSeries, D: int) -> TruncSeries:
     return out
 
 
-def _dict_mul(a: dict[int, Fraction], b: dict[int, Fraction], floor: int) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            if e >= floor:
-                out[e] = out.get(e, _ZERO) + ca * cb
-    return {e: c for e, c in out.items() if c != 0}
+def series_reciprocal(s: TruncSeries) -> TruncSeries:
+    """1/s by the power-series division recurrence, certified down to
+    s.cert_exp - 2 * s.lead_exp (the same number of terms as s)."""
+    if not s.coeffs:
+        raise DomainError("reciprocal of a series with no certified nonzero term")
+    a0 = s.coeffs[0]
+    tail = [(i, c) for i, c in enumerate(s.coeffs) if i and c]
+    r = [1 / a0]
+    for n in range(1, len(s.coeffs)):
+        r.append(-sum((c * r[n - i] for i, c in tail if i <= n), _ZERO) / a0)
+    return TruncSeries(-s.lead_exp, r)
 
 
-def _geometric_inverse(u: dict[int, Fraction], floor: int) -> dict[int, Fraction]:
-    """(1 + u)^(-1) = sum (-u)^j, truncated below ``floor``; u has exponents < 0."""
-    neg_u = {e: -c for e, c in u.items()}
-    out = {0: Fraction(1)}
-    term = {0: Fraction(1)}
-    while True:
-        term = _dict_mul(term, neg_u, floor)
-        if not term:
-            return out
-        for e, c in term.items():
-            out[e] = out.get(e, _ZERO) + c
+def series_root(s: TruncSeries, D: int) -> TruncSeries:
+    """The D-th root of s = z^D + ... with leading term z, by Miller's
+    recurrence; certified down to s.cert_exp - D + 1."""
+    if s.lead_exp != D or s.coeffs[:1] != (1,):
+        raise DomainError("series_root expects a series with leading term z^D")
+    tail = [(k, c) for k, c in enumerate(s.coeffs) if k and c]
+    h = [Fraction(1)]
+    for n in range(1, len(s.coeffs)):
+        h.append(sum((((D + 1) * k - n * D) * c * h[n - k] for k, c in tail if k <= n),
+                     _ZERO) / (n * D))
+    return TruncSeries(1, h)
 
 
 def series_compose_poly(s: TruncSeries, p: RatPoly) -> TruncSeries:
     """s(p(z)) re-expanded in descending powers of z, certified tail included.
 
-    Requires monic p of degree >= 2 and s with leading term z.  The result is
-    certified down to exponent (s.cert_exp - 1) * deg(p) + 1.
+    Requires monic p of degree >= 2 and s with leading term z.  Horner's rule
+    in r = 1/p: s(p) = p + c_0 + r (c_-1 + r (c_-2 + ... + r (c_-K + r T))),
+    where the unknown tail T starts out certified nowhere (down to z^1); the
+    product rule then certifies the result down to (s.cert_exp - 1) * deg(p) + 1.
     """
     if p.is_zero() or p.degree < 2 or not p.is_monic():
         raise DomainError("composition requires a monic polynomial of degree >= 2")
@@ -195,92 +204,31 @@ def series_compose_poly(s: TruncSeries, p: RatPoly) -> TruncSeries:
         raise DomainError("composition requires a series with leading term z")
     D = p.degree
     target = (s.cert_exp - 1) * D + 1
-    # u = p / z^D - 1, supported on exponents -1 .. -D (exact)
-    u = {i - D: Fraction(p[i]) for i in range(D) if p[i] != 0}
-    acc: dict[int, Fraction] = {}
-
-    def add_into(d: dict[int, Fraction], c: Fraction):
-        for e, v in d.items():
-            if e >= target:
-                acc[e] = acc.get(e, _ZERO) + c * v
-
-    # nonnegative exponents of s: 1 and 0
-    c1 = s.coefficient(1)
-    add_into({i: Fraction(p[i]) for i in range(D + 1) if p[i] != 0}, c1)
-    if s.cert_exp <= 0:
-        c0 = s.coefficient(0)
-        if c0 != 0:
-            add_into({0: Fraction(1)}, c0)
-    # negative exponents: c_{-k} * p^{-k} = c_{-k} z^{-kD} (1+u)^{-k}
-    kmax = -s.cert_exp
-    if kmax >= 1:
-        inv1 = _geometric_inverse(u, target + D)
-        w = dict(inv1)
-        for k in range(1, kmax + 1):
-            ck = s.coefficient(-k)
-            if ck != 0:
-                add_into({e - k * D: v for e, v in w.items()}, ck)
-            if k < kmax:
-                w = _dict_mul(w, inv1, target + (k + 1) * D)
-    lead = D
-    coeffs = [acc.get(e, _ZERO) for e in range(lead, target - 1, -1)]
-    return TruncSeries(lead, coeffs)
-
-
-def series_compose_series(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
-    """outer(inner(z)) for inner with leading term z.
-
-    Certified down to max(outer.cert_exp, inner.cert_exp).
-    """
-    if not inner.has_lead_z():
-        raise DomainError("inner series must have leading term z")
-    if not outer.has_lead_z():
-        raise DomainError("outer series must have leading term z")
-    target = max(outer.cert_exp, inner.cert_exp)
-    inner_d = inner.as_dict()
-    u = {e - 1: c for e, c in inner_d.items() if e != 1}  # inner/z - 1
-    acc: dict[int, Fraction] = {}
-
-    def add_into(d: dict[int, Fraction], c: Fraction):
-        for e, v in d.items():
-            if e >= target:
-                acc[e] = acc.get(e, _ZERO) + c * v
-
-    add_into(inner_d, outer.coefficient(1))
-    if outer.cert_exp <= 0 and outer.coefficient(0) != 0:
-        add_into({0: Fraction(1)}, outer.coefficient(0))
-    kmax = -outer.cert_exp
-    if kmax >= 1:
-        inv1 = _geometric_inverse(u, target - 1)
-        w = dict(inv1)
-        for k in range(1, kmax + 1):
-            ck = outer.coefficient(-k)
-            if ck != 0:
-                add_into({e - k: v for e, v in w.items()}, ck)
-            if k < kmax:
-                w = _dict_mul(w, inv1, target - 1 + k + 1)
-    lead = max([1] + [e for e in acc])
-    coeffs = [acc.get(e, _ZERO) for e in range(lead, target - 1, -1)]
-    return TruncSeries(lead, coeffs)
+    ps = TruncSeries(D, [p[e] for e in range(D, target - 1, -1)])
+    r = series_reciprocal(ps)
+    acc = TruncSeries(1, [_ZERO])
+    for k in range(-s.cert_exp, -1, -1):
+        acc = acc * r + s.coefficient(-k)
+    return ps + acc
 
 
 def series_inverse(s: TruncSeries) -> TruncSeries:
     """Compositional inverse t with t(s(z)) = z, certified to the same depth.
 
-    Solved coefficient by coefficient: the exponent -k equation of
-    t(s(z)) = z is triangular in the unknown coefficient of w^(-k), whose
-    multiplier is 1.
+    Lagrange inversion at infinity: for s = z + b_0 + b_1/z + ... the inverse
+    is w + d_0 + d_1/w + ... with d_0 = -b_0 and d_k = -[z^-1](s^k) / k.  The
+    powers s^k come from one running product; s^k is certified down to
+    s.cert_exp + k - 1, which reaches z^-1 for every k <= -s.cert_exp.
     """
     if not s.has_lead_z():
         raise DomainError("compositional inverse requires leading term z")
     N = -s.cert_exp
     if N < 0:
         raise DomainError("series must be certified at least down to z^0")
-    inv_coeffs = [Fraction(1)]  # coefficient of w^1
-    t = TruncSeries(1, inv_coeffs + [_ZERO] * (N + 1))
-    for k in range(0, N + 1):
-        resid = series_compose_series(t, s) - TruncSeries.identity(-N)
-        r = resid.coefficient(-k)
-        inv_coeffs.append(-r)
-        t = TruncSeries(1, inv_coeffs + [_ZERO] * (N - k))
-    return t
+    d = [Fraction(1), -s.coefficient(0)]
+    power = s
+    for k in range(1, N + 1):
+        if k > 1:
+            power = power * s
+        d.append(-power.coefficient(-1) / k)
+    return TruncSeries(1, d)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .exactnum import RealBall, ball_log
-from .ntheory import factorize, is_prime
+from .ntheory import factorize, is_prime, valuation
 from .polymap import DEFAULT_DEGREE_CAP, PolyMap
 
 
@@ -98,11 +98,8 @@ def cyclotomic_degree_qp(p: int, b: int) -> int:
         raise DomainError("b must be >= 1")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    k = 0
-    b0 = b
-    while b0 % p == 0:
-        b0 //= p
-        k += 1
+    k = valuation(b, p)
+    b0 = b // p ** k
     unram = 1 if b0 <= 2 else mult_order(p, b0)
     ram = 1 if k == 0 else p ** (k - 1) * (p - 1)
     return unram * ram

@@ -29,7 +29,7 @@ from .exactnum import (
     complex_roots_with_radii,
 )
 from .factorint import factor_over_Z
-from .ntheory import prime_divisors
+from .ntheory import prime_divisors, valuation
 
 
 @dataclass(frozen=True)
@@ -139,24 +139,9 @@ def weil_height_tuple(ts, prec: int = 64) -> HeightValue:
     total = arch
     for p in sorted(primes):
         # max(1, |t_i|_p) = p^max(0, -min_i v_p(t_i)); zeros contribute |0|_p = 0
-        m = max(0, max(-_vp(t, p) for t in nonzero))
+        m = max(0, max(-valuation(t, p) for t in nonzero))
         total *= Fraction(p) ** m
     return HeightValue(RealBall.exact(total), _log_of(total, prec), total)
-
-
-def _vp(q: Fraction, p: int) -> int:
-    if q == 0:
-        raise DomainError("valuation of zero")
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Small number-theory helpers shared across the package: primality,
-factorization of integers, prime divisors."""
+factorization of integers, prime divisors, p-adic valuation."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .errors import DomainError
 
@@ -97,3 +98,19 @@ def prime_divisors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def valuation(x, p: int) -> int:
+    """The p-adic valuation v_p(x) of a nonzero rational x."""
+    x = Fraction(x)
+    if x == 0:
+        raise DomainError("valuation of zero")
+    v = 0
+    n, d = x.numerator, x.denominator
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v

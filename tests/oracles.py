@@ -3,7 +3,9 @@
 These deliberately avoid the library's own algorithms: factor search by
 exhaustive coefficient boxes with Mignotte-style bounds, naive multiplicative
 orders by repeated multiplication, naive series multiplication on full
-coefficient dicts, schoolbook polynomial arithmetic over Z/m as the
+coefficient dicts, series composition on coefficient dicts by geometric
+series (the reference for the Horner composition and the Lagrange inversion
+of ``exactnum.series``), schoolbook polynomial arithmetic over Z/m as the
 reference for the Kronecker and Newton kernels of ``factorint.modp``, and
 mpmath's theta functions and q-Pochhammer symbol at 200 digits as the
 reference for the lambda and discriminant enclosures of ``countkit.modular``.
@@ -17,7 +19,10 @@ from itertools import product
 
 import mpmath
 
-from arithdyn.exactnum import IntPoly
+from arithdyn.errors import DomainError
+from arithdyn.exactnum import IntPoly, RatPoly, TruncSeries
+
+_ZERO = Fraction(0)
 
 
 def _divisors(n: int) -> list[int]:
@@ -130,6 +135,110 @@ def dict_series_pow(d: dict[int, Fraction], k: int) -> dict[int, Fraction]:
     for _ in range(k):
         out = dict_series_mul(out, d)
     return out
+
+
+def _dict_mul(a: dict[int, Fraction], b: dict[int, Fraction], floor: int) -> dict[int, Fraction]:
+    out: dict[int, Fraction] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            if e >= floor:
+                out[e] = out.get(e, _ZERO) + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _geometric_inverse(u: dict[int, Fraction], floor: int) -> dict[int, Fraction]:
+    """(1 + u)^(-1) = sum (-u)^j, truncated below ``floor``; u has exponents < 0."""
+    neg_u = {e: -c for e, c in u.items()}
+    out = {0: Fraction(1)}
+    term = {0: Fraction(1)}
+    while True:
+        term = _dict_mul(term, neg_u, floor)
+        if not term:
+            return out
+        for e, c in term.items():
+            out[e] = out.get(e, _ZERO) + c
+
+
+def series_compose_poly(s: TruncSeries, p: RatPoly) -> TruncSeries:
+    """s(p(z)) re-expanded in descending powers of z, certified tail included.
+
+    Requires monic p of degree >= 2 and s with leading term z.  The result is
+    certified down to exponent (s.cert_exp - 1) * deg(p) + 1.
+    """
+    if p.is_zero() or p.degree < 2 or not p.is_monic():
+        raise DomainError("composition requires a monic polynomial of degree >= 2")
+    if not s.has_lead_z():
+        raise DomainError("composition requires a series with leading term z")
+    D = p.degree
+    target = (s.cert_exp - 1) * D + 1
+    # u = p / z^D - 1, supported on exponents -1 .. -D (exact)
+    u = {i - D: Fraction(p[i]) for i in range(D) if p[i] != 0}
+    acc: dict[int, Fraction] = {}
+
+    def add_into(d: dict[int, Fraction], c: Fraction):
+        for e, v in d.items():
+            if e >= target:
+                acc[e] = acc.get(e, _ZERO) + c * v
+
+    # nonnegative exponents of s: 1 and 0
+    c1 = s.coefficient(1)
+    add_into({i: Fraction(p[i]) for i in range(D + 1) if p[i] != 0}, c1)
+    if s.cert_exp <= 0:
+        c0 = s.coefficient(0)
+        if c0 != 0:
+            add_into({0: Fraction(1)}, c0)
+    # negative exponents: c_{-k} * p^{-k} = c_{-k} z^{-kD} (1+u)^{-k}
+    kmax = -s.cert_exp
+    if kmax >= 1:
+        inv1 = _geometric_inverse(u, target + D)
+        w = dict(inv1)
+        for k in range(1, kmax + 1):
+            ck = s.coefficient(-k)
+            if ck != 0:
+                add_into({e - k * D: v for e, v in w.items()}, ck)
+            if k < kmax:
+                w = _dict_mul(w, inv1, target + (k + 1) * D)
+    lead = D
+    coeffs = [acc.get(e, _ZERO) for e in range(lead, target - 1, -1)]
+    return TruncSeries(lead, coeffs)
+
+
+def series_compose_series(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
+    """outer(inner(z)) for inner with leading term z.
+
+    Certified down to max(outer.cert_exp, inner.cert_exp).
+    """
+    if not inner.has_lead_z():
+        raise DomainError("inner series must have leading term z")
+    if not outer.has_lead_z():
+        raise DomainError("outer series must have leading term z")
+    target = max(outer.cert_exp, inner.cert_exp)
+    inner_d = inner.as_dict()
+    u = {e - 1: c for e, c in inner_d.items() if e != 1}  # inner/z - 1
+    acc: dict[int, Fraction] = {}
+
+    def add_into(d: dict[int, Fraction], c: Fraction):
+        for e, v in d.items():
+            if e >= target:
+                acc[e] = acc.get(e, _ZERO) + c * v
+
+    add_into(inner_d, outer.coefficient(1))
+    if outer.cert_exp <= 0 and outer.coefficient(0) != 0:
+        add_into({0: Fraction(1)}, outer.coefficient(0))
+    kmax = -outer.cert_exp
+    if kmax >= 1:
+        inv1 = _geometric_inverse(u, target - 1)
+        w = dict(inv1)
+        for k in range(1, kmax + 1):
+            ck = outer.coefficient(-k)
+            if ck != 0:
+                add_into({e - k: v for e, v in w.items()}, ck)
+            if k < kmax:
+                w = _dict_mul(w, inv1, target - 1 + k + 1)
+    lead = max([1] + [e for e in acc])
+    coeffs = [acc.get(e, _ZERO) for e in range(lead, target - 1, -1)]
+    return TruncSeries(lead, coeffs)
 
 
 def school_mul(f: list[int], g: list[int], m: int) -> list[int]:

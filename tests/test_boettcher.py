@@ -1,7 +1,11 @@
 import math
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithdyn.boettcher import (
     boettcher_frame,
@@ -11,16 +15,17 @@ from arithdyn.boettcher import (
     escape_domain_radius,
     fstar_eval,
     good_place,
-    inverse_series,
     is_power_map,
     padic_abs,
     phi_eval,
     psi_eval,
 )
 from arithdyn.errors import DomainError
-from arithdyn.exactnum import ComplexBall, series_compose_poly, series_compose_series, series_power
+from arithdyn.exactnum import ComplexBall, series_compose_poly, series_inverse, series_power
 from arithdyn.polymap import PolyMap
 from conftest import random_monic_map
+import oracles
+from oracles import series_compose_series
 
 P2 = PolyMap.from_text("X^2")
 P21 = PolyMap.from_text("X^2+1")
@@ -65,13 +70,38 @@ def test_inverse_of_identity_is_identity():
 
 def test_inverse_series_examples():
     B = boettcher_series(P21, 8)
-    psi = inverse_series(B)
+    psi = series_inverse(B.phi)
     assert psi.coefficient(1) == 1
     assert psi.coefficient(-1) == -B.b(1)
     rt = series_compose_series(psi, B.phi)
     assert rt.coefficient(1) == 1
     for e in range(0, rt.cert_exp - 1, -1):
         assert rt.coefficient(e) == 0
+
+
+@given(seed=st.integers(0, 2 ** 32), N=st.integers(1, 20))
+@settings(max_examples=12, deadline=None)
+def test_horner_composition_matches_the_dict_oracle(seed, N):
+    P = random_monic_map(random.Random(seed), max_degree=4)
+    B = boettcher_series(P, N)
+    for c in range(1, -N - 1, -1):
+        phi = B.phi.truncate(c)
+        new = series_compose_poly(phi, P.poly)
+        old = oracles.series_compose_poly(phi, P.poly)
+        assert new.cert_exp == old.cert_exp == (c - 1) * P.degree + 1
+        for e in range(P.degree, new.cert_exp - 1, -1):
+            assert new.coefficient(e) == old.coefficient(e)
+    rt = series_compose_series(series_inverse(B.phi), B.phi)
+    assert rt.cert_exp == -N
+    for e in range(1, rt.cert_exp - 1, -1):
+        assert rt.coefficient(e) == (e == 1)
+
+
+def test_cubic_series_and_inverse_within_time_budget():
+    t0 = time.perf_counter()
+    B = boettcher_series(PolyMap.from_text("X^3+X+1"), 24)
+    series_inverse(B.phi)
+    assert time.perf_counter() - t0 < 1.5
 
 
 def test_escape_radius_examples():

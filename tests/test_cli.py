@@ -1,10 +1,16 @@
+import importlib.util
 import json
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from arithdyn.cli import main
+from arithdyn.cli import main, parse_number
+from arithdyn.exactnum import RealBall, ball_e
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_cli(args, capsys):
@@ -228,3 +234,38 @@ def test_console_entrypoint():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["order"] == 4
+
+
+def test_large_e_power_is_a_resource_guard_trip(capsys):
+    t0 = time.perf_counter()
+    rc = main(["masser-t", "--AZ", "2", "--d", "2", "--H", "e^3000"])
+    assert rc == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "resource guard" in capsys.readouterr().err
+
+
+def test_e_powers_equal_the_repeated_product():
+    e = ball_e(192)
+    out = RealBall.exact(1)
+    for k in range(1, 61):
+        out = out * e
+        for sign, expected in ((1, out), (-1, out.inverse())):
+            got = parse_number(f"e^{sign * k}")
+            assert (got.mid, got.rad) == (expected.mid, expected.rad), sign * k
+
+
+@pytest.mark.parametrize("script, header", [
+    ("snap_sweep.py", "n,alpha,D,r,r_with_multiplicity,max_degree,proportion,"
+                      "bound_shape_value,squarefree"),
+    ("lambda_census.py", "q,mid,rad,verdict,candidate"),
+])
+def test_scripts_run_their_shipped_configs(script, header, tmp_path):
+    spec = importlib.util.spec_from_file_location(script[:-3], SCRIPTS / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = tmp_path / "out.csv"
+    assert module.run([str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("# jobspec:")
+    assert lines[1] == header
+    assert len(lines) > 2

@@ -222,3 +222,27 @@ def test_strong_pseudoprimes_to_the_first_twelve_prime_bases_are_composite():
     n = 318665857834031151167461
     assert not is_prime(n)
     assert prime_divisors(n) == [399165290221, 798330580441]
+
+
+def _naive_valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def test_valuation_matches_the_naive_loop():
+    from arithdyn.boettcher import padic_abs
+    from arithdyn.ntheory import valuation
+
+    for p in (2, 3, 5, 7):
+        for n in range(1, 10 ** 4 + 1):
+            assert valuation(n, p) == valuation(-n, p) == _naive_valuation(n, p)
+        for x in (F(1, 8), F(-12, 35), F(49, 50), F(3 ** 7, 2 ** 9 * 5), F(7 ** 5, 3 ** 4)):
+            v = _naive_valuation(x.numerator, p) - _naive_valuation(x.denominator, p)
+            assert valuation(x, p) == v
+            assert padic_abs(x, p) == F(p) ** -v
+        assert padic_abs(F(0), p) == 0
+        with pytest.raises(DomainError, match="valuation of zero"):
+            valuation(0, p)

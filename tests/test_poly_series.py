@@ -12,11 +12,12 @@ from arithdyn.exactnum import (
     parse_poly,
     poly_from_json,
     series_compose_poly,
-    series_compose_series,
     series_inverse,
     series_power,
+    series_reciprocal,
+    series_root,
 )
-from oracles import dict_series_pow
+from oracles import dict_series_pow, series_compose_series
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -190,3 +191,39 @@ def test_mul_certified_range_rule():
     b = pad([F(1), F(0), F(5)], 1)  # cert -1
     prod = a * b
     assert prod.cert_exp == max(a.cert_exp + b.lead_exp, b.cert_exp + a.lead_exp)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_reciprocal_times_series_is_one(data):
+    lead = data.draw(st.integers(min_value=-2, max_value=3))
+    coeffs = [data.draw(small.filter(bool))] + data.draw(st.lists(small, max_size=10))
+    s = TruncSeries(lead, coeffs)
+    r = series_reciprocal(s)
+    assert r.cert_exp == s.cert_exp - 2 * s.lead_exp
+    prod = s * r
+    assert prod.cert_exp == s.cert_exp - s.lead_exp
+    for e in range(0, prod.cert_exp - 1, -1):
+        assert prod.coefficient(e) == (e == 0)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_root_to_the_power_D_gives_back_the_series(data):
+    D = data.draw(st.integers(min_value=1, max_value=4))
+    N = data.draw(st.integers(min_value=0, max_value=10))
+    s = series_power(TruncSeries(1, [F(1)] + [data.draw(small) for _ in range(N + 1)]), D)
+    h = series_root(s, D)
+    assert h.cert_exp == s.cert_exp - D + 1
+    back = series_power(h, D)
+    assert back.cert_exp == s.cert_exp
+    assert back == s
+
+
+def test_root_rejects_bad_lead():
+    with pytest.raises(DomainError):
+        series_root(TruncSeries(2, [F(1), F(0)]), 3)
+    with pytest.raises(DomainError):
+        series_root(TruncSeries(2, [F(2), F(0)]), 2)
+    with pytest.raises(DomainError):
+        series_reciprocal(TruncSeries(1, [F(0), F(0)]))
