@@ -224,20 +224,24 @@ class FStarResult:
 
 
 def fstar_eval(P: PolyMap, alpha, tau: ComplexBall, N: int = 16,
-               prec: int = 128, tol: Fraction | None = None) -> FStarResult:
+               prec: int = 128, tol: Fraction | None = None,
+               frame: BoettcherFrame | None = None) -> FStarResult:
     """Certified value of the escape-parametrized root function
 
         f(tau) = 1 / psi( phi(alpha) * exp(-2 pi i (tau - i/24)) )
 
     on the strip Im tau >= 1/24, |Re tau| <= 1/2.  The reciprocal of f at
     tau = k/D^n + i/24 runs through the solutions of P^n(X) = P^n(alpha).
+    ``frame``, if given, is ``boettcher_frame(P, N, prec)`` built once by a
+    caller that evaluates many points.
     """
     alpha = Fraction(alpha)
     if not (tau.im - tau.rad >= Fraction(1, 24)):
         raise DomainError("tau must satisfy Im tau >= 1/24 (certified)")
     if not (abs(tau.re) + tau.rad <= Fraction(1, 2)):
         raise DomainError("tau must satisfy |Re tau| <= 1/2 (certified)")
-    frame = boettcher_frame(P, N, prec)
+    if frame is None:
+        frame = boettcher_frame(P, N, prec)
     if frame.distortion != 0 and abs(alpha) < 7 * frame.rho:
         raise DomainError(
             f"evaluation domain requires |alpha| >= {7 * frame.rho} for this map"

@@ -227,8 +227,9 @@ def _run_canonical_height(a):
            "canonical": _ball_cell(stats.canonical, a.precision)}
     res = row | {"canonical": _ball_json(stats.canonical, a.precision),
                  "gap_constant": _ball_json(stats.gap_constant, a.precision),
-                 # bit lengths: the heights themselves run to millions of digits
-                 "orbit_height_bits": [h.numerator.bit_length() for h in stats.heights]}
+                 "places": [{"place": pl.place, "steps": pl.steps, "escaped": pl.escaped,
+                             "enclosure": _ball_json(pl.value, a.precision)}
+                            for pl in stats.places]}
     return res, [row]
 
 

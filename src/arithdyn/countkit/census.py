@@ -159,16 +159,19 @@ def make_fstar_evaluator(map_text: str, alpha, N: int = 16) -> Evaluator:
     """f(q) = fstar(mu(q)) with mu(q) = i (1+q)/(1-q); real on (0,1)."""
     from fractions import Fraction as F
 
-    from ..boettcher import fstar_eval
+    from ..boettcher import boettcher_frame, fstar_eval
     from ..exactnum import ComplexBall
     from ..polymap import PolyMap
 
     P = PolyMap.from_text(map_text)
     alpha = F(alpha)
+    frames = {}  # one Boettcher frame per working precision
 
     def ev(q: Fraction, prec: int) -> RealBall:
+        if prec not in frames:
+            frames[prec] = boettcher_frame(P, N, prec)
         t = (1 + q) / (1 - q)
-        res = fstar_eval(P, alpha, ComplexBall(0, t), N=N, prec=prec)
+        res = fstar_eval(P, alpha, ComplexBall(0, t), N=N, prec=prec, frame=frames[prec])
         return RealBall(res.value.re, res.value.rad)
 
     return ev

@@ -1,15 +1,35 @@
 """Iteration statistics: canonical heights with certified error and the
 degree/irreducible-factor data of P^n(X) - P^n(alpha).
 
-The canonical height of alpha under a monic degree-D map is the limit of
-h(P^n(alpha))/D^n.  A one-step comparison constant c with
-|h(P(x)) - D h(x)| <= c for all rational x telescopes to the tail bound
+The canonical height of a rational alpha under a monic degree-D map is the
+sum of local canonical heights (Call-Silverman, Compositio 89, 1993;
+Call-Goldstine, JNT 63, 1997)
 
-    |hhat(alpha) - h(P^n(alpha))/D^n| <= c / (D^n (D - 1)),
+    hhat(alpha) = lambda_inf(alpha) + sum_p lambda_p(alpha),
+    lambda_v(x) = lim_k D^-k log max(1, |P^k(x)|_v),
 
-so a certified c gives certified enclosures at any requested radius.  The
-constant is constructed explicitly from cofactor identities: writing the map
-on P^1 as [N(X,Y) : M(X,Y)] with integer forms, solving
+and every place is computed from an orbit of bounded size, so the cost is
+polynomial in log(1/eps).  Let delta be the lcm of the coefficient
+denominators.
+
+- At a prime p not dividing delta the coefficients are p-integral, so
+  |P(x)|_p = |x|_p^D once |x|_p > 1: lambda_p(alpha) = log max(1, |alpha|_p).
+  These places sum to log of den(alpha) stripped of the primes of delta
+  (by gcd; den(alpha) is never factored).
+- At p | delta, with e = v_p(delta): once v_p(x) < -e the leading term
+  dominates, so lambda_p = -v_p(P^k alpha) log p / D^k exactly.  The orbit is
+  iterated modulo a power of p, losing e(D-1) digits a step; an orbit that
+  stays in v_p >= -e for K steps gives lambda_p in [0, e log p / D^K].
+- At infinity, with R = 1 + sum |a_i| and c(r) = t/((1-t)(D-1)) for
+  t = (R-1)/r, |lambda_inf(z) - log|z|| <= c(|z|) once |z| >= R, and
+  lambda_inf(z) <= log r + c(r) on |z| <= r for r >= R (maximum principle).
+  The orbit runs in real balls whose midpoints are rounded to a fixed grid
+  2^-w, so neither the orbit nor its radius grows beyond the escape size.
+
+The one-step comparison constant c with |h(P(x)) - D h(x)| <= c for all
+rational x (reported as ``gap_constant``) is constructed explicitly from
+cofactor identities: writing the map on P^1 as [N(X,Y) : M(X,Y)] with
+integer forms, solving
 
     A*N + B*M = R * X^(2D-1)      and      A'*N + B'*M = R * Y^(2D-1)
 
@@ -24,10 +44,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceGuardError
-from .exactnum import RealBall, ball_log
+from .exactnum import RealBall, ball_eval_poly, ball_log
 from .exactnum.linalg import solve
 from .factorint import FactorReport, factor_over_Q
 from .heights import height_rational
+from .ntheory import PROVEN_PRIME_BOUND, prime_divisors, valuation
 from .polymap import DEFAULT_DEGREE_CAP, PolyMap
 
 
@@ -90,61 +111,160 @@ def height_gap_constant(P: PolyMap) -> GapConstant:
 
 
 @dataclass(frozen=True)
-class OrbitStats:
+class LocalHeight:
+    """One term of hhat(alpha): ``place`` is "inf", a prime p dividing delta,
+    or "good" (every prime outside delta, in closed form); ``steps`` orbit
+    steps were taken and ``escaped`` says whether the orbit provably entered
+    the region where the local height is read off directly."""
+
+    place: str
+    steps: int
+    escaped: bool
+    value: RealBall
+
+
+@dataclass(frozen=True)
+class HeightStats:
     alpha: Fraction
-    n: int
-    heights: tuple[Fraction, ...]  # multiplicative heights H(P^k(alpha)), k = 0..n
+    n: int  # the most orbit steps any place used
     canonical: RealBall
     gap_constant: RealBall
-
-    def log_heights(self, prec: int = 64) -> list[RealBall]:
-        """h(P^k(alpha)) as certified log enclosures (exact zeros stay exact)."""
-        return [
-            RealBall.exact(0) if h == 1 else ball_log(RealBall.exact(h), prec)
-            for h in self.heights
-        ]
+    places: tuple[LocalHeight, ...]
 
 
-def canonical_height(P: PolyMap, alpha, eps, prec: int = 0,
-                     max_n: int = 256, bit_cap: int = 8_000_000) -> RealBall:
-    return canonical_height_stats(P, alpha, eps, prec, max_n, bit_cap).canonical
+# the archimedean orbit's grid 2^-w may be refined up to this many bits
+_MAX_GRID_BITS = 1 << 16
 
 
-def canonical_height_stats(P: PolyMap, alpha, eps, prec: int = 0,
-                           max_n: int = 256, bit_cap: int = 8_000_000) -> OrbitStats:
-    """Ball of radius <= eps around the canonical height of a rational point."""
+def canonical_height(P: PolyMap, alpha, eps, prec: int = 0) -> RealBall:
+    return canonical_height_stats(P, alpha, eps, prec).canonical
+
+
+def canonical_height_stats(P: PolyMap, alpha, eps, prec: int = 0) -> HeightStats:
+    """Ball of radius <= eps around the canonical height of a rational point,
+    as a sum of local heights, each within an equal share of eps.  ``prec``
+    is the working precision of the reported gap constant."""
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError("eps must be positive")
     alpha = Fraction(alpha)
+    delta = math.lcm(*(c.denominator for c in P.lower_coefficients()))
+    if delta >= PROVEN_PRIME_BOUND:
+        raise ResourceGuardError(f"coefficient denominator lcm {delta} too large to factor")
+    primes = prime_divisors(delta)
+    share = eps / (len(primes) + 2)
+    good = alpha.denominator
+    while (g := math.gcd(good, delta)) > 1:
+        good //= g
+    places = [_arch_local_height(P, alpha, share)]
+    places += [_padic_local_height(P, alpha, p, valuation(delta, p), share) for p in primes]
+    places.append(LocalHeight("good", 0, good > 1, _log_within(Fraction(good), share)))
+    canonical = sum((pl.value for pl in places), RealBall.exact(0))
+    gap = height_gap_constant(P).gap(max(prec, 64))
+    return HeightStats(alpha, max(pl.steps for pl in places), canonical, gap, tuple(places))
+
+
+def _log_within(x: Fraction, tol: Fraction) -> RealBall:
+    """log x for an exact x >= 1, as a ball of radius <= tol."""
+    if x == 1:
+        return RealBall.exact(0)
+    prec = max(64, math.ceil(1 / tol).bit_length() + x.numerator.bit_length().bit_length() + 8)
+    while True:
+        out = ball_log(RealBall.exact(x), prec)
+        if out.rad <= tol:
+            return out
+        prec *= 2
+
+
+def _arch_local_height(P: PolyMap, alpha: Fraction, share: Fraction) -> LocalHeight:
+    """lambda_inf(alpha) within ``share``, from a ball orbit on the grid 2^-w.
+
+    At step k, with x = P^k(alpha) and |x| in [lo, hi], lambda_inf(alpha) lies
+    in [0, (log r + c(r))/D^k] for r = max(R, hi), and once lo >= R also in
+    (log|x| +- c(lo))/D^k.  The narrower of the two is kept.  When the orbit
+    ball's radius, rather than the tail, keeps the enclosure above its share,
+    the grid is refined and the orbit restarted.
+    """
+    from .boettcher import escape_domain_radius
+
     D = P.degree
-    gc = height_gap_constant(P)
-    half = eps / 2
-    n = 0
-    while gc.tail_bound(n) > half:
-        n += 1
-        if n > max_n:
-            raise ResourceGuardError(f"needed more than {max_n} iterations for eps={eps}")
-    heights = [Fraction(max(abs(alpha.numerator), alpha.denominator))]
-    v = alpha
-    for _ in range(n):
-        v = P.poly.eval(v)
-        if v.numerator.bit_length() + v.denominator.bit_length() > bit_cap:
-            raise ResourceGuardError("orbit value size exceeds bit cap")
-        heights.append(Fraction(max(abs(v.numerator), v.denominator)))
-    h_n = heights[-1]
-    if h_n == 1:
-        log_ball = RealBall.exact(0)
-    else:
-        p = max(prec, 64)
+    R = escape_domain_radius(P).radius
+
+    def tail(r: Fraction) -> Fraction:
+        t = (R - 1) / r
+        return t / ((1 - t) * (D - 1))
+
+    inside_top = _log_within(R, share / 4).hi + tail(R)
+    w = math.ceil(1 / share).bit_length() + 32
+    while w <= _MAX_GRID_BITS:
+        x = RealBall.exact(alpha)
+        k, Dk = 0, 1
         while True:
-            log_ball = ball_log(RealBall.exact(h_n), p)
-            if log_ball.rad / D ** n <= half:
-                break
-            p *= 2
-    tail = gc.tail_bound(n)
-    canonical = RealBall(log_ball.mid / D ** n, log_ball.rad / D ** n + tail)
-    return OrbitStats(alpha, n, tuple(heights), canonical, gc.gap(max(prec, 64)))
+            size = abs(x)
+            lo, hi = size.lo, size.hi
+            tol = share * Dk / 4
+            top = inside_top if hi <= R else _log_within(hi, tol).hi + tail(hi)
+            best = RealBall.from_endpoints(0, top / Dk)
+            escaped = lo >= R
+            if escaped:
+                log_x = RealBall.from_endpoints(_log_within(lo, tol).lo, _log_within(hi, tol).hi)
+                near = log_x.widen(tail(lo)) / Dk
+                if near.rad < best.rad:
+                    best = near
+            if best.rad <= share:
+                return LocalHeight("inf", k, escaped, best)
+            if x.rad > 2 * tol * max(R, lo):
+                break  # the rounding, not the tail, dominates: refine the grid
+            x = ball_eval_poly(P.poly, x).round_to_grid(w)
+            k, Dk = k + 1, Dk * D
+        w *= 2
+    raise ResourceGuardError(f"archimedean orbit needs a grid finer than 2^-{_MAX_GRID_BITS}")
+
+
+def _padic_local_height(P: PolyMap, alpha: Fraction, p: int, e: int,
+                        share: Fraction) -> LocalHeight:
+    """lambda_p(alpha) within ``share`` at a prime p with e = v_p(delta) >= 1.
+
+    The escape threshold is |x|_p > p^e at every such p (for p not dividing D
+    it is ``boettcher.delta_v``).  The orbit runs in y = p^e x, a p-adic
+    integer until escape, through Q(y) = p^(e(D-1)) y_next, whose
+    coefficients are p-integral; modulo p^L a residue of valuation >= e(D-1)
+    certifies no escape and leaves y_next modulo p^(L - e(D-1)).
+    """
+    D = P.degree
+    m = -valuation(alpha, p) if alpha != 0 else 0
+    if m > e:
+        return LocalHeight(str(p), 0, True, _log_within(Fraction(p), share / m) * m)
+    top = e * _log_within(Fraction(p), share).hi
+    K, DK = 0, 1
+    while top / DK > 2 * share:
+        K, DK = K + 1, DK * D
+    s = e * (D - 1)
+    L = K * s
+    mod = p ** L
+    q = [_residue(c * Fraction(p) ** (e * (D - j)), mod) for j, c in enumerate(P.poly.coeffs)]
+    y = _residue(alpha * p ** e, mod)
+    for k in range(K):
+        z = 0
+        for c in reversed(q):
+            z = (z * y + c) % mod
+        t, rest = 0, z
+        while t < L and rest % p == 0:
+            t, rest = t + 1, rest // p
+        if t < s:  # v_p(P^(k+1) alpha) = t - eD < -e: escaped, exactly
+            m, Dk = e * D - t, D ** (k + 1)
+            value = _log_within(Fraction(p), share * Dk / m) * Fraction(m, Dk)
+            return LocalHeight(str(p), k + 1, True, value)
+        L -= s
+        mod = p ** L
+        y = z // p ** s % mod
+        q = [c % mod for c in q]
+    return LocalHeight(str(p), K, False, RealBall.from_endpoints(0, top / DK))
+
+
+def _residue(x: Fraction, mod: int) -> int:
+    """A p-integral rational reduced modulo mod = p^L."""
+    return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
 def iterate(P: PolyMap, n: int, degree_cap: int = DEFAULT_DEGREE_CAP):

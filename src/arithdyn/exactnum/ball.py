@@ -6,12 +6,15 @@ contains the image of every point of the input balls, with no rounding at
 all.  ``widen(err)`` is the one place where a rounding error or a
 truncation majorant enters a radius: the rounding error of ``round_to``
 (which shortens the midpoint to a dyadic of the caller-supplied working
-precision), the growth term of ``ball_cexp``, and the series tails of
-``countkit.modular`` and ``boettcher.psi_eval``.  It keeps the midpoint and
+precision) and of ``round_to_grid`` (which rounds it to the absolute grid
+2^-w), the growth term of ``ball_cexp``, the series tails of
+``countkit.modular`` and ``boettcher.psi_eval``, and the escape tails of
+the archimedean local height in ``dynamics``.  It keeps the midpoint and
 rounds ``rad + err`` up to a short dyadic (32 significant bits), so radii
 stay short and stay certified, following the midpoint-radius design of Arb
-(Johansson, IEEE TC 2017).  (``dynamics.canonical_height_stats`` keeps an
-exact sum: its two radius terms each fill half of the caller's eps.)
+(Johansson, IEEE TC 2017).  An orbit that falls into a superattracting
+cycle needs the absolute grid: relative rounding would let the exponents
+of its midpoint and radius double at every step.
 Transcendental functions (log, exp, sqrt, sin, cos, pi) are delegated to
 mpmath's directed-rounding interval context and converted back to
 midpoint-radius form, so every enclosure produced here is rigorous.
@@ -255,6 +258,12 @@ class RealBall:
     def round_to(self, prec: int) -> "RealBall":
         mid, err = _round_fraction(self.mid, prec)
         return RealBall(mid, self.rad).widen(err)
+
+    def round_to_grid(self, w: int) -> "RealBall":
+        """Midpoint rounded to the nearest multiple of 2^-w; the radius grows
+        by 2^-w, which covers that rounding and keeps the radius >= 2^-w."""
+        unit = Fraction(1, 1 << w)
+        return RealBall(round(self.mid / unit) * unit, self.rad).widen(unit)
 
     # -- certified comparisons -------------------------------------------
 

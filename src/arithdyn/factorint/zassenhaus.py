@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 from math import isqrt
 
-from ..errors import DomainError
+from ..errors import DomainError, ResourceGuardError
 from ..exactnum import IntPoly, RatPoly
 from ..ntheory import is_prime
 from . import modp
@@ -36,6 +36,10 @@ _PRIME_KEEP = 5  # modular factorizations kept for degree-set pruning
 # first certifying prime was at most the tenth; on non-squarefree inputs of
 # degree 81-128 a failed scan of 16 primes cost 0.4-0.6 of Yun's time.
 _CERTIFICATE_PRIMES = 16
+# Subsets one recombination may examine.  The perfbench tower jobs examine at
+# most 3,345; snap X^2+1 --alpha 1 --n 8 examines 178,649, and --n 9 passes
+# the budget after about 45 s (2-core Xeon) instead of running for hours.
+_SUBSET_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -253,10 +257,14 @@ def _factor_squarefree(f: IntPoly, seed: int) -> list[IntPoly]:
 
 
 def _recombine(f: IntPoly, lifted: list[list[int]], pl: int, allowed_degrees: int) -> list[IntPoly]:
-    """Zassenhaus subset search; exhausting all subsets certifies irreducibility."""
+    """Zassenhaus subset search; exhausting all subsets certifies irreducibility.
+
+    Examining more than ``_SUBSET_BUDGET`` subsets raises ResourceGuardError.
+    """
     found: list[IntPoly] = []
     remaining = list(range(len(lifted)))
     cur = f
+    examined = 0
     s = 1
     while 2 * s <= len(remaining):
         hit = True
@@ -266,6 +274,10 @@ def _recombine(f: IntPoly, lifted: list[list[int]], pl: int, allowed_degrees: in
             const_cur = cur[0] * cur.lead  # divisor target for trailing-coeff test
             degs = [len(lifted[i]) - 1 for i in remaining]
             for S, dS in zip(combinations(remaining, s), combinations(degs, s)):
+                examined += 1
+                if examined > _SUBSET_BUDGET:
+                    raise ResourceGuardError(
+                        f"recombination examined more than {_SUBSET_BUDGET} subsets")
                 if not (allowed_degrees >> sum(dS)) & 1:
                     continue
                 # trailing-coefficient quick test

@@ -14,6 +14,7 @@ the product over all places of the local maxima.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +30,6 @@ from .exactnum import (
     complex_roots_with_radii,
 )
 from .factorint import factor_over_Z
-from .ntheory import prime_divisors, valuation
 
 
 @dataclass(frozen=True)
@@ -123,24 +123,14 @@ def height_algebraic(alpha: AlgebraicNumber, prec: int = 64) -> HeightValue:
 def weil_height_tuple(ts, prec: int = 64) -> HeightValue:
     """Logarithmic Weil height of a tuple of rationals, exact.
 
-    Sums log max(1, |t_i|_v) over the archimedean place and every prime
-    dividing a denominator; the total is the log of an integer, returned in
-    ``exact``.
+    The product over all places of max(1, |t_i|_v) is max(1, max |t_i|) at
+    infinity times p^max_i v_p(den t_i) at each prime, i.e. times the lcm of
+    the denominators; the total is returned in ``exact``.
     """
     ts = [Fraction(t) for t in ts]
     if not ts:
         raise DomainError("empty tuple")
-    arch = max([Fraction(1)] + [abs(t) for t in ts])
-    nonzero = [t for t in ts if t != 0]
-    primes = set()
-    for t in nonzero:
-        for p in prime_divisors(t.denominator):
-            primes.add(p)
-    total = arch
-    for p in sorted(primes):
-        # max(1, |t_i|_p) = p^max(0, -min_i v_p(t_i)); zeros contribute |0|_p = 0
-        m = max(0, max(-valuation(t, p) for t in nonzero))
-        total *= Fraction(p) ** m
+    total = max([Fraction(1)] + [abs(t) for t in ts]) * math.lcm(*(t.denominator for t in ts))
     return HeightValue(RealBall.exact(total), _log_of(total, prec), total)
 
 

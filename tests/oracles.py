@@ -8,19 +8,25 @@ series (the reference for the Horner composition and the Lagrange inversion
 of ``exactnum.series``), schoolbook polynomial arithmetic over Z/m as the
 reference for the Kronecker and Newton kernels of ``factorint.modp``, and
 mpmath's theta functions and q-Pochhammer symbol at 200 digits as the
-reference for the lambda and discriminant enclosures of ``countkit.modular``.
+reference for the lambda and discriminant enclosures of ``countkit.modular``,
+and the telescoped orbit heights h(P^n(alpha))/D^n (exact orbit values of
+about D^n h(alpha) bits) as the reference for the local-height canonical
+heights of ``dynamics``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import mpmath
 
-from arithdyn.errors import DomainError
-from arithdyn.exactnum import IntPoly, RatPoly, TruncSeries
+from arithdyn.dynamics import height_gap_constant
+from arithdyn.errors import DomainError, ResourceGuardError
+from arithdyn.exactnum import IntPoly, RatPoly, RealBall, TruncSeries, ball_log
+from arithdyn.polymap import PolyMap
 
 _ZERO = Fraction(0)
 
@@ -311,3 +317,57 @@ def mpf_fraction(x: mpmath.mpf) -> Fraction:
     sign, man, exp, _ = x._mpf_
     v = Fraction(int(man)) * Fraction(2) ** int(exp)
     return -v if sign else v
+
+
+@dataclass(frozen=True)
+class OrbitStats:
+    alpha: Fraction
+    n: int
+    heights: tuple[Fraction, ...]  # multiplicative heights H(P^k(alpha)), k = 0..n
+    canonical: RealBall
+    gap_constant: RealBall
+
+    def log_heights(self, prec: int = 64) -> list[RealBall]:
+        """h(P^k(alpha)) as certified log enclosures (exact zeros stay exact)."""
+        return [
+            RealBall.exact(0) if h == 1 else ball_log(RealBall.exact(h), prec)
+            for h in self.heights
+        ]
+
+
+def telescoped_height_stats(P: PolyMap, alpha, eps, prec: int = 0,
+                           max_n: int = 256, bit_cap: int = 8_000_000) -> OrbitStats:
+    """Ball of radius <= eps around the canonical height of a rational point,
+    from h(P^n(alpha))/D^n and the telescoped gap-constant tail."""
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise DomainError("eps must be positive")
+    alpha = Fraction(alpha)
+    D = P.degree
+    gc = height_gap_constant(P)
+    half = eps / 2
+    n = 0
+    while gc.tail_bound(n) > half:
+        n += 1
+        if n > max_n:
+            raise ResourceGuardError(f"needed more than {max_n} iterations for eps={eps}")
+    heights = [Fraction(max(abs(alpha.numerator), alpha.denominator))]
+    v = alpha
+    for _ in range(n):
+        v = P.poly.eval(v)
+        if v.numerator.bit_length() + v.denominator.bit_length() > bit_cap:
+            raise ResourceGuardError("orbit value size exceeds bit cap")
+        heights.append(Fraction(max(abs(v.numerator), v.denominator)))
+    h_n = heights[-1]
+    if h_n == 1:
+        log_ball = RealBall.exact(0)
+    else:
+        p = max(prec, 64)
+        while True:
+            log_ball = ball_log(RealBall.exact(h_n), p)
+            if log_ball.rad / D ** n <= half:
+                break
+            p *= 2
+    tail = gc.tail_bound(n)
+    canonical = RealBall(log_ball.mid / D ** n, log_ball.rad / D ** n + tail)
+    return OrbitStats(alpha, n, tuple(heights), canonical, gc.gap(max(prec, 64)))

@@ -9,6 +9,7 @@ import os
 import re
 import shlex
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -173,14 +174,24 @@ def test_sweep_takes_its_target_verb_and_ranges_from_a_config(tmp_path, capsys):
     assert rc == 1 and "swept twice" in err
 
 
-def test_canonical_height_reports_orbit_height_bits(capsys):
+def test_canonical_height_reports_places(capsys):
     rc, out, err = run(["canonical-height", "--map", "X^2+1", "--alpha", "1/3",
                         "--eps", "1/100000"], capsys)
     assert rc == 0, err
     res = json.loads(out)["result"]
-    bits = res["orbit_height_bits"]
-    assert bits[0] == 2 and len(bits) == res["n_used"] + 1
-    assert bits == sorted(bits) and bits[-1] > 14300  # more than 4300 decimal digits
+    places = res["places"]
+    assert [(p["place"], p["escaped"]) for p in places] == [("inf", True), ("good", True)]
+    assert places[0]["steps"] >= 1 and places[1]["steps"] == 0
+    assert res["n_used"] == max(p["steps"] for p in places)
+    # the good places sum to log 3, the denominator of alpha
+    good = places[1]["enclosure"]
+    assert abs(Fraction(good["mid"]) - Fraction("1.098612288668109691396")) <= Fraction(good["rad"])
+    total = sum(Fraction(p["enclosure"]["mid"]) for p in places)
+    radii = sum(Fraction(p["enclosure"]["rad"]) for p in places)
+    canonical = res["canonical"]
+    assert abs(total - Fraction(canonical["mid"])) <= radii + Fraction(canonical["rad"])
+    assert Fraction(canonical["rad"]) <= Fraction(1, 100000)
+    assert len(out) < 4300  # no orbit value is carried into the output
 
 
 _GOOD = {"int": ["1", "2", "3", "0", "-1"], "rational": ["1/2", "1", "2", "3", "0", "-1/3"],
@@ -188,8 +199,8 @@ _GOOD = {"int": ["1", "2", "3", "0", "-1"], "rational": ["1/2", "1", "2", "3", "
          "text": ["lambda", "delta", "square", "const", "degree_lower", "json", "csv",
                   "1,1;2,4", "1/2,3", "X^2-1"],
          "list": ["n=1:2", "order=2,3", "nope=1"],
-         # a map with a nonzero gap constant makes canonical-height's default eps slow
-         "map": ["X^2", "X^3", "X", "2*X^2"]}
+         # X^2+1/2 sends canonical-height through a prime of the coefficients
+         "map": ["X^2", "X^3", "X", "2*X^2", "X^2+1", "X^2+1/2"]}
 _JUNK = ["abc", "1/0", "", "-", "e^x", "--n"]
 _FOREIGN = Param("prime", "int")  # declared by delta-v only
 

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -15,8 +17,10 @@ from arithdyn.dynamics import (
     snap_degree_multiset,
 )
 from arithdyn.heights import height_rational
+from arithdyn.ntheory import PROVEN_PRIME_BOUND
 from arithdyn.polymap import PolyMap
 from conftest import random_monic_map
+from oracles import telescoped_height_stats
 
 P2 = PolyMap.from_text("X^2")
 P21 = PolyMap.from_text("X^2+1")
@@ -128,12 +132,69 @@ def test_canonical_gap_invariant(rng):
 
 def test_orbit_stats_prefix_tail_bounds():
     # |canonical - h(P^k alpha)/D^k| <= gap * D/((D-1) D^k) at every recorded k
-    stats = canonical_height_stats(P21, 1, F(1, 10 ** 6))
+    stats = telescoped_height_stats(P21, 1, F(1, 10 ** 6))
     D = 2
     for k, h_k in enumerate(stats.log_heights(128)):
         budget = stats.gap_constant.hi * D / ((D - 1) * D ** k)
         diff = abs(stats.canonical.mid - h_k.mid / D ** k)
         assert diff <= budget + stats.canonical.rad + h_k.rad
+
+
+def test_local_heights_match_telescoping_oracle():
+    rng = random.Random(20261018)
+    eps = F(1, 10 ** 4)
+    for _ in range(100):
+        P = random_monic_map(rng, max_degree=4)
+        alpha = F(rng.randint(-6, 6), rng.randint(1, 4))
+        stats = canonical_height_stats(P, alpha, eps)
+        oracle = telescoped_height_stats(P, alpha, eps)
+        image = canonical_height(P, P.eval(alpha), eps)
+        assert stats.canonical.rad <= eps
+        assert stats.canonical.overlaps(oracle.canonical), (P, alpha)
+        assert image.overlaps(stats.canonical * P.degree), (P, alpha)
+
+
+def test_local_heights_independent_values():
+    eps = F(1, 10 ** 30)
+    log7 = ball_log(RealBall.exact(7), 256)
+    ch = canonical_height_stats(PM1, F(2, 7), eps)
+    # 2/7 falls into the cycle 0 <-> -1 at infinity; all the height is 7-adic
+    assert ch.canonical.rad <= eps and ch.canonical.contains_ball(log7)
+    assert [(pl.place, pl.escaped) for pl in ch.places] == [("inf", False), ("good", True)]
+    assert canonical_height(P2, 2, eps).contains_ball(ball_log(RealBall.exact(2), 256))
+    assert canonical_height(PM1, 0, eps).contains(0)
+
+
+def test_local_height_at_a_prime_dividing_the_degree():
+    # 2-adically 1/3 -> 11/18 -> 283/324 has valuations 0, -1, -2: escape at step 2
+    P = PolyMap.from_text("X^2+1/2")
+    eps = F(1, 10 ** 20)
+    stats = canonical_height_stats(P, F(1, 3), eps)
+    two = {pl.place: pl for pl in stats.places}["2"]
+    assert two.escaped and two.steps == 2
+    assert two.value.contains_ball(ball_log(RealBall.exact(2), 256) / 2)
+    image = canonical_height(P, P.eval(F(1, 3)), eps)
+    assert stats.canonical.rad <= eps and image.overlaps(stats.canonical * 2)
+    assert stats.canonical.overlaps(telescoped_height_stats(P, F(1, 3), F(1, 10 ** 4)).canonical)
+    # X^2 - X/2 fixes 0 and sends 1/2 to 0: the 2-adic orbit never escapes
+    Q = PolyMap.from_text("X^2-1/2*X")
+    stats = canonical_height_stats(Q, F(1, 2), eps)
+    two = {pl.place: pl for pl in stats.places}["2"]
+    assert not two.escaped and two.value.rad <= eps and stats.canonical.contains(0)
+
+
+def test_canonical_height_tight_eps_is_fast():
+    t0 = time.perf_counter()
+    ch = canonical_height(P21, F(1, 3), F(1, 10 ** 30))
+    assert time.perf_counter() - t0 < 1.0
+    assert ch.rad <= F(1, 10 ** 30)
+    assert ch.overlaps(telescoped_height_stats(P21, F(1, 3), F(1, 10 ** 5)).canonical)
+
+
+def test_canonical_height_refuses_an_unfactorable_denominator():
+    P = PolyMap.from_coeffs([F(1, PROVEN_PRIME_BOUND), 0, 1])
+    with pytest.raises(ResourceGuardError):
+        canonical_height(P, 1, F(1, 100))
 
 
 def test_snap_examples():

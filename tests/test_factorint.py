@@ -250,6 +250,15 @@ def test_quadratic_tower_degree_256():
         (1, 2), (2, 1), (4, 1), (8, 1), (16, 1), (32, 1), (64, 1), (128, 1)]
 
 
+def test_recombination_budget_ends_in_exit_3(monkeypatch, capsys):
+    from arithdyn.cli import main
+
+    # the n = 8 tower examines 178,649 subsets
+    monkeypatch.setattr(zassenhaus, "_SUBSET_BUDGET", 1000)
+    assert main(["snap", "--map", "X^2+1", "--alpha", "1", "--n", "8"]) == 3
+    assert "1000 subsets" in capsys.readouterr().err
+
+
 def _count_yun_calls(monkeypatch):
     calls = []
     original = zassenhaus._yun_squarefree

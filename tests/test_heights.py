@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as F
 
 import mpmath
@@ -13,6 +15,7 @@ from arithdyn.heights import (
     modulus_lower_bound,
     weil_height_tuple,
 )
+from arithdyn.ntheory import prime_divisors, valuation
 
 
 def test_height_rational_examples():
@@ -68,6 +71,16 @@ def test_weil_examples():
     assert hv.exact == 1 and hv.log.mid == 0 and hv.log.rad == 0
     # mixed: (1/2, 3) -> arch max 3, 2-adic max 2 -> H = 6
     assert weil_height_tuple([F(1, 2), F(3)]).exact == 6
+
+
+def test_weil_closed_form_matches_the_product_over_places():
+    rng = random.Random(6)
+    for _ in range(300):
+        ts = [F(rng.randint(-40, 40), rng.randint(1, 60)) for _ in range(rng.randint(1, 4))]
+        total = max([F(1)] + [abs(t) for t in ts])
+        for p in prime_divisors(math.prod(t.denominator for t in ts)):
+            total *= F(p) ** max(0, max(-valuation(t, p) for t in ts if t != 0))
+        assert weil_height_tuple(ts).exact == total
 
 
 def test_weil_single_matches_rational_height():
