@@ -1,6 +1,22 @@
 """Iteration statistics: canonical heights with certified error and the
 degree/irreducible-factor data of P^n(X) - P^n(alpha).
 
+The factorization of P^n(X) - P^n(alpha) follows the tower of iterated
+preimages (Odoni, Proc. LMS 51, 1985).  With beta_k = P^k(alpha) and
+Q_beta(Y) = (P(Y) - P(beta))/(Y - beta), of degree D - 1,
+
+    P^n(X) - P^n(alpha) = (X - alpha) * prod_{k<n} Q_{beta_k}(P^k(X))
+
+exactly, by induction on n: P^{k+1}(X) - beta_{k+1} = P(P^k X) - P(beta_k)
+= (P^k(X) - beta_k) * Q_{beta_k}(P^k(X)).  Each Q_{beta_k} is factored over
+Q, and each of its factors h is composed with P^k and factored again, so
+every Zassenhaus run sees a piece of degree at most (D - 1) D^(n-1) instead of
+the whole degree-D^n difference.  The pieces need not be coprime (they share
+a factor when P' vanishes on the orbit, or when the orbit is preperiodic), so
+the irreducible factors of all pieces are merged with their multiplicities
+added: by unique factorization in Z[X] the merged product is the
+factorization of the whole, and a reconstruction check confirms it.
+
 The canonical height of a rational alpha under a monic degree-D map is the
 sum of local canonical heights (Call-Silverman, Compositio 89, 1993;
 Call-Goldstine, JNT 63, 1997)
@@ -44,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceGuardError
-from .exactnum import RealBall, ball_eval_poly, ball_log
+from .exactnum import IntPoly, RatPoly, RealBall, ball_eval_poly, ball_log
 from .exactnum.linalg import solve
 from .factorint import FactorReport, factor_over_Q
 from .heights import height_rational
@@ -267,11 +283,6 @@ def _residue(x: Fraction, mod: int) -> int:
     return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
-def iterate(P: PolyMap, n: int, degree_cap: int = DEFAULT_DEGREE_CAP):
-    """Exact expanded iterate (delegates to the map type)."""
-    return P.iterate_poly(n, degree_cap)
-
-
 @dataclass(frozen=True)
 class SnapReport:
     """Factor-degree data of P^n(X) - P^n(alpha)."""
@@ -310,16 +321,43 @@ class SnapReport:
         return Fraction(sum(1 for d in self.multiset if d ** q <= bound), self.degree)
 
 
+# bits of P^k(alpha) (numerator plus denominator) at which snap stops
+_ORBIT_BIT_CAP = 8_000_000
+
+
 def snap_degree_multiset(P: PolyMap, alpha, n: int,
                          degree_cap: int = DEFAULT_DEGREE_CAP, seed: int = 0) -> SnapReport:
-    """Degrees of the solutions of P^n(X) = P^n(alpha), one entry per root."""
+    """Degrees of the solutions of P^n(X) = P^n(alpha), one entry per root,
+    factored piece by piece along the tower (see the module docstring)."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    if P.degree ** n > degree_cap:
+        raise ResourceGuardError(f"iterate degree {P.degree}^{n} exceeds cap {degree_cap}")
     alpha = Fraction(alpha)
-    pn = P.iterate_poly(n, degree_cap)
-    value = P.iterate_value(alpha, n)
-    diff = pn - value
-    _, rep = factor_over_Q(diff, seed)
+    parts: dict[IntPoly, int] = {}
+
+    def merge(piece: RatPoly, mult: int) -> None:
+        for g, m in factor_over_Q(piece, seed)[1].factors:
+            parts[g] = parts.get(g, 0) + m * mult
+
+    betas = [alpha]  # beta_k = P^k(alpha)
+    for _ in range(n):
+        v = P.eval(betas[-1])
+        if v.numerator.bit_length() + v.denominator.bit_length() > _ORBIT_BIT_CAP:
+            raise ResourceGuardError("orbit value size exceeds bit cap")
+        betas.append(v)
+    pk = RatPoly([0, 1])  # P^k(X)
+    merge(pk - alpha, 1)
+    for beta, nxt in zip(betas, betas[1:]):
+        q_beta, rem = (P.poly - nxt).divmod(RatPoly([-beta, 1]))
+        if rem:
+            raise DomainError("P(Y) - P(beta) is not divisible by Y - beta")
+        for h, m in factor_over_Q(q_beta, seed)[1].factors:
+            merge(h.compose(pk), m)
+        pk = P.poly.compose(pk)
+    rep = FactorReport.from_parts(1, 1, parts)
+    if rep.reconstruct() != (pk - betas[-1]).to_int_primitive()[1]:
+        raise DomainError("tower factorization does not rebuild P^n(X) - P^n(alpha)")
     entries: list[int] = []
     for f, m in rep.factors:
         entries.extend([f.degree] * (m * f.degree))
@@ -328,7 +366,7 @@ def snap_degree_multiset(P: PolyMap, alpha, n: int,
         alpha=alpha,
         n=n,
         degree=P.degree ** n,
-        value=value,
+        value=betas[-1],
         multiset=tuple(entries),
         squarefree=rep.is_squarefree(),
         factor_report=rep,

@@ -10,7 +10,9 @@ equal-degree splitting.  Then quadratic multifactor Hensel lifting to a power
 above twice the Mignotte factor-coefficient bound, and subset recombination
 with degree-set and trailing-coefficient pruning.  The subset search
 exhausts all candidate splits, which is what certifies irreducibility of
-everything that survives.
+everything that survives; it stops with a resource-guard trip after
+``_SUBSET_BUDGET`` subsets.  Iterate towers P^n(X) - P^n(alpha) are split
+into pieces before they reach this module (``dynamics.snap_degree_multiset``).
 
 Deterministic: the equal-degree splitting RNG is seeded from the caller's
 seed and the chosen prime, primes are scanned in increasing order, outputs
@@ -36,9 +38,11 @@ _PRIME_KEEP = 5  # modular factorizations kept for degree-set pruning
 # first certifying prime was at most the tenth; on non-squarefree inputs of
 # degree 81-128 a failed scan of 16 primes cost 0.4-0.6 of Yun's time.
 _CERTIFICATE_PRIMES = 16
-# Subsets one recombination may examine.  The perfbench tower jobs examine at
-# most 3,345; snap X^2+1 --alpha 1 --n 8 examines 178,649, and --n 9 passes
-# the budget after about 45 s (2-core Xeon) instead of running for hours.
+# Subsets one recombination may examine.  The expanded difference
+# P^8(X) - P^8(1) of X^2+1, factored whole, examines 178,649; its degree-512
+# successor would run for hours without a budget.  Split into tower pieces
+# (snap), one piece examines at most 41 in the perfbench tower jobs, 63 at
+# n = 8 and 255 at n = 9.
 _SUBSET_BUDGET = 2_000_000
 
 
@@ -49,6 +53,12 @@ class FactorReport:
     content: int
     unit: int
     factors: tuple[tuple[IntPoly, int], ...]
+
+    @classmethod
+    def from_parts(cls, content: int, unit: int, parts: dict[IntPoly, int]) -> "FactorReport":
+        """The report of factor -> multiplicity, sorted by (degree, coefficients)."""
+        return cls(content, unit, tuple(sorted(parts.items(),
+                                               key=lambda fm: (fm[0].degree, fm[0].coeffs))))
 
     def reconstruct(self) -> IntPoly:
         out = IntPoly([self.unit * self.content])
@@ -320,8 +330,7 @@ def factor_over_Z(f: IntPoly, seed: int = 0) -> FactorReport:
     for sqf, mult in _squarefree_parts(prim):
         for irr in _factor_squarefree(sqf, seed):
             parts[irr] = parts.get(irr, 0) + mult
-    factors = tuple(sorted(parts.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs)))
-    rep = FactorReport(content, unit, factors)
+    rep = FactorReport.from_parts(content, unit, parts)
     if rep.reconstruct() != f:
         raise DomainError("factorization reconstruction check failed")
     return rep

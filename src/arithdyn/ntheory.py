@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ResourceGuardError
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -78,26 +78,64 @@ def _pollard_rho(n: int) -> int:
     raise DomainError(f"failed to split {n}")
 
 
-def prime_divisors(n: int) -> list[int]:
-    """Distinct primes dividing n, increasing.
+# prime_divisors trial-divides a number at or above PROVEN_PRIME_BOUND by
+# every odd d below this limit before looking for a perfect-power root
+_TRIAL_LIMIT = 1 << 16
 
-    Below ``PROVEN_PRIME_BOUND`` every factor ``factorize`` returns is a
-    proven prime; larger n fall back to trial division up to sqrt(n).
+
+def prime_divisors(n: int) -> list[int]:
+    """Distinct primes dividing n, increasing, each one proven prime.
+
+    Below ``PROVEN_PRIME_BOUND`` this is ``factorize``.  Larger n are
+    trial-divided up to ``_TRIAL_LIMIT``; a cofactor that is a perfect power
+    is replaced by its root, and one then below the bound is factorized.  A
+    cofactor still at or above the bound raises ResourceGuardError.
     """
     n = abs(n)
-    if 1 < n < PROVEN_PRIME_BOUND:
-        return sorted(factorize(n))
+    if n < PROVEN_PRIME_BOUND:
+        return sorted(factorize(n)) if n > 1 else []
     out = []
     d = 2
-    while d * d <= n:
+    while d < _TRIAL_LIMIT and d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    if d * d > n:
+        return out + [n] if n > 1 else out
+    while n >= PROVEN_PRIME_BOUND and (root := _perfect_power_root(n)) is not None:
+        n = root
+    if n >= PROVEN_PRIME_BOUND:
+        raise ResourceGuardError(
+            f"a {n.bit_length()}-bit cofactor above {PROVEN_PRIME_BOUND} cannot be factored")
+    return out + sorted(factorize(n))
+
+
+def _perfect_power_root(n: int) -> int | None:
+    """r with r^k = n for a prime k, or None when n is not a perfect power.
+
+    n has no prime factor below ``_TRIAL_LIMIT``, so k <= log n / log limit.
+    """
+    for k in range(2, n.bit_length() // (_TRIAL_LIMIT.bit_length() - 1) + 1):
+        if is_prime(k) and (r := _iroot(n, k)) ** k == n:
+            return r
+    return None
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1: Newton's method from a float estimate above."""
+    if k == 2:
+        return math.isqrt(n)
+    e = max(0, n.bit_length() // k - 48)  # n^(1/k) ~ est * 2^e, est < 2^50
+    x = (int(math.exp(math.log(n >> e * k) / k) * (1 + 1e-9)) + 2) << e
+    while x ** k <= n:
+        x <<= 1
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def valuation(x, p: int) -> int:

@@ -72,14 +72,5 @@ class PolyMap:
             out = self.poly.compose(out)
         return out
 
-    def iterate_value(self, x, n: int, bit_cap: int = 8_000_000) -> Fraction:
-        """P^n(x) by repeated evaluation, guarded by a value bit-size cap."""
-        v = Fraction(x)
-        for _ in range(n):
-            v = self.poly.eval(v)
-            if v.numerator.bit_length() + v.denominator.bit_length() > bit_cap:
-                raise ResourceGuardError("orbit value size exceeds bit cap")
-        return v
-
     def __str__(self):
         return str(self.poly)

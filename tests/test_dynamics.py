@@ -12,7 +12,6 @@ from arithdyn.dynamics import (
     canonical_height_stats,
     height_gap_constant,
     irreducible_count,
-    iterate,
     low_degree_proportion,
     snap_degree_multiset,
 )
@@ -28,14 +27,14 @@ PM1 = PolyMap.from_text("X^2-1")
 
 
 def test_iterate_examples():
-    assert iterate(P2, 0) == parse_poly("X")
-    assert iterate(P21, 2) == parse_poly("X^4 + 2*X^2 + 2")
-    assert iterate(P2, 5) == parse_poly("X^32")
+    assert P2.iterate_poly(0) == parse_poly("X")
+    assert P21.iterate_poly(2) == parse_poly("X^4 + 2*X^2 + 2")
+    assert P2.iterate_poly(5) == parse_poly("X^32")
 
 
 def test_iterate_degree_cap():
     with pytest.raises(ResourceGuardError):
-        iterate(P2, 13)  # 2^13 > 4096
+        P2.iterate_poly(13)  # 2^13 > 4096
 
 
 def test_nonmonic_rejected_with_conjugation_helper():
@@ -203,6 +202,13 @@ def test_snap_examples():
     rep = snap_degree_multiset(PM1, 0, 2)
     assert not rep.squarefree  # X^4 - 2X^2 = X^2 (X^2 - 2)
     assert rep.multiset == (1, 1, 2, 2)
+
+
+def test_snap_orbit_bit_cap_trips_before_factoring():
+    t0 = time.time()
+    with pytest.raises(ResourceGuardError, match="bit cap"):
+        snap_degree_multiset(P21, 3 ** 400_000, 4)  # P^4(alpha) has about 10^7 bits
+    assert time.time() - t0 < 10  # the beta chain trips before any piece is factored
 
 
 def test_snap_cardinality(rng):

@@ -14,6 +14,7 @@ from arithdyn.exactnum import IntPoly, RatPoly
 from arithdyn.factorint import factor_over_Q, factor_over_Z, irreducible_degree_multiset
 from arithdyn.factorint import modp, zassenhaus
 from arithdyn.polymap import PolyMap
+from conftest import random_monic_map
 from oracles import exhaustive_factorization, school_divmod, school_mul, school_pow_mod
 
 # a pool of known irreducibles for reconstruction stress tests
@@ -226,6 +227,13 @@ def test_prime_sequence_is_the_odd_primes():
 # --- iterate towers ----------------------------------------------------------
 
 
+def _orbit_value(P: PolyMap, alpha, n: int) -> F:
+    v = F(alpha)
+    for _ in range(n):
+        v = P.eval(v)
+    return v
+
+
 def test_cubic_tower_degree_243_matches_sympy():
     sympy = pytest.importorskip("sympy")
     P = PolyMap.from_text("X^3+X+1")
@@ -233,7 +241,7 @@ def test_cubic_tower_degree_243_matches_sympy():
     rep = snap_degree_multiset(P, 1, 5)
     assert time.time() - t0 < 10
     x = sympy.symbols("x")
-    diff = P.iterate_poly(5) - P.iterate_value(F(1), 5)
+    diff = P.iterate_poly(5) - _orbit_value(P, 1, 5)
     _, prim = diff.to_int_primitive()
     _, factors = sympy.factor_list(sum(int(c) * x ** i for i, c in enumerate(prim.coeffs)), x)
     expected = sorted((sympy.degree(g, x), m) for g, m in factors)
@@ -253,9 +261,11 @@ def test_quadratic_tower_degree_256():
 def test_recombination_budget_ends_in_exit_3(monkeypatch, capsys):
     from arithdyn.cli import main
 
-    # the n = 8 tower examines 178,649 subsets
+    # the whole n = 8 tower difference of X^2+1 examines 178,649 subsets
+    P = PolyMap.from_text("X^2+1")
+    diff = P.iterate_poly(8) - _orbit_value(P, 1, 8)
     monkeypatch.setattr(zassenhaus, "_SUBSET_BUDGET", 1000)
-    assert main(["snap", "--map", "X^2+1", "--alpha", "1", "--n", "8"]) == 3
+    assert main(["factor", "--poly", str(diff)]) == 3
     assert "1000 subsets" in capsys.readouterr().err
 
 
@@ -294,3 +304,45 @@ def test_multiplicities_survive_the_squarefree_split():
     rep = factor_over_Z(f)
     assert [(list(g.coeffs), m) for g, m in rep.factors] == [([-1, 1], 2), ([1, 1], 2), ([3, 1], 1)]
     assert not rep.is_squarefree()
+
+
+def _assert_tower_matches_whole_factorization(P: PolyMap, alpha, n: int):
+    """The tower split against factor_over_Q of the expanded difference."""
+    rep = snap_degree_multiset(P, alpha, n)
+    value = _orbit_value(P, alpha, n)
+    _, whole = factor_over_Q(P.iterate_poly(n) - value)
+    assert rep.factor_report.factors == whole.factors
+    assert rep.multiset == tuple(sorted(
+        d for d, m in whole.degree_multiset() for _ in range(d * m)))
+    assert rep.squarefree == whole.is_squarefree()
+    assert rep.value == value
+
+
+def test_tower_split_matches_whole_factorization_on_random_maps(rng):
+    for _ in range(12):
+        P = random_monic_map(rng, max_degree=4)
+        alpha = F(rng.randint(-4, 4), rng.randint(1, 3))
+        _assert_tower_matches_whole_factorization(P, alpha, {2: 5, 3: 3, 4: 2}[P.degree])
+
+
+@pytest.mark.parametrize("m, alpha, n", [
+    ("X^2", 0, 6), ("X^2-2", 0, 5), ("X^2-2", 2, 5), ("X^2-1", 0, 5), ("X^2-1", -1, 5),
+    ("X^3-3*X", 0, 3), ("X^3-3*X", 2, 3), ("X^2+X", -1, 5), ("X^3", 1, 3)])
+def test_tower_split_merges_shared_factors(m, alpha, n):
+    # critical or preperiodic orbits: P' vanishes on the orbit or the orbit
+    # repeats, so pieces at different levels share irreducible factors
+    _assert_tower_matches_whole_factorization(PolyMap.from_text(m), alpha, n)
+
+
+def test_snap_reaches_n_9(capsys):
+    import json
+
+    from arithdyn.cli import main
+
+    t0 = time.time()
+    assert main(["snap", "--map", "X^2+1", "--alpha", "1", "--n", "9"]) == 0
+    assert time.time() - t0 < 5
+    rep = json.loads(capsys.readouterr().out)["result"]
+    degrees = sorted(set(rep["multiset"]))
+    assert [(d, rep["multiset"].count(d) // d) for d in degrees] == [
+        (1, 2), (2, 1), (4, 1), (8, 1), (16, 1), (32, 1), (64, 1), (128, 1), (256, 1)]

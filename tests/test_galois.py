@@ -215,6 +215,28 @@ def test_prime_divisors_of_a_large_prime_are_fast():
     assert time.time() - t0 < 1
 
 
+def test_prime_divisors_past_the_proven_bound_are_proven_or_refused():
+    from arithdyn.errors import ResourceGuardError
+    from arithdyn.ntheory import prime_divisors
+
+    m = 2 ** 61 - 1
+    # a perfect-power cofactor is replaced by its root, prime or composite
+    assert prime_divisors(6 * m ** 2) == [2, 3, m]
+    assert prime_divisors(12 * (65537 * m) ** 3) == [2, 3, 65537, m]
+    for n in (2 ** 89 - 1, (2 ** 127 - 1) ** 3, 65537 ** 2 * m ** 4):
+        with pytest.raises(ResourceGuardError):
+            prime_divisors(n)
+
+
+@pytest.mark.parametrize("denominator, code", [(6 * (2 ** 61 - 1) ** 2, 0), (2 ** 89 - 1, 3)])
+def test_good_place_on_a_denominator_past_the_proven_bound(denominator, code, capsys):
+    from arithdyn.cli import main
+
+    t0 = time.time()
+    assert main(["good-place", "--map", "X^2+1", "--alpha", f"1/{denominator}"]) == code
+    assert time.time() - t0 < 1
+
+
 def test_strong_pseudoprimes_to_the_first_twelve_prime_bases_are_composite():
     from arithdyn.ntheory import is_prime, prime_divisors
 
