@@ -532,9 +532,7 @@ def _run_census(a):
     payloads = [(a.function, params, [str(q) for q in qs[i::jobs]], str(a.height), a.precision,
                  a.escalations) for i in range(min(jobs, len(qs)) or 1)]
     by_q = {rec.q: rec for part in _map_jobs(_census_chunk, payloads, jobs) for rec in part}
-    records = [by_q[q] for q in qs]
-    count = sum(r.verdict == "candidate-rational" and not r.excluded_zero for r in records)
-    result = CensusResult(a.height, a.precision, count, tuple(records))
+    result = CensusResult(a.height, a.precision, tuple(by_q[q] for q in qs))
     cells = []
     for r in result.records:
         mid, rad = ball_decimal(r.value.mid, r.value.rad, _DIGITS)

@@ -55,8 +55,12 @@ class CensusRecord:
 class CensusResult:
     height: Fraction
     precision: int
-    count: int  # candidate-rational records, certified zeros excluded
     records: tuple[CensusRecord, ...]
+
+    @property
+    def count(self) -> int:
+        """Candidate-rational records, certified zeros excluded."""
+        return sum(r.verdict == "candidate-rational" and not r.excluded_zero for r in self.records)
 
     def verdict_counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -112,10 +116,7 @@ def census(evaluator: Evaluator, H, precision: int = 128,
     """
     H = Fraction(H)
     records = census_records(evaluator, enumerate_rationals(H), H, precision, escalations)
-    count = sum(
-        1 for r in records if r.verdict == "candidate-rational" and not r.excluded_zero
-    )
-    return CensusResult(H, precision, count, tuple(records))
+    return CensusResult(H, precision, tuple(records))
 
 
 # -- evaluator registry (used by the CLI and the census tests) -------------

@@ -13,12 +13,11 @@ is a single crossing; we bracket it by doubling and bisect.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import DomainError
-from ..exactnum import RealBall, as_real_ball, ball_log, sqrt_up
+from ..exactnum import RatPoly, RealBall, as_real_ball, ball_log, sqrt_up
 from ..exactnum.linalg import kernel_basis
 
 
@@ -149,20 +148,8 @@ def vanishing_polynomial(points, t_max: int) -> BivarIntPoly:
         return BivarIntPoly((( (0, 0), 1),))
     matrix = [[x ** i * y ** j for (i, j) in monos] for x, y in pts]
     basis = kernel_basis(matrix, len(monos))
-    v = basis[0]
-    lcm = 1
-    for q in v:
-        if q != 0:
-            lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
-    ints = [int(q * lcm) for q in v]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    lead = next(c for c in reversed(ints) if c != 0)
-    if lead < 0:
-        ints = [-c for c in ints]
-    terms = tuple((monos[k], c) for k, c in enumerate(ints) if c != 0)
+    _, prim = RatPoly(basis[0]).to_int_primitive()
+    terms = tuple((monos[k], c) for k, c in enumerate(prim.coeffs) if c != 0)
     poly = BivarIntPoly(terms)
     for x, y in pts:
         if poly.eval(x, y) != 0:

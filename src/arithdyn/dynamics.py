@@ -64,7 +64,7 @@ from .exactnum import IntPoly, RatPoly, RealBall, ball_eval_poly, ball_log
 from .exactnum.linalg import solve
 from .factorint import FactorReport, factor_over_Q
 from .heights import height_rational
-from .ntheory import PROVEN_PRIME_BOUND, prime_divisors, valuation
+from .ntheory import prime_divisors, valuation
 from .polymap import DEFAULT_DEGREE_CAP, PolyMap
 
 
@@ -82,8 +82,6 @@ class GapConstant:
     lower_arg: int
 
     def one_step(self, prec: int = 64) -> RealBall:
-        if self.one_step_arg == 1:
-            return RealBall.exact(0)
         return ball_log(RealBall.exact(self.one_step_arg), prec)
 
     def gap(self, prec: int = 64) -> RealBall:
@@ -97,9 +95,7 @@ class GapConstant:
 def height_gap_constant(P: PolyMap) -> GapConstant:
     D = P.degree
     a = P.lower_coefficients()
-    delta = 1
-    for c in a:
-        delta = delta * c.denominator // math.gcd(delta, c.denominator)
+    delta = math.lcm(*(c.denominator for c in a))
     A = [c * delta for c in a]  # integers
     upper_arg = delta + sum(abs(x.numerator) for x in A)
 
@@ -115,9 +111,7 @@ def height_gap_constant(P: PolyMap) -> GapConstant:
             mat[i][D + i] += delta
         rhs = [Fraction(int(k == rhs_row)) for k in range(2 * D)]
         w = solve(mat, rhs)
-        lcm = 1
-        for x in w:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+        lcm = math.lcm(*(x.denominator for x in w))
         ints = [int(x * lcm) for x in w]
         g = math.gcd(lcm, *(abs(v) for v in ints)) or 1
         ints = [v // g for v in ints]
@@ -165,8 +159,6 @@ def canonical_height_stats(P: PolyMap, alpha, eps, prec: int = 0) -> HeightStats
         raise DomainError("eps must be positive")
     alpha = Fraction(alpha)
     delta = math.lcm(*(c.denominator for c in P.lower_coefficients()))
-    if delta >= PROVEN_PRIME_BOUND:
-        raise ResourceGuardError(f"coefficient denominator lcm {delta} too large to factor")
     primes = prime_divisors(delta)
     share = eps / (len(primes) + 2)
     good = alpha.denominator
@@ -182,8 +174,6 @@ def canonical_height_stats(P: PolyMap, alpha, eps, prec: int = 0) -> HeightStats
 
 def _log_within(x: Fraction, tol: Fraction) -> RealBall:
     """log x for an exact x >= 1, as a ball of radius <= tol."""
-    if x == 1:
-        return RealBall.exact(0)
     prec = max(64, math.ceil(1 / tol).bit_length() + x.numerator.bit_length().bit_length() + 8)
     while True:
         out = ball_log(RealBall.exact(x), prec)

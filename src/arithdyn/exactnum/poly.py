@@ -113,12 +113,6 @@ class _BasePoly:
             return type(self)([other])
         raise TypeError(f"cannot combine {type(self).__name__} with {type(other)!r}")
 
-    def shift(self, k: int):
-        """Multiply by X^k."""
-        if not self.coeffs:
-            return self
-        return type(self)((self._cast(0),) * k + self.coeffs)
-
     def derivative(self):
         return type(self)(i * c for i, c in enumerate(self.coeffs) if i >= 1)
 
@@ -188,10 +182,6 @@ class IntPoly(_BasePoly):
     def l2_norm_sq(self) -> int:
         return sum(c * c for c in self.coeffs)
 
-    def divides(self, other: "IntPoly") -> bool:
-        q, r = other.to_rat().divmod(self.to_rat())
-        return r.is_zero() and all(c.denominator == 1 for c in q.coeffs)
-
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """self / other over Z; DomainError unless the quotient is integral and
         the remainder zero (long division in integers, stopping at the first
@@ -254,19 +244,13 @@ class RatPoly(_BasePoly):
             a, b = b, a.divmod(b)[1]
         return a.monic() if not a.is_zero() else a
 
-    def clear_denominators(self) -> tuple[int, IntPoly]:
-        """(scale, poly) with poly = scale * self, scale the lcm of denominators."""
-        scale = 1
-        for c in self.coeffs:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
-        return scale, IntPoly(c * scale for c in self.coeffs)
-
     def to_int_primitive(self) -> tuple[Fraction, IntPoly]:
-        """(rational factor, primitive integer poly) with self = factor * poly."""
+        """(rational factor, primitive integer poly with positive leading
+        coefficient) with self = factor * poly."""
         if self.is_zero():
             return Fraction(0), IntPoly()
-        scale, ip = self.clear_denominators()
-        cont, prim = ip.primitive()
+        scale = math.lcm(*(c.denominator for c in self.coeffs))
+        cont, prim = IntPoly(c * scale for c in self.coeffs).primitive()
         return Fraction(cont, scale), prim
 
     def to_json(self) -> list[str]:

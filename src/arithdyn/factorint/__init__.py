@@ -1,15 +1,5 @@
 """Univariate integer polynomial factorization into irreducibles."""
 
-from .zassenhaus import (
-    FactorReport,
-    factor_over_Q,
-    factor_over_Z,
-    irreducible_degree_multiset,
-)
+from .zassenhaus import FactorReport, factor_over_Q, factor_over_Z
 
-__all__ = [
-    "FactorReport",
-    "factor_over_Q",
-    "factor_over_Z",
-    "irreducible_degree_multiset",
-]
+__all__ = ["FactorReport", "factor_over_Q", "factor_over_Z"]

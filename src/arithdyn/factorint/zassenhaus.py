@@ -163,22 +163,13 @@ def _hensel_step(m: int, f, g, h, s, t):
     M = m * m
     e = modp.sub(modp.from_int_poly(f, M), modp.mul(g, h, M), M)
     q, r = modp.divmod_general(modp.mul(s, e, M), h, M)
-    G = modp.trim([x % M for x in _list_add(_list_add(g, modp.mul(t, e, M)), modp.mul(q, g, M))])
-    H = modp.trim([x % M for x in _list_add(h, r)])
-    b = modp.sub(_list_add_mod(modp.mul(s, G, M), modp.mul(t, H, M), M), [1], M)
+    G = modp.add(modp.add(g, modp.mul(t, e, M), M), modp.mul(q, g, M), M)
+    H = modp.add(h, r, M)
+    b = modp.sub(modp.add(modp.mul(s, G, M), modp.mul(t, H, M), M), [1], M)
     c, d = modp.divmod_general(modp.mul(s, b, M), H, M)
     S = modp.sub(s, d, M)
-    T = modp.sub(t, _list_add_mod(modp.mul(t, b, M), modp.mul(c, G, M), M), M)
+    T = modp.sub(t, modp.add(modp.mul(t, b, M), modp.mul(c, G, M), M), M)
     return G, H, S, T
-
-
-def _list_add(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-
-
-def _list_add_mod(a, b, m):
-    return modp.trim([c % m for c in _list_add(a, b)])
 
 
 def _hensel_lift(p: int, f: IntPoly, mod_factors: list[list[int]], ell: int) -> list[list[int]]:
@@ -343,8 +334,3 @@ def factor_over_Q(f: RatPoly, seed: int = 0) -> tuple[Fraction, FactorReport]:
     scale, prim = f.to_int_primitive()
     rep = factor_over_Z(prim, seed)
     return scale * rep.unit * rep.content, FactorReport(1, 1, rep.factors)
-
-
-def irreducible_degree_multiset(f: IntPoly, seed: int = 0) -> list[tuple[int, int]]:
-    """Sorted (degree, multiplicity) pairs of the irreducible factors of f."""
-    return factor_over_Z(f, seed).degree_multiset()

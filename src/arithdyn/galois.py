@@ -20,15 +20,16 @@ from .ntheory import factorize, is_prime, valuation
 from .polymap import DEFAULT_DEGREE_CAP, PolyMap
 
 
-def _carmichael(n: int) -> int:
-    lam = 1
+def _carmichael(n: int) -> dict[int, int]:
+    """The group exponent of (Z/n)^* as its factorization {p: e}, built from
+    those of n and of each p - 1 (all below ``PROVEN_PRIME_BOUND``), so the
+    exponent itself is never factorized."""
+    lam: dict[int, int] = {}
     for p, k in factorize(n).items():
-        if p == 2 and k >= 3:
-            v = 2 ** (k - 2)
-        else:
-            v = (p - 1) * p ** (k - 1)
-        lam = lam * v // math.gcd(lam, v)
-    return lam
+        part = {2: k - 2} if p == 2 and k >= 3 else {**factorize(p - 1), p: k - 1}
+        for q, e in part.items():
+            lam[q] = max(lam.get(q, 0), e)
+    return {q: e for q, e in lam.items() if e}
 
 
 def mult_order(a: int, n: int) -> int:
@@ -38,8 +39,9 @@ def mult_order(a: int, n: int) -> int:
     a %= n
     if math.gcd(a, n) != 1:
         raise DomainError(f"{a} is not invertible modulo {n}")
-    f = _carmichael(n)
-    for p in sorted(factorize(f)):
+    lam = _carmichael(n)
+    f = math.prod(p ** e for p, e in lam.items())
+    for p in sorted(lam):
         while f % p == 0 and pow(a, f // p, n) == 1:
             f //= p
     return f
@@ -119,7 +121,7 @@ def galcor_lower_bound(p: int, b: int, D: int, prec: int = 64) -> GalcorBound:
     """Minimal m with [cyclotomic degree] >= b * D^(-m), for b | D^infinity."""
     if D < 2:
         raise DomainError("D must be >= 2")
-    for q in factorize(b) if b > 1 else {}:
+    for q in factorize(b):
         if D % q != 0:
             raise DomainError(f"prime {q} of b does not divide D = {D}")
     deg = cyclotomic_degree_qp(p, b)

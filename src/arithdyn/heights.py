@@ -88,17 +88,11 @@ class HeightValue:
         return out
 
 
-def _log_of(x: Fraction, prec: int) -> RealBall:
-    if x == 1:
-        return RealBall.exact(0)
-    return ball_log(RealBall.exact(x), prec)
-
-
 def height_rational(q, prec: int = 64) -> HeightValue:
     """Exact multiplicative height max(|num|, den) of a rational."""
     q = Fraction(q)
     h = Fraction(max(abs(q.numerator), q.denominator))
-    return HeightValue(RealBall.exact(h), _log_of(h, prec), h)
+    return HeightValue(RealBall.exact(h), ball_log(RealBall.exact(h), prec), h)
 
 
 def height_algebraic(alpha: AlgebraicNumber, prec: int = 64) -> HeightValue:
@@ -131,7 +125,7 @@ def weil_height_tuple(ts, prec: int = 64) -> HeightValue:
     if not ts:
         raise DomainError("empty tuple")
     total = max([Fraction(1)] + [abs(t) for t in ts]) * math.lcm(*(t.denominator for t in ts))
-    return HeightValue(RealBall.exact(total), _log_of(total, prec), total)
+    return HeightValue(RealBall.exact(total), ball_log(RealBall.exact(total), prec), total)
 
 
 @dataclass(frozen=True)

@@ -9,36 +9,58 @@ from fractions import Fraction
 from .errors import DomainError, ResourceGuardError
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division + Pollard rho (deterministic)."""
-    if n <= 0:
-        raise DomainError("factorization needs a positive integer")
-    out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.extend([d, m // d])
-    return out
-
-
 # Miller-Rabin to the first thirteen prime bases is a proof of primality below
 # this bound (Sorenson-Webster 2015); the first twelve stop at 3.2e23.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PROVEN_PRIME_BOUND = 3317044064679887385961981
 
+# factorize trial-divides a number at or above PROVEN_PRIME_BOUND by every
+# odd d below this limit before looking for a perfect-power root; below the
+# bound it stops at 37 and Pollard rho splits the rest
+_TRIAL_LIMIT = 1 << 16
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, each p proven prime.
+
+    Below ``PROVEN_PRIME_BOUND``: trial division by the primes to 37, then
+    Pollard rho, with ``is_prime`` as the proof.  At or above it: trial
+    division up to ``_TRIAL_LIMIT``; a cofactor r^k that is a perfect power is
+    replaced by r, whose primes get exponents times k; a cofactor then below
+    the bound is factorized, and one still at or above it raises
+    ResourceGuardError.
+    """
+    if n <= 0:
+        raise DomainError("factorization needs a positive integer")
+    out: dict[int, int] = {}
+    limit = _TRIAL_LIMIT if n >= PROVEN_PRIME_BOUND else 38
+    d = 2
+    while d < limit and d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    k = 1
+    while n >= PROVEN_PRIME_BOUND and (root := _perfect_power_root(n)) is not None:
+        n, k = root[0], k * root[1]
+    if n >= PROVEN_PRIME_BOUND:
+        raise ResourceGuardError(
+            f"a {n.bit_length()}-bit cofactor above {PROVEN_PRIME_BOUND} cannot be factored")
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + k
+        else:
+            d = _pollard_rho(m)
+            stack.extend([d, m // d])
+    return out
+
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the first thirteen prime bases: exact below 3.3e24."""
+    """Miller-Rabin to the first thirteen prime bases: a proof below
+    ``PROVEN_PRIME_BOUND``.  At or above it a witness still proves n
+    composite, but a probable prime raises ResourceGuardError."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -59,6 +81,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= PROVEN_PRIME_BOUND:
+        raise ResourceGuardError(
+            f"a {n.bit_length()}-bit probable prime above {PROVEN_PRIME_BOUND} is not proven prime")
     return True
 
 
@@ -78,48 +103,19 @@ def _pollard_rho(n: int) -> int:
     raise DomainError(f"failed to split {n}")
 
 
-# prime_divisors trial-divides a number at or above PROVEN_PRIME_BOUND by
-# every odd d below this limit before looking for a perfect-power root
-_TRIAL_LIMIT = 1 << 16
-
-
 def prime_divisors(n: int) -> list[int]:
-    """Distinct primes dividing n, increasing, each one proven prime.
-
-    Below ``PROVEN_PRIME_BOUND`` this is ``factorize``.  Larger n are
-    trial-divided up to ``_TRIAL_LIMIT``; a cofactor that is a perfect power
-    is replaced by its root, and one then below the bound is factorized.  A
-    cofactor still at or above the bound raises ResourceGuardError.
-    """
-    n = abs(n)
-    if n < PROVEN_PRIME_BOUND:
-        return sorted(factorize(n)) if n > 1 else []
-    out = []
-    d = 2
-    while d < _TRIAL_LIMIT and d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if d * d > n:
-        return out + [n] if n > 1 else out
-    while n >= PROVEN_PRIME_BOUND and (root := _perfect_power_root(n)) is not None:
-        n = root
-    if n >= PROVEN_PRIME_BOUND:
-        raise ResourceGuardError(
-            f"a {n.bit_length()}-bit cofactor above {PROVEN_PRIME_BOUND} cannot be factored")
-    return out + sorted(factorize(n))
+    """Distinct primes dividing n != 0, increasing, each one proven prime."""
+    return sorted(factorize(abs(n)))
 
 
-def _perfect_power_root(n: int) -> int | None:
-    """r with r^k = n for a prime k, or None when n is not a perfect power.
+def _perfect_power_root(n: int) -> tuple[int, int] | None:
+    """(r, k) with r^k = n for a prime k, or None when n is not a perfect power.
 
     n has no prime factor below ``_TRIAL_LIMIT``, so k <= log n / log limit.
     """
     for k in range(2, n.bit_length() // (_TRIAL_LIMIT.bit_length() - 1) + 1):
         if is_prime(k) and (r := _iroot(n, k)) ** k == n:
-            return r
+            return r, k
     return None
 
 

@@ -196,6 +196,21 @@ def test_canonical_height_refuses_an_unfactorable_denominator():
         canonical_height(P, 1, F(1, 100))
 
 
+def test_canonical_height_with_a_perfect_power_denominator(capsys):
+    import json
+
+    from arithdyn.cli import main
+
+    t0 = time.time()
+    argv = ["canonical-height", "--map", f"X^2+1/{2 ** 100}", "--alpha", "1/3", "--eps", "1/1000"]
+    assert main(argv) == 0
+    assert time.time() - t0 < 1
+    got = json.loads(capsys.readouterr().out)["result"]["canonical"]
+    ball = RealBall(F(got["mid"]), F(got["rad"]))
+    P = PolyMap.from_coeffs([F(1, 2 ** 100), 0, 1])
+    assert ball.overlaps(telescoped_height_stats(P, F(1, 3), F(1, 10)).canonical)
+
+
 def test_snap_examples():
     assert snap_degree_multiset(P2, 2, 2).multiset == (1, 1, 2, 2)
     assert snap_degree_multiset(P2, 2, 3).multiset == (1, 1, 2, 2, 4, 4, 4, 4)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from arithdyn.dynamics import snap_degree_multiset
 from arithdyn.errors import DomainError
 from arithdyn.exactnum import IntPoly, RatPoly
-from arithdyn.factorint import factor_over_Q, factor_over_Z, irreducible_degree_multiset
+from arithdyn.factorint import factor_over_Q, factor_over_Z
 from arithdyn.factorint import modp, zassenhaus
 from arithdyn.polymap import PolyMap
 from conftest import random_monic_map
@@ -52,8 +52,8 @@ def test_x8_minus_256():
 
 
 def test_degree_multiset_examples():
-    assert irreducible_degree_multiset(IntPoly([-16, 0, 0, 0, 1])) == [(1, 2), (2, 1)]
-    assert irreducible_degree_multiset(IntPoly([0, 0, 0, 1])) == [(1, 3)]
+    assert factor_over_Z(IntPoly([-16, 0, 0, 0, 1])).degree_multiset() == [(1, 2), (2, 1)]
+    assert factor_over_Z(IntPoly([0, 0, 0, 1])).degree_multiset() == [(1, 3)]
 
 
 def test_content_unit_and_multiplicity():

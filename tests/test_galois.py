@@ -216,16 +216,79 @@ def test_prime_divisors_of_a_large_prime_are_fast():
 
 
 def test_prime_divisors_past_the_proven_bound_are_proven_or_refused():
+    from sympy import factorint
+
     from arithdyn.errors import ResourceGuardError
-    from arithdyn.ntheory import prime_divisors
+    from arithdyn.ntheory import factorize, prime_divisors
 
     m = 2 ** 61 - 1
     # a perfect-power cofactor is replaced by its root, prime or composite
     assert prime_divisors(6 * m ** 2) == [2, 3, m]
     assert prime_divisors(12 * (65537 * m) ** 3) == [2, 3, 65537, m]
-    for n in (2 ** 89 - 1, (2 ** 127 - 1) ** 3, 65537 ** 2 * m ** 4):
+    for n in (6 * m ** 2, 12 * (65537 * m) ** 3, 2 ** 100, 3 ** 80 * 5, (2 ** 31 - 1) ** 4):
+        assert factorize(n) == factorint(n), n
+    for n in (2 ** 89 - 1, 7 * (2 ** 89 - 1), (2 ** 127 - 1) ** 3, 65537 ** 2 * m ** 4):
         with pytest.raises(ResourceGuardError):
             prime_divisors(n)
+
+
+def test_factorize_matches_sympy_below_the_proven_bound():
+    import random
+
+    from sympy import factorint
+
+    from arithdyn.ntheory import factorize
+
+    rng = random.Random(20)
+    for _ in range(120):  # sizes spread evenly in log scale below 10^22
+        n = rng.randrange(1, 10 ** rng.randint(1, 22))
+        assert factorize(n) == factorint(n), n
+
+
+def test_is_prime_refuses_a_probable_prime_past_the_proven_bound():
+    from arithdyn.errors import ResourceGuardError
+    from arithdyn.ntheory import is_prime
+
+    with pytest.raises(ResourceGuardError, match="not proven prime"):
+        is_prime(2 ** 89 - 1)
+    assert is_prime(2 ** 89 + 1) is False  # a Miller-Rabin witness is a proof
+
+
+_M61, _M89, _Q = 2 ** 61 - 1, 2 ** 89 - 1, 10 ** 9 + 7
+
+
+# the group exponent of q^3 is (q - 1) q^2, past the bound with a large
+# composite cofactor when q = 10^9 + 7
+@pytest.mark.parametrize("argv, code", [
+    (["order", "--a", "5", "--n", str(6 * _M61 ** 2)], 0),
+    (["order", "--a", "2", "--n", str(_Q ** 3)], 0),
+    (["lifting-exponent", "--a", "3", "--q", str(_M61)], 0),
+    (["lifting-exponent", "--a", "2", "--q", str(_Q)], 0),
+    (["order", "--a", "5", "--n", str(_M61 * _M89)], 3),
+    (["cyclotomic-degree", "--p", "3", "--b", str(_M61 * _M89)], 3),
+    (["delta-v", "--map", "X^2+1", "--prime", str(_M89)], 3),
+])
+def test_number_theory_verbs_past_the_proven_bound(argv, code, capsys):
+    import json
+
+    from sympy.ntheory import n_order
+
+    from arithdyn.cli import main
+
+    t0 = time.time()
+    assert main(argv) == code
+    assert time.time() - t0 < 1
+    if code:
+        return
+    result = json.loads(capsys.readouterr().out)["result"]
+    a, n = int(argv[2]), int(argv[4])
+    if argv[0] == "order":
+        assert result["order"] == n_order(a, n)
+    else:
+        # m is maximal with a^e = 1 mod q^m: the order modulo q^(m+1) is e * q
+        e, m = result["e"], result["m"]
+        assert e == n_order(a, n) == n_order(a, n ** m)
+        assert n_order(a, n ** (m + 1)) == e * n
 
 
 @pytest.mark.parametrize("denominator, code", [(6 * (2 ** 61 - 1) ** 2, 0), (2 ** 89 - 1, 3)])
