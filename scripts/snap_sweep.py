@@ -17,7 +17,6 @@ DEFAULT_CFG = Path(__file__).parent / "configs" / "snap_x2.cfg"
 
 def run(argv):
     cfg = DEFAULT_CFG
-    out = []
     rest = []
     it = iter(argv)
     for a in it:

@@ -43,6 +43,8 @@ from .ntheory import is_prime, prime_divisors, valuation
 from .polymap import PolyMap
 
 _ONE = Fraction(1)
+_DISTORTION_TERMS = 8  # terms of the telescoping product in distortion_bound
+_MAX_DISTORTION = Fraction(1, 8)  # boettcher_frame doubles rho until E(rho) is this small
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ def is_power_map(P: PolyMap) -> bool:
     return all(c == 0 for c in P.lower_coefficients())
 
 
-def distortion_bound(P: PolyMap, rho: Fraction, prec: int = 96, terms: int = 8) -> Fraction:
+def distortion_bound(P: PolyMap, rho: Fraction, prec: int = 96) -> Fraction:
     """Upper bound E with |phi(z)/z - 1| <= E for all |z| >= rho (rho >= 2R)."""
     R = escape_domain_radius(P).radius
     if rho < 2 * R:
@@ -108,17 +110,18 @@ def distortion_bound(P: PolyMap, rho: Fraction, prec: int = 96, terms: int = 8) 
     D = P.degree
     total = RealBall.exact(0)
     eps_next = None
-    for k in range(1, terms + 2):
+    for k in range(1, _DISTORTION_TERMS + 2):
         den = max(rho, (rho / 2) ** (D ** (k - 1)))
         eps = (R - 1) / den
         if eps >= 1:
             raise DomainError("distortion series diverges at this radius")
-        if k <= terms:
+        if k <= _DISTORTION_TERMS:
             term = -ball_log(RealBall.exact(1 - eps), prec)
             total = total + term * Fraction(1, D ** k)
         else:
             eps_next = eps
-    tail = -ball_log(RealBall.exact(1 - eps_next), prec) * Fraction(1, D ** terms * (D - 1))
+    tail = (-ball_log(RealBall.exact(1 - eps_next), prec)
+            * Fraction(1, D ** _DISTORTION_TERMS * (D - 1)))
     e_ball = ball_exp(total + tail, prec) - 1
     return max(Fraction(0), e_ball.hi)
 
@@ -134,8 +137,7 @@ class BoettcherFrame:
     distortion: Fraction  # E(rho) upper bound; 0 for pure power maps
 
 
-def boettcher_frame(P: PolyMap, N: int, prec: int = 96,
-                    max_distortion: Fraction = Fraction(1, 8)) -> BoettcherFrame:
+def boettcher_frame(P: PolyMap, N: int, prec: int = 96) -> BoettcherFrame:
     B = boettcher_series(P, N)
     psi = series_inverse(B.phi)
     R = escape_domain_radius(P).radius
@@ -144,7 +146,7 @@ def boettcher_frame(P: PolyMap, N: int, prec: int = 96,
         return BoettcherFrame(P, B, psi, rho, Fraction(0))
     while True:
         E = distortion_bound(P, rho, prec)
-        if E <= max_distortion:
+        if E <= _MAX_DISTORTION:
             return BoettcherFrame(P, B, psi, rho, E)
         rho *= 2
 
@@ -250,8 +252,8 @@ def fstar_eval(P: PolyMap, alpha, tau: ComplexBall, N: int = 16,
     phi_tail = phi_a.rad
     # exp(-2 pi i (tau - i/24)) = exp( (2 pi (Im tau - 1/24)) - 2 pi i Re tau )
     pi_b = ball_pi(prec)
-    re_part = pi_b * (RealBall(tau.im, tau.rad) * 2 - Fraction(1, 12))
-    im_part = pi_b * RealBall(tau.re, tau.rad) * (-2)
+    re_part = pi_b * (tau.imag * 2 - Fraction(1, 12))
+    im_part = pi_b * tau.real * (-2)
     factor = ball_cexp(ComplexBall.from_real_pair(re_part, im_part), prec)
     w = (phi_a * factor).round_to(prec + 32)
     psi_w = psi_eval(frame, w, tol, prec)

@@ -507,9 +507,9 @@ def _map_jobs(fn, payloads: list, jobs: int) -> list:
 
 def _census_chunk(payload):
     fname, params, qs, H, precision, escalations = payload
-    from .countkit import EVALUATORS, census_records
+    from .countkit import census_records, make_evaluator
 
-    evaluator = EVALUATORS[fname](**params)
+    evaluator = make_evaluator(fname, **params)
     return census_records(evaluator, [Fraction(q) for q in qs], Fraction(H),
                           precision, escalations)
 
@@ -519,11 +519,10 @@ def _census_chunk(payload):
        Param("order", "int", 16), Param("map"), Param("alpha", "rational"),
        Param("escalations", "int", 1))
 def _run_census(a):
-    from .countkit import EVALUATORS, CensusResult, enumerate_rationals
+    from .countkit import CENSUS_FUNCTIONS, CensusResult, enumerate_rationals
 
-    if a.function not in EVALUATORS:
+    if a.function not in CENSUS_FUNCTIONS:
         raise _CliError(f"unknown census function {a.function!r}")
-    # each evaluator takes the keywords it needs and ignores the rest
     params = {"value": a.value, "N": a.order, "map_text": a.map or "X^2",
               "alpha": a.alpha if a.alpha is not None else Fraction(4)}
     qs = enumerate_rationals(a.height)

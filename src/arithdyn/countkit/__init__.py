@@ -3,24 +3,18 @@ extremal partition combinatorics, bound-shape evaluators, rigorous modular
 values, and the bounded-height rational census."""
 
 from .census import (
+    CENSUS_FUNCTIONS,
     CensusRecord,
     CensusResult,
-    EVALUATORS,
     census,
     census_records,
     enumerate_rationals,
+    make_evaluator,
 )
 from .cover import cover_count_bound_holds, covers_sample, disk_cover
 from .jensen import jensen_zero_bound
 from .masser import BivarIntPoly, masser_T_threshold, vanishing_polynomial
-from .modular import (
-    ModularValue,
-    delta_disk_pullback,
-    delta_eval,
-    lambda_disk_pullback,
-    lambda_eval,
-    modular_eval,
-)
+from .modular import ModularValue, delta_eval, lambda_eval, modular_eval
 from .powerlemma import (
     ExtremalConstruction,
     OracleResult,
@@ -29,14 +23,13 @@ from .powerlemma import (
     power_lemma_min_X,
     power_lemma_oracle,
 )
-from .shapes import SHAPE_TAGS, DecayProfile, bound_shape
+from .shapes import SHAPE_TAGS, bound_shape
 
 __all__ = [
     "BivarIntPoly",
+    "CENSUS_FUNCTIONS",
     "CensusRecord",
     "CensusResult",
-    "DecayProfile",
-    "EVALUATORS",
     "ExtremalConstruction",
     "ModularValue",
     "OracleResult",
@@ -48,13 +41,12 @@ __all__ = [
     "construction_coefficient_power",
     "cover_count_bound_holds",
     "covers_sample",
-    "delta_disk_pullback",
     "delta_eval",
     "disk_cover",
     "enumerate_rationals",
     "jensen_zero_bound",
-    "lambda_disk_pullback",
     "lambda_eval",
+    "make_evaluator",
     "masser_T_threshold",
     "modular_eval",
     "power_lemma_min_X",

@@ -11,7 +11,9 @@ candidate.  A value certified to be exactly 0 is excluded from candidacy
 
 The scan domain is exactly the open interval (0,1).  Evaluators whose decay
 region strictly contains (0,1) are only censused on (0,1); points outside
-are out of scope for this tool.
+are out of scope for this tool.  ``make_evaluator`` builds the evaluator of
+each census function, including the disk pullback tau = 2i/(1-q) of lambda
+and the discriminant.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from fractions import Fraction
 from typing import Callable
 
 from ..errors import DomainError
-from ..exactnum import RealBall
+from ..exactnum import ComplexBall, RealBall
+from ..polymap import PolyMap
+from .modular import delta_eval, lambda_eval
 
 Evaluator = Callable[[Fraction, int], RealBall]
 
@@ -119,69 +123,43 @@ def census(evaluator: Evaluator, H, precision: int = 128,
     return CensusResult(H, precision, tuple(records))
 
 
-# -- evaluator registry (used by the CLI and the census tests) -------------
+CENSUS_FUNCTIONS = ("square", "const", "lambda", "delta", "fstar")
 
 
-def make_square_evaluator() -> Evaluator:
-    def ev(q: Fraction, prec: int) -> RealBall:
-        return RealBall.exact(q * q)
+def make_evaluator(function: str, *, value=Fraction(1, 2), N: int = 16, map_text: str = "X^2",
+                   alpha=Fraction(4)) -> Evaluator:
+    """The census evaluator (q, prec) -> ball around f(q) for one of CENSUS_FUNCTIONS.
 
-    return ev
+    square and const (``value``) are exact; lambda and delta (N terms) are taken
+    at tau = 2i/(1-q), fstar (``map_text`` at ``alpha``, order N, one Boettcher
+    frame per precision) at tau = i(1+q)/(1-q).  These three reject q outside (0,1).
+    """
+    if function == "square":
+        return lambda q, prec: RealBall.exact(q * q)
+    if function == "const":
+        value = Fraction(value)
+        return lambda q, prec: RealBall.exact(value)
+    if function in ("lambda", "delta"):
+        evaluate = lambda_eval if function == "lambda" else delta_eval
 
+        def on_axis(q: Fraction, prec: int) -> ComplexBall:
+            return evaluate(ComplexBall(0, 2 / (1 - q)), N, prec).value
+    elif function == "fstar":
+        from ..boettcher import boettcher_frame, fstar_eval  # lazy: other verbs import countkit
 
-def make_const_evaluator(value) -> Evaluator:
-    value = Fraction(value)
+        P, alpha, frames = PolyMap.from_text(map_text), Fraction(alpha), {}
 
-    def ev(q: Fraction, prec: int) -> RealBall:
-        return RealBall.exact(value)
+        def on_axis(q: Fraction, prec: int) -> ComplexBall:
+            if prec not in frames:
+                frames[prec] = boettcher_frame(P, N, prec)
+            tau = ComplexBall(0, (1 + q) / (1 - q))
+            return fstar_eval(P, alpha, tau, N=N, prec=prec, frame=frames[prec]).value
+    else:
+        raise DomainError(f"unknown census function {function!r}")
 
-    return ev
+    def pullback(q: Fraction, prec: int) -> RealBall:
+        if not 0 < q < 1:
+            raise DomainError("q must lie in (0,1)")
+        return on_axis(q, prec).real
 
-
-def make_lambda_evaluator(N: int = 16) -> Evaluator:
-    from .modular import lambda_disk_pullback
-
-    def ev(q: Fraction, prec: int) -> RealBall:
-        return lambda_disk_pullback(q, N, prec)
-
-    return ev
-
-
-def make_delta_evaluator(N: int = 24) -> Evaluator:
-    from .modular import delta_disk_pullback
-
-    def ev(q: Fraction, prec: int) -> RealBall:
-        return delta_disk_pullback(q, N, prec)
-
-    return ev
-
-
-def make_fstar_evaluator(map_text: str, alpha, N: int = 16) -> Evaluator:
-    """f(q) = fstar(mu(q)) with mu(q) = i (1+q)/(1-q); real on (0,1)."""
-    from fractions import Fraction as F
-
-    from ..boettcher import boettcher_frame, fstar_eval
-    from ..exactnum import ComplexBall
-    from ..polymap import PolyMap
-
-    P = PolyMap.from_text(map_text)
-    alpha = F(alpha)
-    frames = {}  # one Boettcher frame per working precision
-
-    def ev(q: Fraction, prec: int) -> RealBall:
-        if prec not in frames:
-            frames[prec] = boettcher_frame(P, N, prec)
-        t = (1 + q) / (1 - q)
-        res = fstar_eval(P, alpha, ComplexBall(0, t), N=N, prec=prec, frame=frames[prec])
-        return RealBall(res.value.re, res.value.rad)
-
-    return ev
-
-
-EVALUATORS = {
-    "square": lambda **kw: make_square_evaluator(),
-    "const": lambda value=Fraction(1, 2), **kw: make_const_evaluator(value),
-    "lambda": lambda N=16, **kw: make_lambda_evaluator(N),
-    "delta": lambda N=24, **kw: make_delta_evaluator(N),
-    "fstar": lambda map_text="X^2", alpha=Fraction(4), N=16, **kw: make_fstar_evaluator(map_text, alpha, N),
-}
+    return pullback

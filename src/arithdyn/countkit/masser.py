@@ -20,6 +20,8 @@ from ..errors import DomainError
 from ..exactnum import RatPoly, RealBall, as_real_ball, ball_log, sqrt_up
 from ..exactnum.linalg import kernel_basis
 
+_REL_TOL = Fraction(1, 10 ** 7)  # bisection stops once (hi - lo)/hi is this small
+
 
 def _threshold_gap(AZ: RealBall, M: RealBall, H: RealBall, d: int, T: Fraction,
                    prec: int) -> RealBall:
@@ -33,8 +35,7 @@ def _threshold_gap(AZ: RealBall, M: RealBall, H: RealBall, d: int, T: Fraction,
     return lhs - rhs
 
 
-def masser_T_threshold(AZ, M, H, d: int, prec: int = 128,
-                       rel_tol: Fraction = Fraction(1, 10 ** 7)) -> Fraction:
+def masser_T_threshold(AZ, M, H, d: int, prec: int = 128) -> Fraction:
     """Minimal T >= sqrt(8d) satisfying the threshold inequality (certified).
 
     The returned rational T is certified to satisfy it; T*(1 - 10^-6) is
@@ -70,7 +71,7 @@ def masser_T_threshold(AZ, M, H, d: int, prec: int = 128,
         lo, hi = hi, 2 * hi
     else:
         raise DomainError("threshold bracket search failed")
-    while hi - lo > hi * rel_tol:
+    while hi - lo > hi * _REL_TOL:
         mid = (lo + hi) / 2
         s = satisfied(mid)
         if s is True:

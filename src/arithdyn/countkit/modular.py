@@ -14,7 +14,7 @@ e^-2pi on the domain), rounded up and added to the enclosure radius by
 ``widen``.
 
 When tau is exactly purely imaginary (an exact point i t, as for the disk
-pullbacks z -> 2i/(1-z) that the census scans), the nome exp(-scale pi t)
+pullback 2i/(1-q) in ``census.make_evaluator``), the nome exp(-scale pi t)
 is real: it is a RealBall, and the same series loops then run in real ball
 arithmetic, with no complex products.  Any other tau takes the same loops
 over ComplexBall.  Either way the result is returned as a ComplexBall.
@@ -29,6 +29,7 @@ from ..errors import DomainError, TailBoundError
 from ..exactnum import (
     ComplexBall,
     RealBall,
+    as_complex_ball,
     ball_cexp,
     ball_exp,
     ball_pi,
@@ -45,23 +46,19 @@ def _nome(tau: ComplexBall, scale: int, prec: int) -> RealBall | ComplexBall:
     """exp(scale * pi * i * tau) as a ball (scale = 1 or 2); a RealBall when
     tau is exactly purely imaginary."""
     pi_b = ball_pi(prec)
-    re = pi_b * RealBall(tau.im, tau.rad) * (-scale)
+    re = pi_b * tau.imag * (-scale)
     if tau.re == 0 and tau.rad == 0:
         # exp at the working precision: its outward rounding of the interval
         # endpoints at prec bits would leave the real nome wider than the
         # complex path's exp(centre) plus growth term
         return ball_exp(re, prec + 32).round_to(prec + 32)
-    im = pi_b * RealBall(tau.re, tau.rad) * scale
+    im = pi_b * tau.real * scale
     return ball_cexp(ComplexBall.from_real_pair(re, im), prec).round_to(prec + 32)
 
 
 def _pow4(z, work: int):
     z2 = (z * z).round_to(work)
     return (z2 * z2).round_to(work)
-
-
-def _complex(v: RealBall | ComplexBall) -> ComplexBall:
-    return ComplexBall(v.mid, 0, v.rad) if isinstance(v, RealBall) else v
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ def lambda_eval(tau: ComplexBall, N: int = 12, prec: int = 128,
     value = (16 * q * _pow4(a, work) / _pow4(b, work)).round_to(work)
     if tol is not None and value.rad > tol:
         raise TailBoundError("lambda enclosure too wide; raise N or precision")
-    return ModularValue(_complex(value), N, a_tail + b_tail)
+    return ModularValue(as_complex_ball(value), N, a_tail + b_tail)
 
 
 def delta_eval(tau: ComplexBall, N: int = 24, prec: int = 128,
@@ -136,7 +133,7 @@ def delta_eval(tau: ComplexBall, N: int = 24, prec: int = 128,
     value = (prod * q * factor).round_to(work)
     if tol is not None and value.rad > tol:
         raise TailBoundError("delta enclosure too wide; raise N or precision")
-    return ModularValue(_complex(value), N, tail)
+    return ModularValue(as_complex_ball(value), N, tail)
 
 
 def modular_eval(which: str, tau: ComplexBall, N: int | None = None,
@@ -146,28 +143,3 @@ def modular_eval(which: str, tau: ComplexBall, N: int | None = None,
     if which == "delta":
         return delta_eval(tau, N if N is not None else 24, prec, tol)
     raise DomainError(f"unknown modular function {which!r}")
-
-
-def lambda_disk_pullback(z, N: int = 12, prec: int = 128) -> RealBall:
-    """lambda(2i/(1-z)) for rational z in (0,1): real, certified.
-
-    The pulled-back point is exactly purely imaginary with Im >= 2, where
-    the nome and lambda are real, so ``lambda_eval`` runs in real-ball
-    arithmetic and its result has a zero imaginary part.
-    """
-    z = Fraction(z)
-    if not 0 < z < 1:
-        raise DomainError("z must lie in (0,1)")
-    t = 2 / (1 - z)
-    mv = lambda_eval(ComplexBall(0, t), N, prec)
-    return RealBall(mv.value.re, mv.value.rad)
-
-
-def delta_disk_pullback(z, N: int = 24, prec: int = 128) -> RealBall:
-    """The discriminant at 2i/(1-z) for rational z in (0,1): real, certified."""
-    z = Fraction(z)
-    if not 0 < z < 1:
-        raise DomainError("z must lie in (0,1)")
-    t = 2 / (1 - z)
-    mv = delta_eval(ComplexBall(0, t), N, prec)
-    return RealBall(mv.value.re, mv.value.rad)

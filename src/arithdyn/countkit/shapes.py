@@ -8,30 +8,10 @@ as regression/reference quantities, not as certified inequalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import DomainError
 from ..exactnum import RealBall, as_real_ball, ball_e, ball_exp, ball_log
-
-
-@dataclass(frozen=True)
-class DecayProfile:
-    """Exponential decay/growth profile a / b^phi with its log-ratio."""
-
-    a: RealBall
-    b: RealBall
-    region: str = "(0,1)"
-    prec: int = 96
-    log_ratio: RealBall = field(init=False)
-
-    def __post_init__(self):
-        if not self.b.gt(RealBall.exact(1)):
-            raise DomainError("need b > 1 (certified)")
-        la = ball_log(self.a, self.prec)
-        lb = ball_log(self.b, self.prec)
-        object.__setattr__(self, "log_ratio", la / lb)
-
 
 SHAPE_TAGS = (
     "decay_unit_disk",

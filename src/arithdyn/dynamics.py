@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceGuardError
-from .exactnum import IntPoly, RatPoly, RealBall, ball_eval_poly, ball_log
+from .exactnum import IntPoly, RatPoly, RealBall, ball_log
 from .exactnum.linalg import solve
 from .factorint import FactorReport, factor_over_Q
 from .heights import height_rational
@@ -221,7 +221,7 @@ def _arch_local_height(P: PolyMap, alpha: Fraction, share: Fraction) -> LocalHei
                 return LocalHeight("inf", k, escaped, best)
             if x.rad > 2 * tol * max(R, lo):
                 break  # the rounding, not the tail, dominates: refine the grid
-            x = ball_eval_poly(P.poly, x).round_to_grid(w)
+            x = P.poly.eval(x).round_to_grid(w)
             k, Dk = k + 1, Dk * D
         w *= 2
     raise ResourceGuardError(f"archimedean orbit needs a grid finer than 2^-{_MAX_GRID_BITS}")
@@ -412,7 +412,7 @@ def bounded_height_region_check(P: PolyMap, alpha, prec: int = 96) -> BoundedReg
     hb = RealBall.exact(H)
     if hb.gt(prod):
         exceeds = True
-    elif hb.le(prod) or hb.lt(prod):
+    elif hb.le(prod):
         exceeds = False
     else:
         exceeds = None

@@ -19,6 +19,9 @@ Transcendental functions (log, exp, sqrt, sin, cos, pi) are delegated to
 mpmath's directed-rounding interval context and converted back to
 midpoint-radius form, so every enclosure produced here is rigorous.
 
+``ComplexBall.real``/``.imag`` (disk to interval) and ``as_complex_ball``
+(interval to disk) are the one crossing between the two ball types.
+
 Containment contract: every operation returns a ball whose closed disk (or
 closed interval for RealBall) contains f(z) for all z in the input balls.
 Enlarging an input radius never shrinks an output enclosure.
@@ -36,6 +39,7 @@ from mpmath.ctx_iv import MPIntervalContext
 from ..errors import CertificationError, DomainError
 
 DEFAULT_PREC = 128
+_RAD_BITS = 32  # significant bits of a radius after rad_up
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -119,11 +123,11 @@ def _round_fraction(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     return newv, abs(newv - q)
 
 
-def rad_up(r: Fraction, bits: int = 32) -> Fraction:
-    """Round a radius up to a short dyadic (soundness-preserving compaction)."""
+def rad_up(r: Fraction) -> Fraction:
+    """Round a radius up to a dyadic of _RAD_BITS significant bits (sound compaction)."""
     if r == 0:
         return _ZERO
-    shift = bits - (r.numerator.bit_length() - r.denominator.bit_length())
+    shift = _RAD_BITS - (r.numerator.bit_length() - r.denominator.bit_length())
     if shift <= 0:
         unit = 1 << (-shift)
         num = -(-r.numerator // (unit * r.denominator))
@@ -382,6 +386,16 @@ class ComplexBall:
     def is_exact(self) -> bool:
         return self.rad == 0
 
+    @property
+    def real(self) -> RealBall:
+        """The interval of the real parts of the disk's points."""
+        return RealBall(self.re, self.rad)
+
+    @property
+    def imag(self) -> RealBall:
+        """The interval of the imaginary parts of the disk's points."""
+        return RealBall(self.im, self.rad)
+
     def conjugate(self) -> "ComplexBall":
         return ComplexBall(self.re, -self.im, self.rad)
 
@@ -400,7 +414,7 @@ class ComplexBall:
         return d2 <= self.rad * self.rad
 
     def __add__(self, other):
-        other = _as_complex(other)
+        other = as_complex_ball(other)
         return ComplexBall(self.re + other.re, self.im + other.im, self.rad + other.rad)
 
     __radd__ = __add__
@@ -409,14 +423,14 @@ class ComplexBall:
         return ComplexBall(-self.re, -self.im, self.rad)
 
     def __sub__(self, other):
-        other = _as_complex(other)
+        other = as_complex_ball(other)
         return ComplexBall(self.re - other.re, self.im - other.im, self.rad + other.rad)
 
     def __rsub__(self, other):
-        return _as_complex(other) - self
+        return as_complex_ball(other) - self
 
     def __mul__(self, other):
-        other = _as_complex(other)
+        other = as_complex_ball(other)
         a, b = self.re, self.im
         c, d = other.re, other.im
         re = a * c - b * d
@@ -448,7 +462,7 @@ class ComplexBall:
         return ComplexBall(re, im, rad)
 
     def __truediv__(self, other):
-        other = _as_complex(other)
+        other = as_complex_ball(other)
         if other.rad == 0:
             den = other.abs_sq_mid()
             if den == 0:
@@ -458,7 +472,7 @@ class ComplexBall:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _as_complex(other) / self
+        return as_complex_ball(other) / self
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -483,7 +497,8 @@ class ComplexBall:
         return ComplexBall(re, im, self.rad).widen(sqrt_up(e1 * e1 + e2 * e2))
 
 
-def _as_complex(x) -> ComplexBall:
+def as_complex_ball(x) -> ComplexBall:
+    """x as a ComplexBall; a RealBall becomes the disk with its midpoint and radius."""
     if isinstance(x, ComplexBall):
         return x
     if isinstance(x, RealBall):

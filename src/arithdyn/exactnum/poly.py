@@ -13,7 +13,6 @@ import re
 from fractions import Fraction
 
 from ..errors import DomainError
-from .ball import ComplexBall, RealBall, _as_complex, as_real_ball
 
 
 def _strip(coeffs):
@@ -117,9 +116,12 @@ class _BasePoly:
         return type(self)(i * c for i, c in enumerate(self.coeffs) if i >= 1)
 
     def eval(self, x):
-        """Horner evaluation at an exact int/Fraction point."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
+        """Horner evaluation: exact at an int/Fraction point; at a RealBall or
+        ComplexBall the result encloses p(w) for every point w of the ball."""
+        *rest, acc = self.coeffs or (0,)
+        if not rest:
+            return x * 0 + acc
+        for c in reversed(rest):
             acc = acc * x + c
         return acc
 
@@ -298,22 +300,3 @@ def parse_poly(text: str) -> RatPoly:
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + coef
     n = max(coeffs) + 1
     return RatPoly(coeffs.get(i, Fraction(0)) for i in range(n))
-
-
-def ball_eval_poly(p: RatPoly | IntPoly, z: RealBall | ComplexBall, prec: int | None = None):
-    """Horner evaluation; the result encloses p(w) for every w in z.
-
-    Exact when z is exact; with ``prec`` set, intermediate values are rounded
-    to that working precision (rounding error goes into the radius).
-    """
-    if isinstance(z, ComplexBall):
-        acc = ComplexBall.exact(0)
-        conv = _as_complex
-    else:
-        acc = RealBall.exact(0)
-        conv = as_real_ball
-    for c in reversed(p.coeffs):
-        acc = acc * z + conv(Fraction(c))
-        if prec is not None:
-            acc = acc.round_to(prec)
-    return acc

@@ -24,13 +24,17 @@ from ..errors import CertificationError, DomainError
 from .ball import ComplexBall, _fraction_from_mpf_tuple, _round_fraction, sqrt_up
 from .poly import IntPoly, RatPoly
 
+_FLOAT_ITERS = 120  # Aberth passes in double precision
+_MP_ITERS = 200  # Aberth passes at mpmath precision
+_MAX_WORK_BITS = 4096  # working-precision cap of complex_roots_with_radii
+
 
 def _cauchy_radius(p: RatPoly) -> float:
     lc = abs(p.lead)
     return 1.0 + max(abs(c / lc) for c in p.coeffs[:-1]) if p.degree >= 1 else 1.0
 
 
-def _aberth_float(p: RatPoly, iters: int = 120) -> list[complex]:
+def _aberth_float(p: RatPoly) -> list[complex]:
     """Double-precision Aberth iteration; approximations only, no guarantees."""
     n = p.degree
     coeffs = [float(c) for c in p.coeffs]
@@ -47,7 +51,7 @@ def _aberth_float(p: RatPoly, iters: int = 120) -> list[complex]:
         r * cmath.exp(2j * cmath.pi * (k + 0.3711) / n) * (1 + 0.05 * ((k * 7 % 11) / 11))
         for k in range(n)
     ]
-    for _ in range(iters):
+    for _ in range(_FLOAT_ITERS):
         moved = 0.0
         for i in range(n):
             pz = ev(coeffs, zs[i])
@@ -79,7 +83,7 @@ def _rational_root_candidates(z: complex, p: IntPoly) -> list[Fraction]:
     return out
 
 
-def _aberth_mp(p: IntPoly, prec: int, iters: int = 200) -> list[mpmath.mpc]:
+def _aberth_mp(p: IntPoly, prec: int) -> list[mpmath.mpc]:
     """Full Aberth pass at mpmath precision (fallback when float seeds fail)."""
     n = p.degree
     with mpmath.workprec(prec):
@@ -91,7 +95,7 @@ def _aberth_mp(p: IntPoly, prec: int, iters: int = 200) -> list[mpmath.mpc]:
             for k in range(n)
         ]
         tol = mpmath.ldexp(1, -prec + 8)
-        for _ in range(iters):
+        for _ in range(_MP_ITERS):
             moved = mpmath.mpf(0)
             for i in range(n):
                 pz = _mp_ev(cs, zs[i])
@@ -162,13 +166,13 @@ def _eval_complex_exact(p: IntPoly, re: Fraction, im: Fraction) -> tuple[Fractio
     return ar, ai
 
 
-def complex_roots_with_radii(p: IntPoly, precision: int = 64, max_precision: int = 4096) -> list[ComplexBall]:
+def complex_roots_with_radii(p: IntPoly, precision: int = 64) -> list[ComplexBall]:
     """deg(p) disjoint complex balls, each containing exactly one root of p.
 
     Requires p nonzero and squarefree.  Rational roots come back with radius
     0; the remaining radii are at most 2**-precision.  Raises
     CertificationError if the certificate cannot be established below
-    ``max_precision`` working bits.
+    _MAX_WORK_BITS working bits.
     """
     if p.is_zero():
         raise DomainError("zero polynomial")
@@ -234,9 +238,9 @@ def complex_roots_with_radii(p: IntPoly, precision: int = 64, max_precision: int
             else:
                 work *= 2
                 seeds = _aberth_mp(remaining, work)
-            if work > max_precision:
+            if work > _MAX_WORK_BITS:
                 raise CertificationError(
-                    f"could not certify roots at {precision} bits (working precision cap {max_precision})"
+                    f"could not certify roots at {precision} bits (working precision cap {_MAX_WORK_BITS})"
                 )
     if not _pairwise_disjoint(balls):
         raise CertificationError("duplicate rational roots; input not squarefree")

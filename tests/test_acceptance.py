@@ -10,13 +10,13 @@ from fractions import Fraction as F
 
 from arithdyn.boettcher import boettcher_series
 from arithdyn.countkit import (
-    EVALUATORS,
     census,
     construction_coefficient_power,
     cover_count_bound_holds,
     covers_sample,
     disk_cover,
     jensen_zero_bound,
+    make_evaluator,
     masser_T_threshold,
     power_lemma_min_X,
     power_lemma_oracle,
@@ -224,12 +224,12 @@ def test_criterion_9_vanishing_polynomials():
 
 def test_criterion_10_census_soundness():
     t0 = time.time()
-    res = census(EVALUATORS["square"](), 4)
+    res = census(make_evaluator("square"), 4)
     assert res.count == 1
     only = [r for r in res.records if r.verdict == "candidate-rational"]
     assert only[0].q == F(1, 2) and only[0].candidate == F(1, 4)
 
-    ev = EVALUATORS["lambda"](N=16)
+    ev = make_evaluator("lambda", N=16)
     lam = census(ev, 20, precision=128, escalations=1)
     counts = lam.verdict_counts()
     assert counts.get("candidate-rational", 0) == 0

@@ -8,9 +8,9 @@ from arithdyn.errors import DomainError
 from arithdyn.exactnum import (
     ComplexBall,
     RealBall,
+    as_complex_ball,
     ball_decimal,
     ball_e,
-    ball_eval_poly,
     ball_exp,
     ball_log,
     ball_pi,
@@ -25,13 +25,13 @@ small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 
 
 def test_exact_square():
-    b = ball_eval_poly(parse_poly("X^2"), RealBall.exact(3))
+    b = parse_poly("X^2").eval(RealBall.exact(3))
     assert b.mid == 9 and b.rad == 0
 
 
 def test_unit_ball_containment_forced():
     p = parse_poly("X^2+1")
-    b = ball_eval_poly(p, RealBall(0, 1))
+    b = p.eval(RealBall(0, 1))
     assert b.contains(2)  # p(1)
     assert b.contains(1)  # p(0)
     assert b.rad >= 1
@@ -42,7 +42,7 @@ def test_near_sqrt2_residual():
     mid = sqrt_down(Fraction(2), bits=90)
     z = RealBall(mid, Fraction(1, 10 ** 20))
     assert abs(mid * mid - 2) < Fraction(1, 10 ** 21)  # midpoint quality
-    out = ball_eval_poly(parse_poly("X^2-2"), z)
+    out = parse_poly("X^2-2").eval(z)
     assert out.contains(0)
     assert out.rad <= Fraction(1, 10 ** 18)
 
@@ -52,9 +52,9 @@ def test_near_sqrt2_residual():
 def test_containment_exact_point(coeffs, z):
     p = RatPoly(coeffs)
     exact = p.eval(z)
-    out = ball_eval_poly(p, RealBall.exact(z))
+    out = p.eval(RealBall.exact(z))
     assert out.contains(exact)
-    outc = ball_eval_poly(p, ComplexBall.exact(z))
+    outc = p.eval(ComplexBall.exact(z))
     assert outc.contains(exact, 0)
 
 
@@ -65,8 +65,8 @@ def test_containment_exact_point(coeffs, z):
 @settings(max_examples=60, deadline=None)
 def test_monotone_under_radius_growth(coeffs, z, r1, grow):
     p = RatPoly(coeffs)
-    small = ball_eval_poly(p, RealBall(z, r1))
-    big = ball_eval_poly(p, RealBall(z, r1 + grow))
+    small = p.eval(RealBall(z, r1))
+    big = p.eval(RealBall(z, r1 + grow))
     assert big.contains_ball(small)
 
 
@@ -96,6 +96,22 @@ def test_complex_mul_contains_product():
     re = Fraction(1, 2) * -2 - Fraction(1, 3) * 1
     im = Fraction(1, 2) * 1 + Fraction(1, 3) * -2
     assert prod.contains(re, im)
+
+
+@given(re=rationals, im=rationals, rad=st.fractions(min_value=0, max_value=4, max_denominator=16),
+       t=rationals, s=st.fractions(min_value=0, max_value=1, max_denominator=16))
+@settings(max_examples=60, deadline=None)
+def test_real_and_imag_contain_the_parts_of_points_of_the_disk(re, im, rad, t, s):
+    z = ComplexBall(re, im, rad)
+    # a rational point of the disk: the unit vector ((1-t^2), 2t)/(1+t^2) scaled by s*rad
+    x = re + s * rad * (1 - t * t) / (1 + t * t)
+    y = im + s * rad * 2 * t / (1 + t * t)
+    assert z.contains(x, y)
+    assert z.real.contains(x) and z.imag.contains(y)
+    b = RealBall(re, rad)
+    back = as_complex_ball(b).real
+    assert (back.mid, back.rad) == (b.mid, b.rad)
+    assert as_complex_ball(b).imag.contains(0)
 
 
 def test_transcendental_enclosures():

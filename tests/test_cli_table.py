@@ -1,8 +1,11 @@
 """CLI behaviour generated from the verb table: sweep against the direct verb,
 malformed values for every typed parameter, random argv, config keys, and
-the README's CLI block."""
+the README's CLI block and the benchmark's jobs, pinned by stdout digest."""
 
+import contextlib
 import csv
+import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -18,7 +21,9 @@ from hypothesis import strategies as st
 
 from arithdyn.cli import COMMON, VERBS, Param, main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+DIGESTS = Path(__file__).with_name("cli_digests.json")
 
 # (verb, minimal other args, swept parameter, its value): cheap jobs, one or
 # more per verb.  The fstar census and the delta modular case are chosen so
@@ -140,6 +145,7 @@ def test_malformed_typed_values_are_usage_errors(verb, args, flag, capsys):
     ["sweep", "--vary", "n=1:2"],
     ["snap", "--config", "no-such-file.cfg"],
     ["cover", "--R", "2", "--r", "1", "--format", "xml"],
+    ["census", "--function", "zeta", "--height", "3"],
 ])
 def test_malformed_inputs_exit_1_without_a_traceback(argv, capsys):
     rc, out, err = run(argv, capsys)
@@ -253,13 +259,43 @@ def test_readme_cli_block_names_exactly_the_verbs():
     assert {argv[0] for argv in _readme_cli_lines()} == set(VERBS)
 
 
-@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=lambda a: a[0])
+def _perfbench_jobs():
+    """The benchmark's job argvs, as ``perfbench/run.py`` issues them."""
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", ROOT / "perfbench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    return {f"{name}-{i}": jobs.full_argv(argv)
+            for name, argvs in jobs.WORKLOADS.items() for i, argv in enumerate(argvs)}
+
+
+_PINNED = {**{argv[0]: argv for argv in _readme_cli_lines()}, **_perfbench_jobs()}
+
+
+def _exit_and_digest(argv):
+    """Exit code and sha256 of stdout of one run of ``main``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    return [rc, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+
+
+@pytest.mark.parametrize("argv", list(_PINNED.values()), ids=list(_PINNED))
 def test_readme_cli_lines_run(argv, capsys):
-    rc, out, err = run(argv, capsys)
+    """Every README CLI line and every benchmark job prints exactly the pinned
+    stdout (by sha256) with the pinned exit code.  After an intended output
+    change, regenerate the pins with
+    ``PYTHONPATH=src python tests/test_cli_table.py > tests/cli_digests.json``."""
+    rc, digest = _exit_and_digest(argv)
+    err = capsys.readouterr().err
     assert rc == 0, err
-    assert out
+    assert [rc, digest] == json.loads(DIGESTS.read_text())[shlex.join(argv)]
 
 
 def test_readme_global_flags_are_the_common_options():
     text = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[0]
     assert set(re.findall(r"`--([a-z-]+)", text)) == {p.name for p in COMMON}
+
+
+if __name__ == "__main__":
+    pins = sorted((shlex.join(argv), _exit_and_digest(argv)) for argv in _PINNED.values())
+    print("{\n" + ",\n".join(f" {json.dumps(k)}: {json.dumps(v)}" for k, v in pins) + "\n}")

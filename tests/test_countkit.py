@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithdyn.countkit import (
+    CENSUS_FUNCTIONS,
     admissible,
     bound_shape,
     census,
@@ -16,11 +17,11 @@ from arithdyn.countkit import (
     disk_cover,
     enumerate_rationals,
     jensen_zero_bound,
+    make_evaluator,
     masser_T_threshold,
     power_lemma_min_X,
     power_lemma_oracle,
     vanishing_polynomial,
-    EVALUATORS,
 )
 from arithdyn.countkit.masser import _threshold_gap
 from arithdyn.errors import DomainError, ResourceGuardError
@@ -295,7 +296,7 @@ def test_enumerate_examples():
 
 
 def test_census_square():
-    res = census(EVALUATORS["square"](), 4)
+    res = census(make_evaluator("square"), 4)
     assert res.count == 1
     cands = [r for r in res.records if r.verdict == "candidate-rational"]
     assert len(cands) == 1 and cands[0].q == F(1, 2) and cands[0].candidate == F(1, 4)
@@ -303,26 +304,28 @@ def test_census_square():
 
 
 def test_census_const():
-    res = census(EVALUATORS["const"](value=F(1, 2)), 5)
+    res = census(make_evaluator("const", value=F(1, 2)), 5)
     assert res.count == 9
 
 
 def test_census_zero_exclusion():
-    res = census(EVALUATORS["const"](value=F(0)), 4)
+    res = census(make_evaluator("const", value=F(0)), 4)
     assert res.count == 0
     assert all(r.excluded_zero for r in res.records)
 
 
 def test_census_fstar_and_delta_evaluators():
-    res = census(EVALUATORS["fstar"](map_text="X^2", alpha=F(4), N=8), 5, precision=128)
+    res = census(make_evaluator("fstar", map_text="X^2", alpha=F(4), N=8), 5, precision=128)
     assert res.count == 0
     assert res.verdict_counts() == {"certified-no-rational": 9}
-    res2 = census(EVALUATORS["delta"](N=12), 5, precision=128)
+    res2 = census(make_evaluator("delta", N=12), 5, precision=128)
     assert res2.count == 0
+    # every census function builds with the defaults
+    assert all(make_evaluator(f)(F(1, 2), 64).rad >= 0 for f in CENSUS_FUNCTIONS)
 
 
 def test_census_soundness_reverification():
-    ev = EVALUATORS["lambda"](N=16)
+    ev = make_evaluator("lambda", N=16)
     res = census(ev, 6, precision=96)
     for r in res.records:
         if r.verdict == "certified-no-rational":

@@ -3,8 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from arithdyn.countkit import delta_eval, enumerate_rationals, lambda_eval, modular_eval
-from arithdyn.countkit.modular import _nome, delta_disk_pullback, lambda_disk_pullback
+from arithdyn.countkit import (
+    delta_eval,
+    enumerate_rationals,
+    lambda_eval,
+    make_evaluator,
+    modular_eval,
+)
+from arithdyn.countkit.modular import _nome
 from arithdyn.errors import DomainError
 from arithdyn.exactnum import ComplexBall, ball_exp, ball_pi
 from oracles import ORACLE_DPS, delta_oracle, lambda_oracle, mpf_fraction
@@ -67,12 +73,26 @@ def test_nesting_under_more_terms():
 
 def test_disk_pullbacks_match_complex_path():
     q = F(1, 3)
-    real_v = lambda_disk_pullback(q, N=10, prec=96)
+    real_v = make_evaluator("lambda", N=10)(q, 96)
     t = 2 / (1 - q)
     complex_v = lambda_eval(ComplexBall(0, t), N=10, prec=96).value
     assert abs(real_v.mid - complex_v.re) <= real_v.rad + complex_v.rad
-    dv = delta_disk_pullback(q, N=10, prec=96)
+    dv = make_evaluator("delta", N=10)(q, 96)
     assert dv.mid > 0
+    # the census evaluator is the real part of the modular value at 2i/(1-q), exactly
+    for function, evaluate in (("lambda", lambda_eval), ("delta", delta_eval)):
+        for z, N, prec in ((q, 10, 96), (F(5, 7), 16, 128), (F(1, 9), 24, 512)):
+            v = make_evaluator(function, N=N)(z, prec)
+            ref = evaluate(ComplexBall(0, 2 / (1 - z)), N, prec).value.real
+            assert (v.mid, v.rad) == (ref.mid, ref.rad), (function, z)
+
+
+@pytest.mark.parametrize("q", [F(1), F(3, 2)])
+@pytest.mark.parametrize("function", ["lambda", "delta", "fstar"])
+def test_disk_pullbacks_reject_q_outside_the_unit_interval(function, q):
+    evaluator = make_evaluator(function, N=8, map_text="X^2", alpha=F(4))
+    with pytest.raises(DomainError):
+        evaluator(q, 96)
 
 
 def test_delta_eval_positive_on_imaginary_axis():
@@ -83,11 +103,12 @@ def test_delta_eval_positive_on_imaginary_axis():
 
 @pytest.mark.parametrize("prec", [96, 128, 512])
 def test_real_axis_pullbacks_contain_the_mpmath_values(prec):
+    lambda_at, delta_at = make_evaluator("lambda", N=16), make_evaluator("delta", N=24)
     for z in enumerate_rationals(8):
         t = 2 / (1 - z)
-        lam = lambda_disk_pullback(z, N=16, prec=prec)
+        lam = lambda_at(z, prec)
         assert _contains_oracle(lam, lambda_oracle(F(0), t)), (z, prec)
-        dl = delta_disk_pullback(z, N=24, prec=prec)
+        dl = delta_at(z, prec)
         assert _contains_oracle(dl, delta_oracle(F(0), t)), (z, prec)
         assert lam.rad < lam.mid / 2 ** (prec - 8) and dl.rad < dl.mid / 2 ** (prec - 8)
 
