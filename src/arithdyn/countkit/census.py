@@ -130,7 +130,7 @@ def make_evaluator(function: str, *, value=Fraction(1, 2), N: int = 16, map_text
                    alpha=Fraction(4)) -> Evaluator:
     """The census evaluator (q, prec) -> ball around f(q) for one of CENSUS_FUNCTIONS.
 
-    square and const (``value``) are exact; lambda and delta (N terms) are taken
+    square and const (``value``) are exact; lambda and delta (at most N terms) are taken
     at tau = 2i/(1-q), fstar (``map_text`` at ``alpha``, order N, one Boettcher
     frame per precision) at tau = i(1+q)/(1-q).  These three reject q outside (0,1).
     """

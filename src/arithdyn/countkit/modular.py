@@ -11,7 +11,10 @@ of q are ever evaluated.  The discriminant uses
 (2 pi)^12 q prod (1 - q^n)^24 with q = exp(2 pi i tau).  All truncation
 tails are bounded by explicit geometric majorants (|q| <= e^-pi resp.
 e^-2pi on the domain), rounded up and added to the enclosure radius by
-``widen``.
+``widen``.  Each series sums at most N terms and stops at the first one
+whose tail majorant is below 2^-work, work = prec + 32 bits: the stopping
+test compares bit lengths of |q|'s certified upper bound, and only the
+stopping index's majorant is formed exactly.
 
 When tau is exactly purely imaginary (an exact point i t, as for the disk
 pullback 2i/(1-q) in ``census.make_evaluator``), the nome exp(-scale pi t)
@@ -61,79 +64,93 @@ def _pow4(z, work: int):
     return (z2 * z2).round_to(work)
 
 
+def _shift(qa: Fraction) -> int:
+    """s with qa < 2^-s, from the bit lengths of qa's numerator and denominator."""
+    return qa.denominator.bit_length() - qa.numerator.bit_length() - 1
+
+
 @dataclass(frozen=True)
 class ModularValue:
     value: ComplexBall
-    terms: int
+    terms: int  # series terms summed (lambda: in each of its two sums), at most N
     tail_bound: Fraction  # majorant added to the radius, rounded up
 
 
 def lambda_eval(tau: ComplexBall, N: int = 12, prec: int = 128,
                 tol: Fraction | None = None) -> ModularValue:
-    """Enclosure of lambda(tau) from N retained theta terms."""
+    """Enclosure of lambda(tau) from at most N theta terms in each sum."""
     _check_domain(tau)
     q = _nome(tau, 1, prec)
     qa = q.abs_upper()
     if qa >= 1:
         raise DomainError("nome modulus not certified below 1")
-    # A = sum_{n=0..N} q^(n^2+n), tail <= |q|^((N+1)(N+2)) / (1-|q|)
-    # B = 1 + 2 sum_{n=1..N} q^(n^2), tail <= 2 |q|^((N+1)^2) / (1-|q|)
+    # A = sum_{n=0..m} q^(n^2+n), tail <= |q|^((m+1)(m+2)) / (1-|q|)
+    # B = 1 + 2 sum_{n=1..m} q^(n^2), tail <= 2 |q|^((m+1)^2) / (1-|q|)
+    # With |q| < 2^-s and s >= 1 (so 1/(1-|q|) < 2), the B tail is below
+    # 2^-work once s (m+1)^2 >= work + 2, and the A tail, of higher order
+    # in |q|, is then below it too: both sums stop there, or at m = N.
     work = prec + 32
+    s = _shift(qa)
     one = type(q).exact(1)
     q2 = (q * q).round_to(work)
-    a = one  # n = 0 term
-    cur = one
-    step = one
-    for n in range(1, N + 1):
-        step = (step * q2).round_to(work)  # q^(2n)
-        cur = (cur * step).round_to(work)  # q^(n^2+n)
-        a = (a + cur).round_to(work)
-    a_tail = rad_up(qa ** ((N + 1) * (N + 2)) / (1 - qa))
-    a = a.widen(a_tail)
-    b = one
-    cur = one
+    a = b = one  # n = 0 terms
+    a_term = b_term = step = one
     odd = q  # q^(2n-1), starting at n = 1
-    for n in range(1, N + 1):
-        cur = (cur * odd).round_to(work)  # q^(n^2) = q^((n-1)^2) * q^(2n-1)
+    m = 0
+    while m < N and s * (m + 1) ** 2 < work + 2:
+        m += 1
+        step = (step * q2).round_to(work)  # q^(2n)
+        a_term = (a_term * step).round_to(work)  # q^(n^2+n)
+        a = (a + a_term).round_to(work)
+        b_term = (b_term * odd).round_to(work)  # q^(n^2) = q^((n-1)^2) * q^(2n-1)
         odd = (odd * q2).round_to(work)
-        b = (b + 2 * cur).round_to(work)
-    b_tail = rad_up(2 * qa ** ((N + 1) * (N + 1)) / (1 - qa))
-    b = b.widen(b_tail)
+        b = (b + 2 * b_term).round_to(work)
+    a_tail = rad_up(qa ** ((m + 1) * (m + 2)) / (1 - qa))
+    b_tail = rad_up(2 * qa ** ((m + 1) ** 2) / (1 - qa))
+    a, b = a.widen(a_tail), b.widen(b_tail)
     value = (16 * q * _pow4(a, work) / _pow4(b, work)).round_to(work)
     if tol is not None and value.rad > tol:
         raise TailBoundError("lambda enclosure too wide; raise N or precision")
-    return ModularValue(as_complex_ball(value), N, a_tail + b_tail)
+    return ModularValue(as_complex_ball(value), m, a_tail + b_tail)
 
 
 def delta_eval(tau: ComplexBall, N: int = 24, prec: int = 128,
                tol: Fraction | None = None) -> ModularValue:
-    """Enclosure of the discriminant (2 pi)^12 q prod_{n>=1} (1-q^n)^24."""
+    """Enclosure of the discriminant (2 pi)^12 q prod_{n>=1} (1-q^n)^24 from
+    at most N factors of the product."""
     _check_domain(tau)
     q = _nome(tau, 2, prec)
     qa = q.abs_upper()
     if qa >= 1:
         raise DomainError("nome modulus not certified below 1")
+    # |log prod_{n>m} (1-q^n)^24| <= 24 sum_{n>m} |q|^n/(1-|q|) <= t below;
+    # with |q| < 2^-s and s >= 1, t < 2^7 |q|^(m+1) is below 2^-work once
+    # s (m+1) >= work + 7, where the product stops, or at N factors
     work = prec + 32
+    s = _shift(qa)
     one = type(q).exact(1)
     prod = one
     qn = one
-    for n in range(1, N + 1):
+    m = 0
+    while m < N and s * (m + 1) < work + 7:
+        m += 1
         qn = (qn * q).round_to(work)
         term = one - qn
         t2 = (term * term).round_to(work)
         t4 = (t2 * t2).round_to(work)
         t8 = (t4 * t4).round_to(work)
         prod = (prod * t8 * t8 * t8).round_to(work)
-    # |log prod_{n>N} (1-q^n)^24| <= 24 sum_{n>N} |q|^n/(1-|q|) <= t below
-    t = 24 * qa ** (N + 1) / (1 - qa) ** 2
-    growth = ball_exp(RealBall.exact(t), prec).hi - 1
-    tail = rad_up(prod.abs_upper() * growth)
+    t = 24 * qa ** (m + 1) / (1 - qa) ** 2
+    if t >= 1:
+        raise DomainError("discriminant tail not certified below 1")
+    # e^t - 1 <= sum_{k>=1} t^k = t/(1-t)
+    tail = rad_up(prod.abs_upper() * t / (1 - t))
     prod = prod.widen(tail)
     factor = (ball_pi(prec) * 2) ** 12
     value = (prod * q * factor).round_to(work)
     if tol is not None and value.rad > tol:
         raise TailBoundError("delta enclosure too wide; raise N or precision")
-    return ModularValue(as_complex_ball(value), N, tail)
+    return ModularValue(as_complex_ball(value), m, tail)
 
 
 def modular_eval(which: str, tau: ComplexBall, N: int | None = None,

@@ -87,17 +87,36 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Brent's rho multiplies this many differences |x - y| mod n before each gcd
+_RHO_BLOCK = 128
+
+
 def _pollard_rho(n: int) -> int:
+    """A proper divisor of the composite n: Pollard rho with Brent's cycle
+    search, one gcd per block of steps; a block whose product is 0 mod n is
+    replayed one gcd per step."""
     if n % 2 == 0:
         return 2
     for c in range(1, 1000):
-        x = y = 2
-        d = 1
+        y, r, prod, d = 2, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
+            x = y  # y runs r steps ahead of the saved point x
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                ys = y
+                for _ in range(min(_RHO_BLOCK, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * abs(x - y) % n
+                d = math.gcd(prod, n)
+                k += _RHO_BLOCK
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = math.gcd(abs(x - ys), n)
         if d != n:
             return d
     raise DomainError(f"failed to split {n}")

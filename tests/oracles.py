@@ -9,7 +9,9 @@ of ``exactnum.series``), schoolbook polynomial arithmetic over Z/m as the
 reference for the Kronecker and Newton kernels of ``factorint.modp``, and
 mpmath's theta functions and q-Pochhammer symbol at 200 digits as the
 reference for the lambda and discriminant enclosures of ``countkit.modular``,
-and the telescoped orbit heights h(P^n(alpha))/D^n (exact orbit values of
+the fixed-N theta sums and discriminant product (every term up to N, the
+tail majorant at N) as the reference for the precision-driven stopping rule
+of those enclosures, and the telescoped orbit heights h(P^n(alpha))/D^n (exact orbit values of
 about D^n h(alpha) bits) as the reference for the local-height canonical
 heights of ``dynamics``.
 """
@@ -23,9 +25,21 @@ from itertools import product
 
 import mpmath
 
+from arithdyn.countkit.modular import ModularValue, _check_domain, _nome, _pow4
 from arithdyn.dynamics import height_gap_constant
 from arithdyn.errors import DomainError, ResourceGuardError
-from arithdyn.exactnum import IntPoly, RatPoly, RealBall, TruncSeries, ball_log
+from arithdyn.exactnum import (
+    ComplexBall,
+    IntPoly,
+    RatPoly,
+    RealBall,
+    TruncSeries,
+    as_complex_ball,
+    ball_exp,
+    ball_log,
+    ball_pi,
+    rad_up,
+)
 from arithdyn.polymap import PolyMap
 
 _ZERO = Fraction(0)
@@ -310,6 +324,69 @@ def delta_oracle(tau_re: Fraction, tau_im: Fraction) -> mpmath.mpc:
                          mpmath.mpf(tau_im.numerator) / tau_im.denominator)
         q = mpmath.exp(2 * mpmath.pi * 1j * tau)
         return (2 * mpmath.pi) ** 12 * q * mpmath.qp(q) ** 24
+
+
+def lambda_fixed_terms(tau: ComplexBall, N: int, prec: int) -> ModularValue:
+    """lambda(tau) from exactly N theta terms in each sum, whatever the precision."""
+    _check_domain(tau)
+    q = _nome(tau, 1, prec)
+    qa = q.abs_upper()
+    if qa >= 1:
+        raise DomainError("nome modulus not certified below 1")
+    # A = sum_{n=0..N} q^(n^2+n), tail <= |q|^((N+1)(N+2)) / (1-|q|)
+    # B = 1 + 2 sum_{n=1..N} q^(n^2), tail <= 2 |q|^((N+1)^2) / (1-|q|)
+    work = prec + 32
+    one = type(q).exact(1)
+    q2 = (q * q).round_to(work)
+    a = one  # n = 0 term
+    cur = one
+    step = one
+    for n in range(1, N + 1):
+        step = (step * q2).round_to(work)  # q^(2n)
+        cur = (cur * step).round_to(work)  # q^(n^2+n)
+        a = (a + cur).round_to(work)
+    a_tail = rad_up(qa ** ((N + 1) * (N + 2)) / (1 - qa))
+    a = a.widen(a_tail)
+    b = one
+    cur = one
+    odd = q  # q^(2n-1), starting at n = 1
+    for n in range(1, N + 1):
+        cur = (cur * odd).round_to(work)  # q^(n^2) = q^((n-1)^2) * q^(2n-1)
+        odd = (odd * q2).round_to(work)
+        b = (b + 2 * cur).round_to(work)
+    b_tail = rad_up(2 * qa ** ((N + 1) * (N + 1)) / (1 - qa))
+    b = b.widen(b_tail)
+    value = (16 * q * _pow4(a, work) / _pow4(b, work)).round_to(work)
+    return ModularValue(as_complex_ball(value), N, a_tail + b_tail)
+
+
+def delta_fixed_terms(tau: ComplexBall, N: int, prec: int) -> ModularValue:
+    """The discriminant from exactly N factors of its product, with the tail
+    growth e^t - 1 taken from a directed-rounding exp."""
+    _check_domain(tau)
+    q = _nome(tau, 2, prec)
+    qa = q.abs_upper()
+    if qa >= 1:
+        raise DomainError("nome modulus not certified below 1")
+    work = prec + 32
+    one = type(q).exact(1)
+    prod = one
+    qn = one
+    for n in range(1, N + 1):
+        qn = (qn * q).round_to(work)
+        term = one - qn
+        t2 = (term * term).round_to(work)
+        t4 = (t2 * t2).round_to(work)
+        t8 = (t4 * t4).round_to(work)
+        prod = (prod * t8 * t8 * t8).round_to(work)
+    # |log prod_{n>N} (1-q^n)^24| <= 24 sum_{n>N} |q|^n/(1-|q|) <= t below
+    t = 24 * qa ** (N + 1) / (1 - qa) ** 2
+    growth = ball_exp(RealBall.exact(t), prec).hi - 1
+    tail = rad_up(prod.abs_upper() * growth)
+    prod = prod.widen(tail)
+    factor = (ball_pi(prec) * 2) ** 12
+    value = (prod * q * factor).round_to(work)
+    return ModularValue(as_complex_ball(value), N, tail)
 
 
 def mpf_fraction(x: mpmath.mpf) -> Fraction:

@@ -245,6 +245,35 @@ def test_factorize_matches_sympy_below_the_proven_bound():
         assert factorize(n) == factorint(n), n
 
 
+def test_factorize_splits_semiprimes_and_prime_powers_like_sympy():
+    import random
+
+    from sympy import factorint, nextprime
+
+    from arithdyn.ntheory import PROVEN_PRIME_BOUND, factorize
+
+    rng = random.Random(41)
+
+    def prime(bits):
+        return nextprime(rng.getrandbits(bits - 1) | 1 << (bits - 1))
+
+    # rho's cost grows with the square root of the smaller prime
+    cases = [1821275395031 * 1821275395081]
+    for bits in (20, 23, 26, 29, 32, 35, 38, 41):
+        n = PROVEN_PRIME_BOUND
+        while n >= PROVEN_PRIME_BOUND:
+            n = prime(bits) * prime(rng.randint(bits, 41))
+        cases.append(n)
+    for bits in (2, 5, 9, 14, 20, 27, 33, 40):
+        p = prime(bits)
+        k = rng.randint(2, 81 // bits)
+        while p ** k >= PROVEN_PRIME_BOUND:
+            k -= 1
+        cases.append(p ** k)
+    for n in cases:
+        assert factorize(n) == factorint(n), n
+
+
 def test_is_prime_refuses_a_probable_prime_past_the_proven_bound():
     from arithdyn.errors import ResourceGuardError
     from arithdyn.ntheory import is_prime

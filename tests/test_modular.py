@@ -13,7 +13,14 @@ from arithdyn.countkit import (
 from arithdyn.countkit.modular import _nome
 from arithdyn.errors import DomainError
 from arithdyn.exactnum import ComplexBall, ball_exp, ball_pi
-from oracles import ORACLE_DPS, delta_oracle, lambda_oracle, mpf_fraction
+from oracles import (
+    ORACLE_DPS,
+    delta_fixed_terms,
+    delta_oracle,
+    lambda_fixed_terms,
+    lambda_oracle,
+    mpf_fraction,
+)
 
 # the oracle's own error, far below every enclosure radius tested here
 ORACLE_SLACK = F(1, 10 ** (ORACLE_DPS - 10))
@@ -136,10 +143,57 @@ def test_off_axis_tau_contains_the_mpmath_values():
     assert _contains_oracle(dl.value, delta_oracle(tau_re, tau_im))
 
 
+@pytest.mark.parametrize("N", [-5, 0])
+def test_a_cap_below_one_sums_no_terms_and_stays_sound(N):
+    # the tails are those of the bare n = 0 terms, whatever N below 1 says
+    lam = lambda_eval(ComplexBall(0, 3), N=N, prec=128)
+    assert lam.terms == 0 and _contains_oracle(lam.value, lambda_oracle(F(0), F(3)))
+    dl = delta_eval(ComplexBall(0, 3), N=N, prec=128)
+    assert dl.terms == 0 and _contains_oracle(dl.value, delta_oracle(F(0), F(3)))
+
+
 def test_tail_bound_is_the_rounded_up_majorant():
-    N = 4
     qa = _nome(ComplexBall(0, 2), 1, 128).abs_upper()
+    mv = lambda_eval(ComplexBall(0, 2), N=4, prec=128)
+    N = mv.terms
     majorant = (qa ** ((N + 1) * (N + 2)) + 2 * qa ** ((N + 1) ** 2)) / (1 - qa)
-    tail = lambda_eval(ComplexBall(0, 2), N=N, prec=128).tail_bound
+    tail = mv.tail_bound
     assert majorant <= tail <= majorant * (1 + F(1, 2 ** 30))
     assert tail.denominator & (tail.denominator - 1) == 0  # a short dyadic
+
+
+def test_term_cap_binds_before_the_precision_does():
+    # at 512 bits the theta sums at 2i would run past 4 terms: the cap stops them
+    N = 4
+    qa = _nome(ComplexBall(0, 2), 1, 512).abs_upper()
+    assert lambda_eval(ComplexBall(0, 2), N=16, prec=512).terms > N
+    mv = lambda_eval(ComplexBall(0, 2), N=N, prec=512)
+    assert mv.terms == 4
+    majorant = (qa ** ((N + 1) * (N + 2)) + 2 * qa ** ((N + 1) ** 2)) / (1 - qa)
+    tail = mv.tail_bound
+    assert majorant <= tail <= majorant * (1 + F(1, 2 ** 30))
+    assert tail.denominator & (tail.denominator - 1) == 0  # a short dyadic
+
+
+@pytest.mark.parametrize("N", [4, 8, 16])
+def test_delta_tail_has_no_exp_rounding_floor(N):
+    # t = 24 |q|^5 / (1-|q|)^2 < 1e-52 at 4i once 4 factors are in; a tail
+    # taken from a 128-bit exp would sit near 2^-128 ~ 3e-39 instead
+    mv = delta_eval(ComplexBall(0, 4), N=N, prec=128)
+    assert mv.terms == 4
+    assert 0 < mv.tail_bound < F(1, 10 ** 52)
+
+
+@pytest.mark.parametrize("prec", [96, 128, 512])
+@pytest.mark.parametrize("evaluate, reference, N", [(lambda_eval, lambda_fixed_terms, 16),
+                                                    (delta_eval, delta_fixed_terms, 24)])
+def test_precision_stop_matches_the_fixed_term_sums(evaluate, reference, N, prec):
+    taus = [ComplexBall(0, 2 / (1 - z)) for z in enumerate_rationals(8)]
+    taus += [ComplexBall(0, 1), ComplexBall(F(1, 3), F(3, 2))]
+    for tau in taus:
+        mv = evaluate(tau, N=N, prec=prec)
+        v, ref = mv.value, reference(tau, N, prec).value
+        d2 = (v.re - ref.re) ** 2 + (v.im - ref.im) ** 2
+        assert d2 <= (v.rad + ref.rad) ** 2, (tau, prec)
+        assert v.rad <= ref.rad * (1 + F(1, 2 ** 30)), (tau, prec)
+        assert mv.terms <= N
