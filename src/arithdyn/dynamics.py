@@ -9,13 +9,28 @@ Q_beta(Y) = (P(Y) - P(beta))/(Y - beta), of degree D - 1,
 
 exactly, by induction on n: P^{k+1}(X) - beta_{k+1} = P(P^k X) - P(beta_k)
 = (P^k(X) - beta_k) * Q_{beta_k}(P^k(X)).  Each Q_{beta_k} is factored over
-Q, and each of its factors h is composed with P^k and factored again, so
-every Zassenhaus run sees a piece of degree at most (D - 1) D^(n-1) instead of
-the whole degree-D^n difference.  The pieces need not be coprime (they share
-a factor when P' vanishes on the orbit, or when the orbit is preperiodic), so
-the irreducible factors of all pieces are merged with their multiplicities
-added: by unique factorization in Z[X] the merged product is the
-factorization of the whole, and a reconstruction check confirms it.
+Q by Zassenhaus, and each of its irreducible factors h starts a chain
+f_0 = h, f_(j+1) = f_j(P(X)), ending in the piece f_k = h(P^k(X)).  Each
+link is proven irreducible in turn by Capelli descent
+(``factorint.compose_irreducible``): f_(j+1) is irreducible when an odd prime
+p and a factor g of f_j mod p satisfy
+
+1. p does not divide lc(f_j) * den(P);
+2. f_j mod p is squarefree;
+3. g is irreducible over F_p of degree at most 3;
+4. g(P(X)) is irreducible over F_p;
+
+because then, for a root gamma of f_j, P(X) - gamma stays irreducible modulo
+the prime of Q(gamma) belonging to g, so it is irreducible over Q(gamma), and
+by Capelli's lemma f_j(P(X)) is irreducible over Q.  A piece whose chain
+breaks (no prime among the first 60 has such a g) goes whole to Zassenhaus,
+which sees at most degree (D - 1) D^(n-1) instead of the whole degree-D^n
+difference.  The tower is expanded over Z when P has integer coefficients.
+The pieces need not be coprime (they share a factor when P' vanishes on the
+orbit, or when the orbit is preperiodic), so the irreducible factors of all
+pieces are merged with their multiplicities added: by unique factorization
+in Z[X] the merged product is the factorization of the whole, and a
+reconstruction check confirms it.
 
 The canonical height of a rational alpha under a monic degree-D map is the
 sum of local canonical heights (Call-Silverman, Compositio 89, 1993;
@@ -62,7 +77,7 @@ from fractions import Fraction
 from .errors import DomainError, ResourceGuardError
 from .exactnum import IntPoly, RatPoly, RealBall, ball_log
 from .exactnum.linalg import solve
-from .factorint import FactorReport, factor_over_Q
+from .factorint import FactorReport, compose_irreducible, factor_over_Q, factor_over_Z
 from .heights import height_rational
 from .ntheory import prime_divisors, valuation
 from .polymap import DEFAULT_DEGREE_CAP, PolyMap
@@ -284,6 +299,12 @@ class SnapReport:
     multiset: tuple[int, ...]  # one degree entry per root (with multiplicity)
     squarefree: bool
     factor_report: FactorReport
+    # how each tower piece was proven, in the order built: X - alpha, then the
+    # factors h of Q_{beta_k} for k = 0..n-1.  A piece h(P^k(X)) holds one
+    # ("fp", p, deg g) per Capelli link (none when k = 0), or
+    # (("zassenhaus",),) when a link found no certificate and the piece was
+    # factored whole.
+    certificates: tuple[tuple[tuple, ...], ...]
 
     @property
     def distinct_factors(self) -> int:
@@ -324,29 +345,31 @@ def snap_degree_multiset(P: PolyMap, alpha, n: int,
     if P.degree ** n > degree_cap:
         raise ResourceGuardError(f"iterate degree {P.degree}^{n} exceeds cap {degree_cap}")
     alpha = Fraction(alpha)
-    parts: dict[IntPoly, int] = {}
-
-    def merge(piece: RatPoly, mult: int) -> None:
-        for g, m in factor_over_Q(piece, seed)[1].factors:
-            parts[g] = parts.get(g, 0) + m * mult
-
     betas = [alpha]  # beta_k = P^k(alpha)
     for _ in range(n):
         v = P.eval(betas[-1])
         if v.numerator.bit_length() + v.denominator.bit_length() > _ORBIT_BIT_CAP:
             raise ResourceGuardError("orbit value size exceeds bit cap")
         betas.append(v)
-    pk = RatPoly([0, 1])  # P^k(X)
-    merge(pk - alpha, 1)
-    for beta, nxt in zip(betas, betas[1:]):
+    # the tower is expanded over Z when the map is, else over Q
+    ring = IntPoly if all(c.denominator == 1 for c in P.poly.coeffs) else RatPoly
+    Pr = ring(P.poly.coeffs)
+    powers = [ring([0, 1])]  # P^k(X)
+    parts: dict[IntPoly, int] = {IntPoly([-alpha.numerator, alpha.denominator]): 1}
+    certificates: list[tuple[tuple, ...]] = [()]
+    for k, (beta, nxt) in enumerate(zip(betas, betas[1:])):
         q_beta, rem = (P.poly - nxt).divmod(RatPoly([-beta, 1]))
         if rem:
             raise DomainError("P(Y) - P(beta) is not divisible by Y - beta")
         for h, m in factor_over_Q(q_beta, seed)[1].factors:
-            merge(h.compose(pk), m)
-        pk = P.poly.compose(pk)
+            factors, links = _tower_piece(h, Pr, powers, seed)
+            for g, mg in factors:
+                parts[g] = parts.get(g, 0) + mg * m
+            certificates.append(links)
+        powers.append(Pr.compose(powers[-1]))
     rep = FactorReport.from_parts(1, 1, parts)
-    if rep.reconstruct() != (pk - betas[-1]).to_int_primitive()[1]:
+    target = powers[-1] * betas[-1].denominator - betas[-1].numerator
+    if rep.reconstruct() != target.to_int_primitive()[1]:
         raise DomainError("tower factorization does not rebuild P^n(X) - P^n(alpha)")
     entries: list[int] = []
     for f, m in rep.factors:
@@ -360,7 +383,28 @@ def snap_degree_multiset(P: PolyMap, alpha, n: int,
         multiset=tuple(entries),
         squarefree=rep.is_squarefree(),
         factor_report=rep,
+        certificates=tuple(certificates),
     )
+
+
+def _tower_piece(h: IntPoly, P, powers: list, seed: int):
+    """The irreducible factors of h(P^k(X)), k = len(powers) - 1, with their
+    certificate (see ``SnapReport.certificates``).
+
+    Each link h(P^j(X)) -> h(P^(j+1)(X)) is certified by Capelli descent; a
+    piece whose chain breaks is factored whole.
+    """
+    k = len(powers) - 1
+    links = []
+    for j in range(k):
+        cert = compose_irreducible(h.compose(powers[j]).to_int_primitive()[1], P)
+        if cert is None:
+            break
+        links.append(cert)
+    piece = h.compose(powers[k]).to_int_primitive()[1]
+    if len(links) == k:
+        return ((piece, 1),), tuple(links)
+    return factor_over_Z(piece, seed).factors, (("zassenhaus",),)
 
 
 def irreducible_count(P: PolyMap, alpha, n: int,

@@ -175,6 +175,11 @@ class IntPoly(_BasePoly):
             c = -c
         return c, IntPoly(x // c for x in self.coeffs)
 
+    def to_int_primitive(self) -> tuple[Fraction, "IntPoly"]:
+        """As ``RatPoly.to_int_primitive``: (content * sign, primitive part)."""
+        c, prim = self.primitive()
+        return Fraction(c), prim
+
     def to_rat(self) -> "RatPoly":
         return RatPoly(Fraction(c) for c in self.coeffs)
 

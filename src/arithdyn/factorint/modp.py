@@ -1,7 +1,8 @@
 """Dense polynomial arithmetic over F_p and Z/m (lists, constant term first).
 
 Coefficients are plain ints reduced into [0, m).  Only what the Zassenhaus
-driver needs: ring ops, division, gcd/gcdex over a prime field, powmod,
+driver and the Capelli certificate need: ring ops, composition, division,
+gcd/gcdex over a prime field, powmod, an irreducibility test, and
 distinct-degree and equal-degree splitting.
 
 Products use Kronecker substitution: each operand is packed into one big
@@ -250,25 +251,40 @@ def is_squarefree(f, p) -> bool:
     return len(gcd(f, deriv(f, p), p)) == 1
 
 
-def distinct_degree(f, p):
-    """[(product_of_irreducibles_of_degree_d, d)] for monic squarefree f."""
+def compose(f, g, m):
+    """f(g(x)) over Z/m."""
     out = []
+    for c in reversed(f):
+        out = add(mul(out, g, m), [c], m)
+    return out
+
+
+def is_irreducible(f, p) -> bool:
+    """Whether a monic f of positive degree is irreducible over F_p: it is
+    squarefree and its first distinct-degree piece is all of f."""
+    return is_squarefree(f, p) and next(distinct_degree(f, p))[1] == len(f) - 1
+
+
+def distinct_degree(f, p, max_degree=None):
+    """Yield (product_of_irreducibles_of_degree_d, d) for monic squarefree f,
+    by increasing d; with ``max_degree``, only the pieces with d <= max_degree."""
     h = [0, 1]  # x
     g = list(f)
     d = 0
     mod = None
     while len(g) - 1 >= 2 * (d + 1):
+        if d == max_degree:
+            return
         d += 1
         mod = mod or Modulus(g, p)
         h = pow_mod(h, p, mod)
         gd = gcd(sub(h, [0, 1], p), g, p)
         if len(gd) > 1:
-            out.append((gd, d))
+            yield gd, d
             g = divmod_general(g, gd, p)[0]
             mod = None
-    if len(g) > 1:
-        out.append((g, len(g) - 1))
-    return out
+    if len(g) > 1 and (max_degree is None or len(g) - 1 <= max_degree):
+        yield g, len(g) - 1
 
 
 def equal_degree_split(f, d: int, p, rng: random.Random):

@@ -12,7 +12,10 @@ with degree-set and trailing-coefficient pruning.  The subset search
 exhausts all candidate splits, which is what certifies irreducibility of
 everything that survives; it stops with a resource-guard trip after
 ``_SUBSET_BUDGET`` subsets.  Iterate towers P^n(X) - P^n(alpha) are split
-into pieces before they reach this module (``dynamics.snap_degree_multiset``).
+into pieces before they reach this module (``dynamics.snap_degree_multiset``),
+and a piece that Capelli descent proves irreducible (``capelli``) never
+reaches it: there Zassenhaus factors the small Q_beta and only the pieces
+whose chain of certificates breaks.
 
 Deterministic: the equal-degree splitting RNG is seeded from the caller's
 seed and the chosen prime, primes are scanned in increasing order, outputs
@@ -40,9 +43,10 @@ _PRIME_KEEP = 5  # modular factorizations kept for degree-set pruning
 _CERTIFICATE_PRIMES = 16
 # Subsets one recombination may examine.  The expanded difference
 # P^8(X) - P^8(1) of X^2+1, factored whole, examines 178,649; its degree-512
-# successor would run for hours without a budget.  Split into tower pieces
-# (snap), one piece examines at most 41 in the perfbench tower jobs, 63 at
-# n = 8 and 255 at n = 9.
+# successor would run for hours without a budget.  In snap, where composed
+# tower pieces are proven irreducible by Capelli descent instead, no
+# recombination of the perfbench tower jobs or of X^2+1 at n = 8 and 9
+# examines more than 2.
 _SUBSET_BUDGET = 2_000_000
 
 
@@ -232,7 +236,7 @@ def _factor_squarefree(f: IntPoly, seed: int) -> list[IntPoly]:
         fp = modp.from_int_poly(f.coeffs, p)
         if not modp.is_squarefree(fp, p):
             continue
-        pieces = modp.distinct_degree(modp.monic(fp, p), p)
+        pieces = list(modp.distinct_degree(modp.monic(fp, p), p))
         degrees = [d for prod, d in pieces for _ in range((len(prod) - 1) // d)]
         if len(degrees) == 1:
             return [f]

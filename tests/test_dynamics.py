@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from arithdyn import dynamics
 from arithdyn.errors import DomainError, ResourceGuardError
 from arithdyn.exactnum import RealBall, ball_log, parse_poly
 from arithdyn.dynamics import (
@@ -233,6 +234,37 @@ def test_snap_cardinality(rng):
         alpha = F(rng.randint(-4, 4), rng.randint(1, 3))
         rep = snap_degree_multiset(P, alpha, n)
         assert len(rep.multiset) == P.degree ** n
+
+
+# the six jobs of perfbench's tower workload
+_TOWER_JOBS = [("X^2+1", 1, 7), ("X^2+X", 1, 7), ("X^2-2", 3, 7), ("X^2", 2, 7),
+               ("X^3+X+1", 1, 4), ("X^3-X", 2, 4)]
+
+
+@pytest.mark.parametrize("m, alpha, n", _TOWER_JOBS)
+def test_tower_jobs_certify_every_composed_piece_by_capelli(m, alpha, n, monkeypatch):
+    def no_zassenhaus(*args):
+        raise AssertionError("a composed piece reached factor_over_Z")
+
+    monkeypatch.setattr(dynamics, "factor_over_Z", no_zassenhaus)
+    rep = snap_degree_multiset(PolyMap.from_text(m), alpha, n)
+    certs = rep.certificates
+    assert certs[0] == ()  # X - alpha
+    composed = [c for c in certs if c]
+    # every level k >= 1 has at least one piece
+    assert len(composed) >= n - 1
+    for c in composed:
+        assert all(link[0] == "fp" for link in c), c
+    # a piece h(P^k(X)) has k links; the top level is k = n - 1
+    assert max(len(c) for c in certs) == n - 1
+
+
+def test_a_broken_chain_is_factored_whole():
+    # X^2 - 5 at alpha = 1: beta_1 = -4, and the level-1 piece is X^2 - 9
+    rep = snap_degree_multiset(PolyMap.from_text("X^2-5"), 1, 2)
+    assert rep.certificates == ((), (), (("zassenhaus",),))
+    assert [list(f.coeffs) for f, _ in rep.factor_report.factors] == [
+        [-3, 1], [-1, 1], [1, 1], [3, 1]]
 
 
 def test_irreducible_count_examples():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from arithdyn.dynamics import snap_degree_multiset
 from arithdyn.errors import DomainError
 from arithdyn.exactnum import IntPoly, RatPoly
-from arithdyn.factorint import factor_over_Q, factor_over_Z
-from arithdyn.factorint import modp, zassenhaus
+from arithdyn.factorint import compose_irreducible, factor_over_Q, factor_over_Z
+from arithdyn.factorint import capelli, modp, zassenhaus
 from arithdyn.polymap import PolyMap
 from conftest import random_monic_map
 from oracles import exhaustive_factorization, school_divmod, school_mul, school_pow_mod
@@ -334,15 +335,109 @@ def test_tower_split_merges_shared_factors(m, alpha, n):
     _assert_tower_matches_whole_factorization(PolyMap.from_text(m), alpha, n)
 
 
-def test_snap_reaches_n_9(capsys):
+def _snap_factor_degrees(capsys, argv, budget):
+    """(degree, number of factors) of a timed ``snap`` run."""
     import json
 
     from arithdyn.cli import main
 
     t0 = time.time()
-    assert main(["snap", "--map", "X^2+1", "--alpha", "1", "--n", "9"]) == 0
-    assert time.time() - t0 < 5
+    assert main(["snap", *argv]) == 0
+    assert time.time() - t0 < budget
     rep = json.loads(capsys.readouterr().out)["result"]
     degrees = sorted(set(rep["multiset"]))
-    assert [(d, rep["multiset"].count(d) // d) for d in degrees] == [
+    return [(d, rep["multiset"].count(d) // d) for d in degrees]
+
+
+def test_snap_reaches_n_9(capsys):
+    assert _snap_factor_degrees(capsys, ["--map", "X^2+1", "--alpha", "1", "--n", "9"], 2) == [
         (1, 2), (2, 1), (4, 1), (8, 1), (16, 1), (32, 1), (64, 1), (128, 1), (256, 1)]
+
+
+def test_snap_cubic_tower_degree_729(capsys):
+    # pinned from the output of the Zassenhaus-only tower split (15 s there)
+    assert _snap_factor_degrees(capsys, ["--map", "X^3+X+1", "--alpha", "1", "--n", "6"], 5) == [
+        (1, 1), (2, 1), (6, 1), (18, 1), (54, 1), (162, 1), (486, 1)]
+
+
+# --- Capelli certificates ----------------------------------------------------
+
+
+def _capelli_chains(P: PolyMap, alpha, n: int):
+    """(f, f o P, whether f o P is irreducible) along the chains f -> f o P
+    of n links started at the factors of each Q_beta, beta = P^k(alpha) for
+    k < n; a chain stops after its first reducible f o P, so every f is
+    irreducible (the certificate's precondition)."""
+    beta = F(alpha)
+    for _ in range(n):
+        nxt = P.eval(beta)
+        q_beta = (P.poly - nxt).divmod(RatPoly([-beta, 1]))[0]
+        for f, _ in factor_over_Q(q_beta)[1].factors:
+            for _ in range(n):
+                g = f.compose(P.poly).to_int_primitive()[1]
+                irreducible = [m for _, m in factor_over_Z(g).factors] == [1]
+                yield f, g, irreducible
+                if not irreducible:
+                    break
+                f = g
+        beta = nxt
+
+
+def test_capelli_certificate_never_contradicts_zassenhaus(rng):
+    # random maps, most with rational coefficients; the oracle splits a few
+    # of their compositions, and the certificate must refuse all of those
+    certified = reducible = 0
+    for _ in range(12):
+        P = random_monic_map(rng, max_degree=3)
+        alpha = F(rng.randint(-4, 4), rng.randint(1, 3))
+        for f, g, irreducible in _capelli_chains(P, alpha, {2: 4, 3: 3}[P.degree]):
+            cert = compose_irreducible(f, P.poly)
+            reducible += not irreducible
+            if cert is not None:
+                certified += 1
+                assert irreducible, (P, alpha, f, cert)
+                tag, p, d = cert
+                assert tag == "fp" and zassenhaus.is_prime(p)
+                assert 1 <= d <= capelli._MAX_FACTOR_DEGREE
+    assert reducible > 0 and certified > 100
+
+
+@pytest.mark.parametrize("f, P, whole", [
+    # Y^2 + 4 is irreducible, but Y^2 + 4 at Y = X^2 is X^4 + 4 = (X^2+2X+2)(X^2-2X+2)
+    (IntPoly([4, 0, 1]), RatPoly([0, 0, 1]), [[2, -2, 1], [2, 2, 1]]),
+    # X^2 - 5 at alpha = 1: the level-1 piece (Y - 4)(P(X)) is X^2 - 9
+    (IntPoly([-4, 1]), RatPoly([-5, 0, 1]), [[-3, 1], [3, 1]]),
+    # a rational map: (Y - 1)(X^2 + X/2 - 1/2) is (X - 1)(2X + 3)/2
+    (IntPoly([-1, 1]), RatPoly([F(-1, 2), F(1, 2), 1]), [[-1, 1], [3, 2]]),
+])
+def test_capelli_certificate_refuses_reducible_compositions(f, P, whole):
+    _, rep = factor_over_Q(f.compose(P))
+    assert sorted(list(g.coeffs) for g, m in rep.factors for _ in range(m)) == whole
+    assert compose_irreducible(f, P) is None
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_irreducibility_test_matches_trial_division(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    f = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6)) + [1]
+    n = len(f) - 1
+    reducible = any(not modp.divmod_general(f, list(g) + [1], p)[1]
+                    for d in range(1, n // 2 + 1)
+                    for g in itertools.product(range(p), repeat=d))
+    assert modp.is_irreducible(f, p) == (not reducible)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_quadratic_norm_criterion_matches_factoring(data):
+    # the D = 2 shortcut against splitting every factor and testing g(P(X))
+    p = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
+    f = data.draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=10)) + [1]
+    P = data.draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2)) + [1]
+    if not modp.is_squarefree(f, p):
+        return
+    for prod, d in modp.distinct_degree(f, p):
+        split = modp.equal_degree_split(prod, d, p, random.Random(0))
+        expected = any(modp.is_irreducible(modp.compose(g, P, p), p) for g in split)
+        assert capelli._some_factor_certifies(prod, d, P, p) == expected
