@@ -37,6 +37,7 @@ import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
 from ..errors import CertificationError, DomainError
+from .poly import as_fraction
 
 DEFAULT_PREC = 128
 _RAD_BITS = 32  # significant bits of a radius after rad_up
@@ -142,8 +143,8 @@ class RealBall:
     __slots__ = ("mid", "rad")
 
     def __init__(self, mid, rad=0):
-        self.mid = Fraction(mid)
-        self.rad = Fraction(rad)
+        self.mid = as_fraction(mid)
+        self.rad = as_fraction(rad)
         if self.rad < 0:
             raise DomainError("negative ball radius")
 
@@ -151,7 +152,7 @@ class RealBall:
 
     @classmethod
     def exact(cls, q) -> "RealBall":
-        return cls(Fraction(q), _ZERO)
+        return cls(q, _ZERO)
 
     @classmethod
     def from_endpoints(cls, lo, hi) -> "RealBall":
@@ -365,15 +366,15 @@ class ComplexBall:
     __slots__ = ("re", "im", "rad")
 
     def __init__(self, re, im=0, rad=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-        self.rad = Fraction(rad)
+        self.re = as_fraction(re)
+        self.im = as_fraction(im)
+        self.rad = as_fraction(rad)
         if self.rad < 0:
             raise DomainError("negative ball radius")
 
     @classmethod
     def exact(cls, re, im=0) -> "ComplexBall":
-        return cls(Fraction(re), Fraction(im), _ZERO)
+        return cls(re, im, _ZERO)
 
     @classmethod
     def from_real_pair(cls, x: RealBall, y: RealBall) -> "ComplexBall":

@@ -4,15 +4,118 @@ IntPoly holds arbitrary-precision integer coefficients, RatPoly holds
 Fractions.  Both are immutable; the zero polynomial is the empty coefficient
 tuple.  Serialization follows the project convention: JSON arrays of
 "num/den" strings, constant term first.
+
+Every exact product of coefficient lists goes through one kernel,
+``int_mul``, a signed Kronecker product over Z (Harvey, J. Symbolic Comput.
+44, 2009): each operand is split into its positive and negative parts, each
+part is packed into one integer with one coefficient per k-byte slot, the
+two signed integers are multiplied once, a bias of 2^(8k-1) per slot makes
+every slot of the product nonnegative, and the slots are unpacked and
+unbiased.  ``rat_mul`` scales each Fraction operand to integers over the lcm
+of its denominators and calls ``int_mul``; IntPoly and RatPoly products and
+``TruncSeries`` products use these two.  The packer (``pack_slots``, ``unpack_slots``) also serves the products mod m of
+``factorint.modp``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
+from array import array
 from fractions import Fraction
 
 from ..errors import DomainError
+
+_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def as_fraction(x) -> Fraction:
+    """x itself when it is a Fraction already (Fractions are immutable), else
+    Fraction(x): the coercion of polynomial, series and ball coefficients."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def slot_bytes(bits: int) -> int:
+    """Kronecker slot width in bytes for values of ``bits`` bits: 1, 2, 4 or
+    8 (the ``array`` widths) up to 64 bits, else the least byte count."""
+    k = (bits + 7) // 8
+    if k <= 8:
+        return 1 if k <= 1 else 2 if k == 2 else 4 if k <= 4 else 8
+    return k
+
+
+def pack_slots(f, k: int) -> int:
+    """sum(f[i] << 8*k*i) for integers 0 <= f[i] < 2**(8*k)."""
+    if k <= 8:
+        a = array(_TYPECODES[k], f)
+        if _BIG_ENDIAN:
+            a.byteswap()
+        return int.from_bytes(a.tobytes(), "little")
+    return int.from_bytes(b"".join([c.to_bytes(k, "little") for c in f]), "little")
+
+
+def unpack_slots(x: int, k: int, slots: int):
+    """The ``slots`` k-byte slots of x (0 <= x < 2**(8*k*slots)), lowest first."""
+    b = x.to_bytes(k * slots, "little")
+    if k <= 8:
+        a = array(_TYPECODES[k], b)
+        if _BIG_ENDIAN:
+            a.byteswap()
+        return a
+    return [int.from_bytes(b[i:i + k], "little") for i in range(0, len(b), k)]
+
+
+def _signed_pack(f, k: int, lo: int) -> int:
+    """sum(f[i] << 8*k*i) for integers |f[i]| < 2**(8*k) with minimum lo."""
+    if lo >= 0:
+        return pack_slots(f, k)
+    return (pack_slots([c if c > 0 else 0 for c in f], k)
+            - pack_slots([-c if c < 0 else 0 for c in f], k))
+
+
+def int_mul(a, b, n: int | None = None) -> list[int]:
+    """Coefficients 0 .. n-1 of the product of the nonempty integer lists a
+    and b (all len(a) + len(b) - 1 of them by default), by one signed
+    Kronecker product.  No slot of the first n takes more than
+    min(len(a), len(b), n) terms, so slots of 8k - 1 >= bits of that count
+    times max|a| times max|b| hold every coefficient with its sign."""
+    if n is None:
+        n = len(a) + len(b) - 1
+    same = a is b
+    a = a[:n]
+    b = a if same else b[:n]
+    alo, ahi = min(a), max(a)
+    blo, bhi = (alo, ahi) if same else (min(b), max(b))
+    k = slot_bytes(max(ahi, -alo).bit_length() + max(bhi, -blo).bit_length()
+                   + min(len(a), len(b)).bit_length() + 1)
+    x = _signed_pack(a, k, alo)
+    y = x if same else _signed_pack(b, k, blo)
+    bias = int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
+    half = 1 << (8 * k - 1)
+    slots = unpack_slots((x * y + bias) & ((1 << (8 * k * n)) - 1), k, n)
+    return [c - half for c in slots]
+
+
+def _over_common_denominator(f) -> tuple[int, list[int]]:
+    """(d, [c * d for c in f]) for Fractions f, d the lcm of their denominators."""
+    d = math.lcm(*[c.denominator for c in f])
+    return d, [c.numerator * (d // c.denominator) for c in f]
+
+
+def rat_mul(a, b, n: int | None = None) -> list[Fraction]:
+    """``int_mul`` for nonempty lists of Fractions: each operand is scaled to
+    integers over the lcm of its denominators, and each of the n product
+    coefficients is one Fraction over the product of the two lcms."""
+    same = a is b
+    if n is not None:
+        a = a[:n]
+        b = a if same else b[:n]
+    da, ia = _over_common_denominator(a)
+    db, ib = (da, ia) if same else _over_common_denominator(b)
+    d = da * db
+    return [Fraction(c, d) for c in int_mul(ia, ib, n)]
 
 
 def _strip(coeffs):
@@ -80,16 +183,9 @@ class _BasePoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return type(self)()
-        out = [self._cast(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return type(self)(out)
+        return type(self)(self._product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -155,6 +251,8 @@ class _BasePoly:
 
 
 class IntPoly(_BasePoly):
+    _product = staticmethod(int_mul)
+
     @staticmethod
     def _cast(c):
         if isinstance(c, Fraction):
@@ -215,9 +313,8 @@ class IntPoly(_BasePoly):
 
 
 class RatPoly(_BasePoly):
-    @staticmethod
-    def _cast(c):
-        return Fraction(c)
+    _product = staticmethod(rat_mul)
+    _cast = staticmethod(as_fraction)
 
     def monic(self) -> "RatPoly":
         if not self.coeffs:

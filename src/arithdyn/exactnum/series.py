@@ -21,8 +21,11 @@ Certified-order bookkeeping under the operations:
   d_k = -[z^-1](s^k) / k: certified to the same depth as s.
 
 Every series operation is built from the sum, the product and these two
-recurrences.  All coefficients are exact Fractions; no floating point is
-involved.
+recurrences.  Coefficients are exact Fractions, and no floating point is
+involved.  A product is one call of ``poly.rat_mul`` on the two coefficient
+lists (slot i holds the exponent lead_exp - i, so a series product is a
+polynomial product): both operands are scaled to integers, multiplied by
+one signed Kronecker product, and only the certified slots are unpacked.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DomainError
-from .poly import RatPoly
+from .poly import RatPoly, as_fraction, rat_mul
 
 _ZERO = Fraction(0)
 
@@ -39,7 +42,7 @@ class TruncSeries:
     __slots__ = ("lead_exp", "coeffs", "cert_exp")
 
     def __init__(self, lead_exp: int, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [as_fraction(c) for c in coeffs]
         if not coeffs:
             raise DomainError("TruncSeries needs at least one retained coefficient")
         self.cert_exp = lead_exp - len(coeffs) + 1
@@ -137,17 +140,9 @@ class TruncSeries:
         lead = self.lead_exp + other.lead_exp
         if lead < cert:
             return TruncSeries(cert, [_ZERO])
-        # slot i + j is the exponent lead - (i + j); slots from n on are uncertified
-        n = lead - cert + 1
-        b = other.coeffs
-        acc = [_ZERO] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a == 0:
-                continue
-            for j in range(min(len(b), n - i)):
-                if b[j]:
-                    acc[i + j] += a * b[j]
-        return TruncSeries(lead, acc)
+        # slot i is the exponent lead - i; only the lead - cert + 1 slots down
+        # to the certified floor are kept
+        return TruncSeries(lead, rat_mul(self.coeffs, other.coeffs, lead - cert + 1))
 
     __rmul__ = __mul__
 

@@ -5,11 +5,13 @@ driver and the Capelli certificate need: ring ops, composition, division,
 gcd/gcdex over a prime field, powmod, an irreducibility test, and
 distinct-degree and equal-degree splitting.
 
-Products use Kronecker substitution: each operand is packed into one big
-integer, one coefficient per fixed-width slot wide enough for a sum of
-products of residues, the two integers are multiplied once, and the slots of
-the product are unpacked and reduced.  Slots of 1, 2, 4 or 8 bytes go through
-``array`` buffers; wider slots (the Hensel moduli p^l) through ``to_bytes``.
+Products use Kronecker substitution with the packer of ``exactnum.poly``
+(the one that also serves the exact products over Z and Q): each operand is
+packed into one big integer, one residue per fixed-width slot wide enough
+for a sum of products of residues, the two integers are multiplied once,
+and the slots of the product are unpacked and reduced.  Residues need no
+sign handling, so these products skip the bias of the signed kernel
+``exactnum.poly.int_mul``.
 
 Division by g takes the quotient from a schoolbook loop over the top
 coefficients alone and the remainder f - q*g from one product.  For a fixed
@@ -21,13 +23,9 @@ costs two products.
 from __future__ import annotations
 
 import random
-import sys
-from array import array
 
 from ..errors import DomainError
-
-_TYPECODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-_BIG_ENDIAN = sys.byteorder == "big"
+from ..exactnum.poly import pack_slots, slot_bytes, unpack_slots
 
 
 def trim(f: list[int]) -> list[int]:
@@ -47,41 +45,12 @@ def _residues(f, m):
     return f
 
 
-def _slot_bytes(m: int, terms: int) -> int:
-    """Slot width holding a sum of ``terms`` products of residues mod m."""
-    k = (2 * (m - 1).bit_length() + terms.bit_length() + 7) // 8
-    if k <= 8:
-        return 1 if k == 1 else 2 if k == 2 else 4 if k <= 4 else 8
-    return k
-
-
-def _pack(f, k: int) -> int:
-    """sum(f[i] << 8*k*i) for residues f[i] < 2**(8*k)."""
-    if k <= 8:
-        a = array(_TYPECODES[k], f)
-        if _BIG_ENDIAN:
-            a.byteswap()
-        return int.from_bytes(a.tobytes(), "little")
-    return int.from_bytes(b"".join([c.to_bytes(k, "little") for c in f]), "little")
-
-
-def _unpack(x: int, k: int, slots: int):
-    """The ``slots`` k-byte slots of x (x < 2**(8*k*slots)), lowest first."""
-    b = x.to_bytes(k * slots, "little")
-    if k <= 8:
-        a = array(_TYPECODES[k], b)
-        if _BIG_ENDIAN:
-            a.byteswap()
-        return a
-    return [int.from_bytes(b[i:i + k], "little") for i in range(0, len(b), k)]
-
-
 def _product_slots(f, g, m):
     """Unreduced coefficients of f*g (residue lists) by one Kronecker product."""
-    k = _slot_bytes(m, min(len(f), len(g)))
-    x = _pack(f, k)
-    y = x if f is g else _pack(g, k)
-    return _unpack(x * y, k, len(f) + len(g) - 1)
+    k = slot_bytes(2 * (m - 1).bit_length() + min(len(f), len(g)).bit_length())
+    x = pack_slots(f, k)
+    y = x if f is g else pack_slots(g, k)
+    return unpack_slots(x * y, k, len(f) + len(g) - 1)
 
 
 def add(f, g, m):
@@ -179,9 +148,9 @@ class Modulus:
         self.n = n = len(self.g) - 1
         if n < 1:
             raise DomainError("modulus must have positive degree")
-        self.k = _slot_bytes(m, n)
-        self.inv = _pack(_inverse_series(self.g[::-1], n - 1, m), self.k) if n > 1 else 0
-        self.low = _pack(self.g[:n], self.k)
+        self.k = slot_bytes(2 * (m - 1).bit_length() + n.bit_length())
+        self.inv = pack_slots(_inverse_series(self.g[::-1], n - 1, m), self.k) if n > 1 else 0
+        self.low = pack_slots(self.g[:n], self.k)
 
     def rem(self, f):
         """f mod g, for any integer coefficient list f."""
@@ -192,9 +161,9 @@ class Modulus:
             return f
         if q_len >= n:
             return divmod_general(f, self.g, m)[1]
-        rev = _unpack(_pack(f[:-q_len - 1:-1], k) * self.inv, k, q_len + n - 2)
+        rev = unpack_slots(pack_slots(f[:-q_len - 1:-1], k) * self.inv, k, q_len + n - 2)
         q = [c % m for c in reversed(rev[:q_len])]
-        low = _unpack(_pack(q, k) * self.low, k, q_len + n - 1)
+        low = unpack_slots(pack_slots(q, k) * self.low, k, q_len + n - 1)
         return trim([(a - b) % m for a, b in zip(f, low[:n])])
 
 

@@ -6,9 +6,11 @@ orders by repeated multiplication, naive series multiplication on full
 coefficient dicts, series composition on coefficient dicts by geometric
 series (the reference for the Horner composition and the Lagrange inversion
 of ``exactnum.series``), schoolbook polynomial arithmetic over Z/m as the
-reference for the Kronecker and Newton kernels of ``factorint.modp``, and
-mpmath's theta functions and q-Pochhammer symbol at 200 digits as the
-reference for the lambda and discriminant enclosures of ``countkit.modular``,
+reference for the Kronecker and Newton kernels of ``factorint.modp``, the
+schoolbook product over Z and Q as the reference for the signed Kronecker
+kernel of ``exactnum.poly`` (and so for every polynomial and series
+product), and mpmath's theta functions and q-Pochhammer symbol at 200
+digits as the reference for the lambda and discriminant enclosures of ``countkit.modular``,
 the fixed-N theta sums and discriminant product (every term up to N, the
 tail majorant at N) as the reference for the precision-driven stopping rule
 of those enclosures, and the telescoped orbit heights h(P^n(alpha))/D^n (exact orbit values of
@@ -259,6 +261,16 @@ def series_compose_series(outer: TruncSeries, inner: TruncSeries) -> TruncSeries
     lead = max([1] + [e for e in acc])
     coeffs = [acc.get(e, _ZERO) for e in range(lead, target - 1, -1)]
     return TruncSeries(lead, coeffs)
+
+
+def school_poly_mul(f: list, g: list) -> list:
+    """f*g for nonempty coefficient lists over Z or Q by the schoolbook double
+    loop: all len(f) + len(g) - 1 coefficients, trailing zeros kept."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
 
 
 def school_mul(f: list[int], g: list[int], m: int) -> list[int]:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -20,6 +21,7 @@ from arithdyn.boettcher import (
     phi_eval,
     psi_eval,
 )
+from arithdyn.cli import main
 from arithdyn.errors import DomainError
 from arithdyn.exactnum import ComplexBall, series_compose_poly, series_inverse, series_power
 from arithdyn.polymap import PolyMap
@@ -102,6 +104,16 @@ def test_cubic_series_and_inverse_within_time_budget():
     B = boettcher_series(PolyMap.from_text("X^3+X+1"), 24)
     series_inverse(B.phi)
     assert time.perf_counter() - t0 < 1.5
+
+
+def test_cubic_series_order_48_within_budget(capsys):
+    # stdout pinned from the output of the schoolbook series products (0.9 s there)
+    t0 = time.perf_counter()
+    assert main(["boettcher-series", "--map", "X^3+X+1", "--order", "48"]) == 0
+    assert time.perf_counter() - t0 < 0.5
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9ded23e7297f23719f9b1e9826902e37e298ab65d35e18ad57c840f5bf1970c7")
 
 
 def test_escape_radius_examples():

@@ -11,12 +11,20 @@ from hypothesis import strategies as st
 
 from arithdyn.dynamics import snap_degree_multiset
 from arithdyn.errors import DomainError
-from arithdyn.exactnum import IntPoly, RatPoly
+from arithdyn.exactnum import IntPoly, RatPoly, TruncSeries
+from arithdyn.exactnum.poly import int_mul, rat_mul
 from arithdyn.factorint import compose_irreducible, factor_over_Q, factor_over_Z
 from arithdyn.factorint import capelli, modp, zassenhaus
 from arithdyn.polymap import PolyMap
 from conftest import random_monic_map
-from oracles import exhaustive_factorization, school_divmod, school_mul, school_pow_mod
+from oracles import (
+    dict_series_mul,
+    exhaustive_factorization,
+    school_divmod,
+    school_mul,
+    school_poly_mul,
+    school_pow_mod,
+)
 
 # a pool of known irreducibles for reconstruction stress tests
 IRREDUCIBLES = [
@@ -219,6 +227,101 @@ def test_kernels_on_zero_and_constant_polynomials(m):
         modp.divmod_general(f, [0, m], m)
 
 
+# --- the signed Kronecker kernel over Z and Q --------------------------------
+# Coefficients of 0-3000 bits cover every slot width (the 1-, 2-, 4- and
+# 8-byte ``array`` slots and wide byte-string slots); lengths of 1, all-zero
+# operands, trailing zeros and squaring (a is b) take the kernel's edge paths.
+# Denominators mix small ones with large Mersenne primes, which are coprime
+# to each other, so the lcm scaling of ``rat_mul`` meets unrelated primes.
+_DENOMINATORS = [1, 2, 3, 12, (1 << 61) - 1, (1 << 89) - 1, (1 << 107) - 1, (1 << 127) - 1]
+
+
+@st.composite
+def _signed_coeffs(draw, max_len=40):
+    bound = 1 << draw(st.integers(0, 3000))
+    body = draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=max_len))
+    if draw(st.booleans()):
+        body = [0] * len(body)
+    return body + [0] * draw(st.integers(0, 2))
+
+
+@st.composite
+def _fractions(draw, max_len=30):
+    nums = draw(_signed_coeffs(max_len))
+    dens = draw(st.lists(st.sampled_from(_DENOMINATORS) | st.integers(1, 1 << 128),
+                         min_size=len(nums), max_size=len(nums)))
+    return [F(a, d) for a, d in zip(nums, dens)]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_signed_kronecker_product_matches_schoolbook(data):
+    a = data.draw(_signed_coeffs())
+    b = data.draw(_signed_coeffs())
+    full = school_poly_mul(a, b)
+    assert int_mul(a, b) == full
+    assert int_mul(a, a) == school_poly_mul(a, a)
+    n = data.draw(st.integers(1, len(full)))
+    assert int_mul(a, b, n) == full[:n]
+    assert int_mul(a, a, min(n, len(a))) == school_poly_mul(a, a)[:min(n, len(a))]
+
+
+@pytest.mark.parametrize("a, b", [
+    ([0], [0]), ([5], [-7]), ([0, 0, 0], [1, -1]), ([-1], [1 << 3000, -(1 << 3000)]),
+    ([0] * 6, [0] * 5), ([0, 0, 0, 0, 0, 1], [1, -1, 0, 0, 0, 0]),
+    ([-1] * 5, [1 << 3000, 0, 0, 0, -(1 << 3000)]), ([3, 0, 0, 0, 0], [0, 0, 0, 0, 2])])
+def test_signed_kronecker_product_edge_cases(a, b):
+    assert int_mul(a, b) == school_poly_mul(a, b)
+    assert int_mul(b, a) == school_poly_mul(b, a)
+    assert int_mul(a, a) == school_poly_mul(a, a)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 5, 12, 27, 28, 29, 60, 61, 98, 500])
+def test_signed_kronecker_product_at_the_slot_bound(bits):
+    # every coefficient of largest magnitude, one sign per operand: the middle
+    # coefficients of the product reach min(len) * max|a| * max|b|, the
+    # largest value a slot must hold, and for some length each bit size
+    # fills a slot to the last bit below its sign
+    top = (1 << bits) - 1
+    for la in (1, 2, 3, 4, 7, 8, 15, 16, 31):
+        for lb in (la, 2 * la + 1):
+            for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                a, b = [sa * top] * la, [sb * top] * lb
+                assert int_mul(a, b) == school_poly_mul(a, b)
+                assert int_mul(a, a) == school_poly_mul(a, a)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_rational_kernel_and_poly_products_match_schoolbook(data):
+    a, b = data.draw(_fractions()), data.draw(_fractions())
+    assert rat_mul(a, b) == school_poly_mul(a, b)
+    assert rat_mul(a, a) == school_poly_mul(a, a)
+    p, q = RatPoly(a), RatPoly(b)
+    assert (p * q).coeffs == RatPoly(school_poly_mul(a, b)).coeffs
+    assert (p * p).coeffs == RatPoly(school_poly_mul(a, a)).coeffs
+    ia, ib = data.draw(_signed_coeffs()), data.draw(_signed_coeffs())
+    assert (IntPoly(ia) * IntPoly(ib)).coeffs == IntPoly(school_poly_mul(ia, ib)).coeffs
+    assert (IntPoly(ia) * -3).coeffs == IntPoly(school_poly_mul(ia, [-3])).coeffs
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_series_product_matches_the_dict_convolution(data):
+    s = TruncSeries(data.draw(st.integers(-5, 5)), data.draw(_fractions(25)))
+    t = TruncSeries(data.draw(st.integers(-5, 5)), data.draw(_fractions(25)))
+    for x, y in ((s, t), (t, s), (s, s)):
+        prod = x * y
+        cert = max(x.cert_exp + y.lead_exp, y.cert_exp + x.lead_exp)
+        want = {e: c for e, c in dict_series_mul(x.as_dict(), y.as_dict()).items() if e >= cert}
+        assert prod.cert_exp == cert
+        assert prod.lead_exp == max(want, default=cert - 1)
+        assert prod.as_dict() == want
+        assert prod.coefficient(cert) == want.get(cert, 0)
+        with pytest.raises(DomainError):
+            prod.coefficient(cert - 1)
+
+
 def test_prime_sequence_is_the_odd_primes():
     odd_primes = [n for n in range(3, 3000, 2) if all(n % d for d in range(3, math.isqrt(n) + 1, 2))]
     assert list(islice(zassenhaus._primes_from(3), len(odd_primes))) == odd_primes
@@ -352,6 +455,13 @@ def _snap_factor_degrees(capsys, argv, budget):
 def test_snap_reaches_n_9(capsys):
     assert _snap_factor_degrees(capsys, ["--map", "X^2+1", "--alpha", "1", "--n", "9"], 2) == [
         (1, 2), (2, 1), (4, 1), (8, 1), (16, 1), (32, 1), (64, 1), (128, 1), (256, 1)]
+
+
+def test_snap_reaches_n_11(capsys):
+    # factor degrees pinned from the output of the schoolbook IntPoly products
+    assert _snap_factor_degrees(capsys, ["--map", "X^2+1", "--alpha", "1", "--n", "11"], 3) == [
+        (1, 2), (2, 1), (4, 1), (8, 1), (16, 1), (32, 1), (64, 1), (128, 1), (256, 1), (512, 1),
+        (1024, 1)]
 
 
 def test_snap_cubic_tower_degree_729(capsys):
