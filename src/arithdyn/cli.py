@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -501,6 +500,8 @@ def _map_jobs(fn, payloads: list, jobs: int) -> list:
     """``fn`` over ``payloads``, in a process pool when more than one job is asked for."""
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor  # lazy: only --jobs > 1 needs it
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, payloads))
 
@@ -509,7 +510,7 @@ def _census_chunk(payload):
     fname, params, qs, H, precision, escalations = payload
     from .countkit import census_records, make_evaluator
 
-    evaluator = make_evaluator(fname, **params)
+    evaluator = make_evaluator(fname, precision=precision, **params)
     return census_records(evaluator, [Fraction(q) for q in qs], Fraction(H),
                           precision, escalations)
 

@@ -116,7 +116,9 @@ def census(evaluator: Evaluator, H, precision: int = 128,
 
     Per-point undecided verdicts escalate the working precision (x4 each
     time, up to ``escalations`` retries) and are reported as
-    undecided-at-precision if still unresolved, never dropped.
+    undecided-at-precision if still unresolved, never dropped.  An evaluator
+    built by ``make_evaluator(..., precision=precision)`` raises its lambda or
+    delta term cap with each escalation.
     """
     H = Fraction(H)
     records = census_records(evaluator, enumerate_rationals(H), H, precision, escalations)
@@ -127,12 +129,15 @@ CENSUS_FUNCTIONS = ("square", "const", "lambda", "delta", "fstar")
 
 
 def make_evaluator(function: str, *, value=Fraction(1, 2), N: int = 16, map_text: str = "X^2",
-                   alpha=Fraction(4)) -> Evaluator:
+                   alpha=Fraction(4), precision: int | None = None) -> Evaluator:
     """The census evaluator (q, prec) -> ball around f(q) for one of CENSUS_FUNCTIONS.
 
     square and const (``value``) are exact; lambda and delta (at most N terms) are taken
     at tau = 2i/(1-q), fstar (``map_text`` at ``alpha``, order N, one Boettcher
     frame per precision) at tau = i(1+q)/(1-q).  These three reject q outside (0,1).
+    ``precision`` is the census's first-round precision: lambda and delta then sum
+    at most N * (prec // precision) terms at an escalated prec (x4 terms per x4 bits),
+    so that an escalation narrows the ball rather than stopping at the same N-term tail.
     """
     if function == "square":
         return lambda q, prec: RealBall.exact(q * q)
@@ -143,7 +148,8 @@ def make_evaluator(function: str, *, value=Fraction(1, 2), N: int = 16, map_text
         evaluate = lambda_eval if function == "lambda" else delta_eval
 
         def on_axis(q: Fraction, prec: int) -> ComplexBall:
-            return evaluate(ComplexBall(0, 2 / (1 - q)), N, prec).value
+            cap = N * max(1, prec // precision) if precision else N
+            return evaluate(ComplexBall(0, 2 / (1 - q)), cap, prec).value
     elif function == "fstar":
         from ..boettcher import boettcher_frame, fstar_eval  # lazy: other verbs import countkit
 

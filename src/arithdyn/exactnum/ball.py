@@ -1,16 +1,29 @@
-"""Midpoint-radius enclosures with exact rational bookkeeping.
+"""Midpoint-radius enclosures on integer numerators and denominators.
 
-A ball stores an exact rational midpoint and an exact nonnegative rational
-radius.  The ring operations (+, -, *, /) stay exact: the returned ball
-contains the image of every point of the input balls, with no rounding at
-all.  ``widen(err)`` is the one place where a rounding error or a
-truncation majorant enters a radius: the rounding error of ``round_to``
-(which shortens the midpoint to a dyadic of the caller-supplied working
-precision) and of ``round_to_grid`` (which rounds it to the absolute grid
-2^-w), the growth term of ``ball_cexp``, the series tails of
-``countkit.modular`` and ``boettcher.psi_eval``, and the escape tails of
-the archimedean local height in ``dynamics``.  It keeps the midpoint and
-rounds ``rad + err`` up to a short dyadic (32 significant bits), so radii
+A ball holds each exact rational it is made of (the midpoint of a RealBall,
+the real and imaginary parts of a ComplexBall's centre, and the radius) as
+an integer numerator over a positive integer denominator, in lowest terms;
+``.mid``, ``.rad``, ``.re`` and ``.im`` return them as exact Fractions.
+After any rounding the denominators are powers of two, so the products,
+sums and roundings of the working loops are integer multiplies, adds and
+shifts, and bringing a dyadic to lowest terms strips trailing zero bits
+instead of taking a gcd.  An exact non-dyadic input (1/3, or the point
+tau = 2i/(1-q) of the census pullback) takes the same code: its
+denominator is simply not a power of two, and a gcd reduces it.
+
+The ring operations (+, -, *, /) stay exact: the returned ball contains the
+image of every point of the input balls, with no rounding at all.
+Rounding follows one rule, in ``_round_scaled``: n 2^s / d goes to the
+nearest integer, ties to even, for a midpoint, and up for a radius; a
+shift when d is a power of two, a divmod otherwise.  ``round_to``
+shortens the midpoint to ``prec`` significant bits (s from the bit
+lengths of n and d), ``round_to_grid`` rounds it to the absolute grid
+2^-w (s = w), and ``widen(err)`` rounds ``rad + err`` up to a short dyadic
+(32 significant bits).  ``widen`` is the one place where a rounding error
+or a truncation majorant enters a radius: the rounding errors of
+``round_to`` and ``round_to_grid``, the growth term of ``ball_cexp``, the
+series tails of ``countkit.modular`` and ``boettcher.psi_eval``, and the
+escape tails of the archimedean local height in ``dynamics``.  So radii
 stay short and stay certified, following the midpoint-radius design of Arb
 (Johansson, IEEE TC 2017).  An orbit that falls into a superattracting
 cycle needs the absolute grid: relative rounding would let the exponents
@@ -31,7 +44,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
@@ -43,7 +56,6 @@ DEFAULT_PREC = 128
 _RAD_BITS = 32  # significant bits of a radius after rad_up
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -56,19 +68,20 @@ def _ctx(prec: int) -> MPIntervalContext:
 def _fraction_from_mpf_tuple(t) -> Fraction:
     """The exact value of an mpmath mpf tuple; a non-finite one (inf, nan)
     cannot be certified."""
+    return Fraction(*_mpf_pair(t))
+
+
+def _mpf_pair(t) -> tuple[int, int]:
+    """``_fraction_from_mpf_tuple`` as a pair (n, d) in lowest terms."""
     sign, man, exp, bc = t
-    man = int(man)
+    man, exp = int(man), int(exp)
     if man == 0:
         if exp == 0:
-            return _ZERO
+            return 0, 1
         raise CertificationError("non-finite value in mpmath result")
-    v = Fraction(man) * (Fraction(2) ** int(exp))
-    return -v if sign else v
-
-
-def _interval_endpoints(x) -> tuple[Fraction, Fraction]:
-    lo, hi = x._mpi_
-    return _fraction_from_mpf_tuple(lo), _fraction_from_mpf_tuple(hi)
+    if sign:
+        man = -man
+    return (man << exp, 1) if exp >= 0 else _reduce(man, 1 << -exp)
 
 
 def _iv_from_fraction(q: Fraction, ctx):
@@ -82,6 +95,113 @@ def _iv_from_endpoints(lo: Fraction, hi: Fraction, ctx):
     b = _iv_from_fraction(hi, ctx)
     mk = mpmath.mp.make_mpf
     return ctx.mpf([mk(a._mpi_[0]), mk(b._mpi_[1])])
+
+
+# -- the integer kernel: a rational is a pair (n, d) with d > 0 -------------
+
+
+def _reduce(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms: trailing zero bits stripped when d is a power of
+    two, a gcd otherwise."""
+    if d & (d - 1):
+        g = gcd(n, d)
+        return (n // g, d // g) if g > 1 else (n, d)
+    if n & 1 or d == 1:
+        return n, d
+    if not n:
+        return 0, 1
+    t = min((n & -n).bit_length(), d.bit_length()) - 1
+    return n >> t, d >> t
+
+
+def _add(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """an/ad + bn/bd, not reduced; a shift when both denominators are powers of two."""
+    if ad == bd:
+        return an + bn, ad
+    if ad & (ad - 1) or bd & (bd - 1):
+        return an * bd + bn * ad, ad * bd
+    if ad < bd:
+        return (an << (bd.bit_length() - ad.bit_length())) + bn, bd
+    return an + (bn << (ad.bit_length() - bd.bit_length())), ad
+
+
+def _dmul(ad: int, bd: int) -> int:
+    """The product of two denominators; a shift when either is a power of two."""
+    if not ad & (ad - 1):
+        return bd << (ad.bit_length() - 1)
+    if not bd & (bd - 1):
+        return ad << (bd.bit_length() - 1)
+    return ad * bd
+
+
+def _round_scaled(n: int, d: int, s: int, up: bool = False) -> int:
+    """n 2^s / d rounded to an integer: to nearest, ties to even, or up when
+    ``up``.  The one rounding rule of this module: a shift when d is a power
+    of two, a divmod otherwise."""
+    if d & (d - 1):
+        if s >= 0:
+            q, r = divmod(n << s, d)
+        else:
+            d <<= -s
+            q, r = divmod(n, d)
+    else:
+        t = d.bit_length() - 1 - s
+        if t <= 0:
+            return n << -t
+        q = n >> t
+        r = n - (q << t)
+        d = 1 << t
+    if r and (up or 2 * r > d or (2 * r == d and q & 1)):
+        return q + 1
+    return q
+
+
+def _round_sig(n: int, d: int, prec: int, up: bool = False) -> tuple[int, int]:
+    """n/d rounded to ``prec`` significant bits, as (R, s) for the value R 2^-s.
+
+    s comes from the bit lengths of n and d in lowest terms, so a non-dyadic
+    n/d must come in lowest terms; for a power-of-two d their difference is
+    floor(log2 |n/d|) in any terms."""
+    s = prec - (abs(n).bit_length() - d.bit_length())
+    return _round_scaled(n, d, s, up), s
+
+
+def _scaled_pair(R: int, s: int) -> tuple[int, int]:
+    """R 2^-s in lowest terms."""
+    if s <= 0:
+        return R << -s, 1
+    return _reduce(R, 1 << s)
+
+
+def _rad_up(n: int, d: int) -> tuple[int, int]:
+    """The radius n/d >= 0 rounded up to _RAD_BITS significant bits, in lowest terms."""
+    if d & (d - 1):
+        n, d = _reduce(n, d)
+    return _scaled_pair(*_round_sig(n, d, _RAD_BITS, True))
+
+
+def _round_mid(n: int, d: int, prec: int) -> tuple[int, int, int, int]:
+    """n/d (in lowest terms) rounded to ``prec`` significant bits: the value
+    in lowest terms and the absolute rounding error, not reduced."""
+    vn, vd = _scaled_pair(*_round_sig(n, d, prec))
+    en, ed = _add(vn, vd, -n, d)
+    return vn, vd, abs(en), ed
+
+
+def _sqrt_up(n: int, d: int, bits: int = 64) -> tuple[int, int]:
+    """r / (d 2^bits) >= sqrt(n/d), for n/d >= 0 in lowest terms; not reduced."""
+    t = n * d << 2 * bits
+    r = isqrt(t)
+    if r * r < t:
+        r += 1
+    return r, d << bits
+
+
+def _pair(x) -> tuple[int, int]:
+    """An int or Fraction (or anything ``Fraction`` accepts) as (n, d)."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def sqrt_down(x: Fraction, bits: int = 64) -> Fraction:
@@ -102,51 +222,49 @@ def sqrt_up(x: Fraction, bits: int = 64) -> Fraction:
         raise DomainError("sqrt of negative rational")
     if x == 0:
         return _ZERO
-    n, d = x.numerator, x.denominator
-    s = 1 << bits
-    t = n * d * s * s
-    r = isqrt(t)
-    if r * r < t:
-        r += 1
-    return Fraction(r, d * s)
+    return Fraction(*_sqrt_up(x.numerator, x.denominator, bits))
 
 
-def _round_fraction(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    """Nearest dyadic with ~prec significant bits; returns (value, |error|)."""
-    if q == 0:
-        return _ZERO, _ZERO
-    shift = prec - (abs(q.numerator).bit_length() - q.denominator.bit_length())
-    if shift <= 0:
-        scaled = q / (1 << (-shift))
-        newv = Fraction(round(scaled)) * (1 << (-shift))
-    else:
-        newv = Fraction(round(q * (1 << shift)), 1 << shift)
-    return newv, abs(newv - q)
+def _round_fraction(q: Fraction, prec: int) -> Fraction:
+    """Nearest dyadic with ~prec significant bits (ties to even)."""
+    return Fraction(*_scaled_pair(*_round_sig(q.numerator, q.denominator, prec)))
 
 
 def rad_up(r: Fraction) -> Fraction:
     """Round a radius up to a dyadic of _RAD_BITS significant bits (sound compaction)."""
-    if r == 0:
-        return _ZERO
-    shift = _RAD_BITS - (r.numerator.bit_length() - r.denominator.bit_length())
-    if shift <= 0:
-        unit = 1 << (-shift)
-        num = -(-r.numerator // (unit * r.denominator))
-        return Fraction(num) * unit
-    num = -(-(r.numerator << shift) // r.denominator)
-    return Fraction(num, 1 << shift)
+    return Fraction(*_scaled_pair(*_round_sig(*_pair(r), _RAD_BITS, True)))
+
+
+_new = object.__new__
+
+
+def _real(mn: int, md: int, rn: int, rd: int) -> "RealBall":
+    b = _new(RealBall)
+    b._mn, b._md, b._rn, b._rd = mn, md, rn, rd
+    return b
+
+
+def _span(ln: int, ld: int, hn: int, hd: int) -> "RealBall":
+    """The ball [lo, hi] from the endpoint pairs of lo <= hi."""
+    mn, md = _add(ln, ld, hn, hd)
+    rn, rd = _add(hn, hd, -ln, ld)
+    mn, md = _reduce(mn, md << 1)
+    rn, rd = _reduce(rn, rd << 1)
+    return _real(mn, md, rn, rd)
 
 
 class RealBall:
     """Closed interval [mid - rad, mid + rad] with exact rational endpoints."""
 
-    __slots__ = ("mid", "rad")
+    # mid = _mn/_md and rad = _rn/_rd, each in lowest terms with a positive denominator
+    __slots__ = ("_mn", "_md", "_rn", "_rd")
 
     def __init__(self, mid, rad=0):
-        self.mid = as_fraction(mid)
-        self.rad = as_fraction(rad)
-        if self.rad < 0:
+        mid, rad = as_fraction(mid), as_fraction(rad)
+        if rad < 0:
             raise DomainError("negative ball radius")
+        self._mn, self._md = mid.numerator, mid.denominator
+        self._rn, self._rd = rad.numerator, rad.denominator
 
     # -- constructors -------------------------------------------------
 
@@ -159,28 +277,38 @@ class RealBall:
         lo, hi = Fraction(lo), Fraction(hi)
         if hi < lo:
             raise DomainError("empty interval")
-        return cls((lo + hi) / 2, (hi - lo) / 2)
+        return _span(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
 
     @classmethod
     def _from_iv(cls, x) -> "RealBall":
-        lo, hi = _interval_endpoints(x)
-        return cls.from_endpoints(lo, hi)
+        lo, hi = x._mpi_
+        return _span(*_mpf_pair(lo), *_mpf_pair(hi))
 
     # -- views ---------------------------------------------------------
 
     @property
+    def mid(self) -> Fraction:
+        return Fraction(self._mn, self._md)
+
+    @property
+    def rad(self) -> Fraction:
+        return Fraction(self._rn, self._rd)
+
+    # each view below builds one Fraction, and so takes one gcd
+
+    @property
     def lo(self) -> Fraction:
-        return self.mid - self.rad
+        return Fraction(*_add(self._mn, self._md, -self._rn, self._rd))
 
     @property
     def hi(self) -> Fraction:
-        return self.mid + self.rad
+        return Fraction(*_add(self._mn, self._md, self._rn, self._rd))
 
     def is_exact(self) -> bool:
-        return self.rad == 0
+        return self._rn == 0
 
     def abs_upper(self) -> Fraction:
-        return abs(self.mid) + self.rad
+        return Fraction(*_add(abs(self._mn), self._md, self._rn, self._rd))
 
     def contains(self, q) -> bool:
         q = Fraction(q)
@@ -199,24 +327,31 @@ class RealBall:
 
     def __add__(self, other):
         other = as_real_ball(other)
-        return RealBall(self.mid + other.mid, self.rad + other.rad)
+        mn, md = _reduce(*_add(self._mn, self._md, other._mn, other._md))
+        rn, rd = _reduce(*_add(self._rn, self._rd, other._rn, other._rd))
+        return _real(mn, md, rn, rd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RealBall(-self.mid, self.rad)
+        return _real(-self._mn, self._md, self._rn, self._rd)
 
     def __sub__(self, other):
-        other = as_real_ball(other)
-        return RealBall(self.mid - other.mid, self.rad + other.rad)
+        return self + -as_real_ball(other)
 
     def __rsub__(self, other):
         return as_real_ball(other) - self
 
     def __mul__(self, other):
         other = as_real_ball(other)
-        a, ra, b, rb = self.mid, self.rad, other.mid, other.rad
-        return RealBall(a * b, abs(a) * rb + abs(b) * ra + ra * rb)
+        an, ad, ran, rad = self._mn, self._md, self._rn, self._rd
+        bn, bd, rbn, rbd = other._mn, other._md, other._rn, other._rd
+        mn, md = _reduce(an * bn, _dmul(ad, bd))
+        # |a| rb + |b| ra + ra rb
+        rn, rd = _add(*_add(abs(an) * rbn, _dmul(ad, rbd), abs(bn) * ran, _dmul(bd, rad)),
+                      ran * rbn, _dmul(rad, rbd))
+        rn, rd = _reduce(rn, rd)
+        return _real(mn, md, rn, rd)
 
     __rmul__ = __mul__
 
@@ -229,8 +364,8 @@ class RealBall:
 
     def __truediv__(self, other):
         other = as_real_ball(other)
-        if other.rad == 0:
-            if other.mid == 0:
+        if other._rn == 0:
+            if other._mn == 0:
                 raise DomainError("division by zero")
             return RealBall(self.mid / other.mid, self.rad / abs(other.mid))
         return self * other.inverse()
@@ -252,23 +387,30 @@ class RealBall:
         return out
 
     def __abs__(self):
-        if abs(self.mid) >= self.rad:
-            return RealBall(abs(self.mid), self.rad)
-        return RealBall.from_endpoints(_ZERO, abs(self.mid) + self.rad)
+        mn, md, rn, rd = self._mn, self._md, self._rn, self._rd
+        if abs(mn) * rd >= rn * md:
+            return _real(abs(mn), md, rn, rd)
+        return RealBall.from_endpoints(_ZERO, self.abs_upper())
 
     def widen(self, err) -> "RealBall":
         """Same midpoint, radius rad + err rounded up to a short dyadic."""
-        return RealBall(self.mid, rad_up(self.rad + err))
+        rn, rd = _rad_up(*_add(self._rn, self._rd, *_pair(err)))
+        return _real(self._mn, self._md, rn, rd)
 
     def round_to(self, prec: int) -> "RealBall":
-        mid, err = _round_fraction(self.mid, prec)
-        return RealBall(mid, self.rad).widen(err)
+        """Midpoint rounded to ``prec`` significant bits; the radius grows by
+        the rounding error and is rounded up as in ``widen``."""
+        mn, md, en, ed = _round_mid(self._mn, self._md, prec)
+        rn, rd = _rad_up(*_add(self._rn, self._rd, en, ed))
+        return _real(mn, md, rn, rd)
 
     def round_to_grid(self, w: int) -> "RealBall":
         """Midpoint rounded to the nearest multiple of 2^-w; the radius grows
         by 2^-w, which covers that rounding and keeps the radius >= 2^-w."""
-        unit = Fraction(1, 1 << w)
-        return RealBall(round(self.mid / unit) * unit, self.rad).widen(unit)
+        unit = 1 << w
+        mn, md = _reduce(_round_scaled(self._mn, self._md, w), unit)
+        rn, rd = _rad_up(*_add(self._rn, self._rd, 1, unit))
+        return _real(mn, md, rn, rd)
 
     # -- certified comparisons -------------------------------------------
 
@@ -295,7 +437,7 @@ def as_real_ball(x) -> RealBall:
     if isinstance(x, RealBall):
         return x
     if isinstance(x, (int, Fraction)):
-        return RealBall.exact(x)
+        return _real(x.numerator, x.denominator, 0, 1)
     raise TypeError(f"cannot coerce {type(x)!r} to RealBall")
 
 
@@ -360,17 +502,30 @@ def ball_root(x, k: int, prec: int = DEFAULT_PREC) -> RealBall:
     return ball_exp(ball_log(x, prec) / k, prec)
 
 
+def _complex(xn: int, xd: int, yn: int, yd: int, rn: int, rd: int) -> "ComplexBall":
+    b = _new(ComplexBall)
+    b._xn, b._xd, b._yn, b._yd, b._rn, b._rd = xn, xd, yn, yd, rn, rd
+    return b
+
+
+def _abs_up(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int]:
+    """sqrt_up(x^2 + y^2) for x = xn/xd, y = yn/yd, as a pair (not reduced)."""
+    return _sqrt_up(*_reduce(*_add(xn * xn, _dmul(xd, xd), yn * yn, _dmul(yd, yd))))
+
+
 class ComplexBall:
     """Closed disk of radius rad around an exact rational point re + im*i."""
 
-    __slots__ = ("re", "im", "rad")
+    # re = _xn/_xd, im = _yn/_yd and rad = _rn/_rd, each in lowest terms
+    __slots__ = ("_xn", "_xd", "_yn", "_yd", "_rn", "_rd")
 
     def __init__(self, re, im=0, rad=0):
-        self.re = as_fraction(re)
-        self.im = as_fraction(im)
-        self.rad = as_fraction(rad)
-        if self.rad < 0:
+        re, im, rad = as_fraction(re), as_fraction(im), as_fraction(rad)
+        if rad < 0:
             raise DomainError("negative ball radius")
+        self._xn, self._xd = re.numerator, re.denominator
+        self._yn, self._yd = im.numerator, im.denominator
+        self._rn, self._rd = rad.numerator, rad.denominator
 
     @classmethod
     def exact(cls, re, im=0) -> "ComplexBall":
@@ -381,27 +536,40 @@ class ComplexBall:
         """Smallest disk around the box [x.lo,x.hi] x [y.lo,y.hi]."""
         return cls(x.mid, y.mid, sqrt_up(x.rad * x.rad + y.rad * y.rad) )
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._xn, self._xd)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._yn, self._yd)
+
+    @property
+    def rad(self) -> Fraction:
+        return Fraction(self._rn, self._rd)
+
     def __repr__(self):
         return f"ComplexBall({self.re}, {self.im}, {self.rad})"
 
     def is_exact(self) -> bool:
-        return self.rad == 0
+        return self._rn == 0
 
     @property
     def real(self) -> RealBall:
         """The interval of the real parts of the disk's points."""
-        return RealBall(self.re, self.rad)
+        return _real(self._xn, self._xd, self._rn, self._rd)
 
     @property
     def imag(self) -> RealBall:
         """The interval of the imaginary parts of the disk's points."""
-        return RealBall(self.im, self.rad)
+        return _real(self._yn, self._yd, self._rn, self._rd)
 
     def conjugate(self) -> "ComplexBall":
-        return ComplexBall(self.re, -self.im, self.rad)
+        return _complex(self._xn, self._xd, -self._yn, self._yd, self._rn, self._rd)
 
     def abs_sq_mid(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        re, im = self.re, self.im
+        return re * re + im * im
 
     def abs_upper(self) -> Fraction:
         return sqrt_up(self.abs_sq_mid()) + self.rad
@@ -416,33 +584,38 @@ class ComplexBall:
 
     def __add__(self, other):
         other = as_complex_ball(other)
-        return ComplexBall(self.re + other.re, self.im + other.im, self.rad + other.rad)
+        xn, xd = _reduce(*_add(self._xn, self._xd, other._xn, other._xd))
+        yn, yd = _reduce(*_add(self._yn, self._yd, other._yn, other._yd))
+        rn, rd = _reduce(*_add(self._rn, self._rd, other._rn, other._rd))
+        return _complex(xn, xd, yn, yd, rn, rd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ComplexBall(-self.re, -self.im, self.rad)
+        return _complex(-self._xn, self._xd, -self._yn, self._yd, self._rn, self._rd)
 
     def __sub__(self, other):
-        other = as_complex_ball(other)
-        return ComplexBall(self.re - other.re, self.im - other.im, self.rad + other.rad)
+        return self + -as_complex_ball(other)
 
     def __rsub__(self, other):
         return as_complex_ball(other) - self
 
     def __mul__(self, other):
         other = as_complex_ball(other)
-        a, b = self.re, self.im
-        c, d = other.re, other.im
-        re = a * c - b * d
-        im = a * d + b * c
+        an, ad, bn, bd, rz, rzd = self._xn, self._xd, self._yn, self._yd, self._rn, self._rd
+        cn, cd, dn, dd, rw, rwd = other._xn, other._xd, other._yn, other._yd, other._rn, other._rd
+        xn, xd = _reduce(*_add(an * cn, _dmul(ad, cd), -bn * dn, _dmul(bd, dd)))  # ac - bd
+        yn, yd = _reduce(*_add(an * dn, _dmul(ad, dd), bn * cn, _dmul(bd, cd)))  # ad + bc
         # |z*w - m_z*m_w| <= |m_z| r_w + |m_w| r_z + r_z r_w
-        rad = (
-            sqrt_up(a * a + b * b) * other.rad
-            + sqrt_up(c * c + d * d) * self.rad
-            + self.rad * other.rad
-        )
-        return ComplexBall(re, im, rad)
+        rn, rd = rz * rw, _dmul(rzd, rwd)
+        if rw:
+            zn, zd = _abs_up(an, ad, bn, bd)
+            rn, rd = _add(rn, rd, zn * rw, _dmul(zd, rwd))
+        if rz:
+            wn, wd = _abs_up(cn, cd, dn, dd)
+            rn, rd = _add(rn, rd, wn * rz, _dmul(wd, rzd))
+        rn, rd = _reduce(rn, rd)
+        return _complex(xn, xd, yn, yd, rn, rd)
 
     __rmul__ = __mul__
 
@@ -464,7 +637,7 @@ class ComplexBall:
 
     def __truediv__(self, other):
         other = as_complex_ball(other)
-        if other.rad == 0:
+        if other._rn == 0:
             den = other.abs_sq_mid()
             if den == 0:
                 raise DomainError("division by zero")
@@ -490,12 +663,17 @@ class ComplexBall:
 
     def widen(self, err) -> "ComplexBall":
         """Same midpoint, radius rad + err rounded up to a short dyadic."""
-        return ComplexBall(self.re, self.im, rad_up(self.rad + err))
+        rn, rd = _rad_up(*_add(self._rn, self._rd, *_pair(err)))
+        return _complex(self._xn, self._xd, self._yn, self._yd, rn, rd)
 
     def round_to(self, prec: int) -> "ComplexBall":
-        re, e1 = _round_fraction(self.re, prec)
-        im, e2 = _round_fraction(self.im, prec)
-        return ComplexBall(re, im, self.rad).widen(sqrt_up(e1 * e1 + e2 * e2))
+        """Both parts of the centre rounded to ``prec`` significant bits; the
+        radius grows by the length of the rounding error, as in ``widen``."""
+        xn, xd, e1n, e1d = _round_mid(self._xn, self._xd, prec)
+        yn, yd, e2n, e2d = _round_mid(self._yn, self._yd, prec)
+        en, ed = _abs_up(e1n, e1d, e2n, e2d)
+        rn, rd = _rad_up(*_add(self._rn, self._rd, en, ed))
+        return _complex(xn, xd, yn, yd, rn, rd)
 
 
 def as_complex_ball(x) -> ComplexBall:
@@ -503,9 +681,9 @@ def as_complex_ball(x) -> ComplexBall:
     if isinstance(x, ComplexBall):
         return x
     if isinstance(x, RealBall):
-        return ComplexBall(x.mid, _ZERO, x.rad)
+        return _complex(x._mn, x._md, 0, 1, x._rn, x._rd)
     if isinstance(x, (int, Fraction)):
-        return ComplexBall.exact(x)
+        return _complex(x.numerator, x.denominator, 0, 1, 0, 1)
     raise TypeError(f"cannot coerce {type(x)!r} to ComplexBall")
 
 

@@ -140,9 +140,8 @@ def _mp_ev(cs, z):
 
 def _mpc_to_exact(z: mpmath.mpc, prec: int) -> tuple[Fraction, Fraction]:
     re_t, im_t = z._mpc_
-    re, _ = _round_fraction(_fraction_from_mpf_tuple(re_t), prec + 16)
-    im, _ = _round_fraction(_fraction_from_mpf_tuple(im_t), prec + 16)
-    return re, im
+    return (_round_fraction(_fraction_from_mpf_tuple(re_t), prec + 16),
+            _round_fraction(_fraction_from_mpf_tuple(im_t), prec + 16))
 
 
 def _residual_radius(p: IntPoly, re: Fraction, im: Fraction) -> Fraction:

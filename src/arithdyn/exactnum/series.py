@@ -103,7 +103,15 @@ class TruncSeries:
 
     def __add__(self, other):
         if not isinstance(other, TruncSeries):
-            other = TruncSeries(0, [Fraction(other)] + [_ZERO] * (0 - self.cert_exp))
+            if self.cert_exp <= 0:
+                # a scalar touches only the z^0 slot
+                c = as_fraction(other)
+                if self.lead_exp < 0:
+                    return TruncSeries(0, [c] + [_ZERO] * (-1 - self.lead_exp) + list(self.coeffs))
+                coeffs = list(self.coeffs)
+                coeffs[self.lead_exp] += c
+                return TruncSeries(self.lead_exp, coeffs)
+            other = TruncSeries(0, [Fraction(other)])
         cert = max(self.cert_exp, other.cert_exp)
         lead = max(self.lead_exp, other.lead_exp, cert)
         coeffs = []

@@ -239,7 +239,7 @@ def test_criterion_10_census_soundness():
         v2 = ev(r.q, 4 * r.precision_used)
         cand = v2.mid.limit_denominator(20)
         assert abs(cand - v2.mid) > v2.rad  # re-verifies at 4x precision
-    _report(10, time.time() - t0, 5,
+    _report(10, time.time() - t0, 2,
             "square census count 1; lambda census H=20 all certified, re-verified at 4x")
 
 

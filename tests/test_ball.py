@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -179,3 +180,146 @@ def test_widen_contains_the_exactly_widened_ball(mid, rad, err, im):
     assert (cw.re, cw.im) == (mid, im) and cw.rad >= rad + err
     assert cw.contains(mid + rad + err, im) and cw.contains(mid, im - rad - err)
     assert _significant_bits(cw.rad) <= 33
+
+
+# -- the integer kernel against the Fraction formulas it replaced -----------
+#
+# The oracle below is the Fraction arithmetic the balls used before their
+# midpoints and radii were held as integer pairs: every operation must give
+# exactly the same midpoint and radius.
+
+
+def _old_round_fraction(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
+    if q == 0:
+        return Fraction(0), Fraction(0)
+    shift = prec - (abs(q.numerator).bit_length() - q.denominator.bit_length())
+    if shift <= 0:
+        newv = Fraction(round(q / (1 << (-shift)))) * (1 << (-shift))
+    else:
+        newv = Fraction(round(q * (1 << shift)), 1 << shift)
+    return newv, abs(newv - q)
+
+
+def _old_rad_up(r: Fraction) -> Fraction:
+    if r == 0:
+        return Fraction(0)
+    shift = 32 - (r.numerator.bit_length() - r.denominator.bit_length())
+    if shift <= 0:
+        unit = 1 << (-shift)
+        return Fraction(-(-r.numerator // (unit * r.denominator))) * unit
+    return Fraction(-(-(r.numerator << shift) // r.denominator), 1 << shift)
+
+
+def _old_sqrt_up(x: Fraction) -> Fraction:
+    if x == 0:
+        return Fraction(0)
+    s = 1 << 64
+    t = x.numerator * x.denominator * s * s
+    r = isqrt(t)
+    return Fraction(r + (r * r < t), x.denominator * s)
+
+
+def _old_real(op, a, b, arg):
+    (am, ar), (bm, br) = a, b
+    if op == "+":
+        return am + bm, ar + br
+    if op == "-":
+        return am - bm, ar + br
+    if op == "*":
+        return am * bm, abs(am) * br + abs(bm) * ar + ar * br
+    if op == "round_to":
+        m, err = _old_round_fraction(am, arg)
+        return m, _old_rad_up(ar + err)
+    if op == "widen":
+        return am, _old_rad_up(ar + bm)
+    unit = Fraction(1, 1 << arg)  # round_to_grid
+    return round(am / unit) * unit, _old_rad_up(ar + unit)
+
+
+def _old_complex(op, z, w, arg):
+    (a, b, rz), (c, d, rw) = z, w
+    if op == "+":
+        return a + c, b + d, rz + rw
+    if op == "-":
+        return a - c, b - d, rz + rw
+    if op == "*":
+        rad = _old_sqrt_up(a * a + b * b) * rw + _old_sqrt_up(c * c + d * d) * rz + rz * rw
+        return a * c - b * d, a * d + b * c, rad
+    if op == "round_to":
+        re, e1 = _old_round_fraction(a, arg)
+        im, e2 = _old_round_fraction(b, arg)
+        return re, im, _old_rad_up(rz + _old_sqrt_up(e1 * e1 + e2 * e2))
+    return a, b, _old_rad_up(rz + c)  # widen
+
+
+def _apply(op, x, y, arg):
+    if op in ("+", "-", "*"):
+        return {"+": x + y, "-": x - y, "*": x * y}[op]
+    if op == "widen":
+        return x.widen(y.mid if isinstance(y, RealBall) else y.re)
+    return getattr(x, op)(arg)
+
+
+def _lowest_terms_ints(ball):
+    """Every slot an int, and each (numerator, denominator) pair in lowest terms."""
+    slots = [getattr(ball, s) for s in ball.__slots__]
+    assert all(type(v) is int for v in slots)
+    for n, d in zip(slots[::2], slots[1::2]):
+        assert d > 0 and gcd(n, d) == 1
+
+
+dyadics = st.builds(lambda n, k: Fraction(n, 1 << k),
+                    st.integers(-(1 << 300), 1 << 300), st.integers(0, 400))
+non_dyadics = st.builds(lambda n, d: Fraction(n, d),
+                        st.integers(-(1 << 200), 1 << 200), st.integers(1, 1 << 80))
+exact_values = st.one_of(st.just(Fraction(0)), st.integers(-1000, 1000).map(Fraction),
+                         dyadics, non_dyadics)
+radii = exact_values.map(abs)
+precs = st.one_of(st.integers(1, 40), st.integers(40, 700))
+real_ops = st.sampled_from(["+", "-", "*", "round_to", "widen", "round_to_grid"])
+complex_ops = st.sampled_from(["+", "-", "*", "round_to", "widen"])
+
+
+@given(op=real_ops, am=exact_values, ar=radii, bm=exact_values, br=radii, prec=precs)
+@settings(max_examples=400, deadline=None)
+def test_real_kernel_matches_the_fraction_formulas(op, am, ar, bm, br, prec):
+    if op == "widen":
+        bm = abs(bm)
+    x, y = RealBall(am, ar), RealBall(bm, br)
+    got = _apply(op, x, y, prec)
+    assert (got.mid, got.rad) == _old_real(op, (am, ar), (bm, br), prec)
+    _lowest_terms_ints(got)
+
+
+@given(op=complex_ops, a=exact_values, b=exact_values, rz=radii,
+       c=exact_values, d=exact_values, rw=radii, prec=precs)
+@settings(max_examples=300, deadline=None)
+def test_complex_kernel_matches_the_fraction_formulas(op, a, b, rz, c, d, rw, prec):
+    if op == "widen":
+        c = abs(c)
+    z, w = ComplexBall(a, b, rz), ComplexBall(c, d, rw)
+    got = _apply(op, z, w, prec)
+    assert (got.re, got.im, got.rad) == _old_complex(op, (a, b, rz), (c, d, rw), prec)
+    _lowest_terms_ints(got)
+
+
+@given(odd=st.integers(0, 1 << 200).map(lambda n: 2 * n + 1), neg=st.booleans(),
+       k=st.integers(0, 300), j=st.integers(0, 40), rad=radii)
+@settings(max_examples=200, deadline=None)
+def test_kernel_rounds_exact_ties_like_the_fraction_formulas(odd, neg, k, j, rad):
+    """Ties: n/2^k with n = odd 2^j is exactly half-way between two
+    neighbours at prec = bl(odd) - 2 significant bits, and at the grid
+    2^-(k - j - 1)."""
+    n = (-odd if neg else odd) << j
+    mid = Fraction(n, 1 << k)
+    prec = odd.bit_length() - 2
+    x = RealBall(mid, rad)
+    if prec >= 1:
+        got = x.round_to(prec)
+        assert (got.mid, got.rad) == _old_real("round_to", (mid, rad), (0, 0), prec)
+        z = ComplexBall(mid, -mid, rad).round_to(prec)
+        assert (z.re, z.im, z.rad) == _old_complex("round_to", (mid, -mid, rad), (0, 0, 0), prec)
+    w = k - j - 1
+    if w >= 0:
+        got = x.round_to_grid(w)
+        assert (got.mid, got.rad) == _old_real("round_to_grid", (mid, rad), (0, 0), w)

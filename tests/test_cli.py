@@ -236,6 +236,17 @@ def test_console_entrypoint():
     assert json.loads(proc.stdout)["result"]["order"] == 4
 
 
+def test_importing_the_cli_leaves_the_process_pool_out():
+    # only --jobs > 1 needs concurrent.futures; every other run skips its import
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, arithdyn.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_large_e_power_is_a_resource_guard_trip(capsys):
     t0 = time.perf_counter()
     rc = main(["masser-t", "--AZ", "2", "--d", "2", "--H", "e^3000"])

@@ -336,3 +336,21 @@ def test_census_soundness_reverification():
         if r.verdict == "candidate-rational":
             v2 = ev(r.q, 4 * r.precision_used)
             assert v2.contains(r.candidate)
+
+
+def test_escalation_raises_the_lambda_delta_term_cap():
+    # at tau = 2i/(1 - 1/20) the discriminant product needs more than 16
+    # factors at 512 bits: with the cap held at N = 16, 4x the bits leave the
+    # relative radius where it was
+    q = F(1, 20)
+    held, scaled = make_evaluator("delta", N=16), make_evaluator("delta", N=16, precision=512)
+    first, again = scaled(q, 512), held(q, 512)
+    assert (first.mid, first.rad) == (again.mid, again.rad)  # the first round keeps N
+
+    def rel(v):
+        return v.rad / abs(v.mid)
+
+    assert rel(held(q, 2048)) >= rel(first) / 2
+    assert rel(scaled(q, 2048)) < rel(first) / 2 ** 300
+    lam = make_evaluator("lambda", N=4, precision=128)
+    assert rel(lam(q, 512)) < rel(lam(q, 128)) / 2 ** 300

@@ -227,3 +227,28 @@ def test_root_rejects_bad_lead():
         series_root(TruncSeries(2, [F(2), F(0)]), 2)
     with pytest.raises(DomainError):
         series_reciprocal(TruncSeries(1, [F(0), F(0)]))
+
+
+def _old_scalar_add(s: TruncSeries, c) -> TruncSeries:
+    """s + c the way the full-series sum formed it: c as a series, every slot summed."""
+    other = TruncSeries(0, [F(c)] + [F(0)] * (0 - s.cert_exp))
+    cert = max(s.cert_exp, other.cert_exp)
+    lead = max(s.lead_exp, other.lead_exp, cert)
+    coeffs = []
+    for e in range(lead, cert - 1, -1):
+        a = s.coeffs[s.lead_exp - e] if s.cert_exp <= e <= s.lead_exp else F(0)
+        b = other.coeffs[other.lead_exp - e] if other.cert_exp <= e <= other.lead_exp else F(0)
+        coeffs.append(a + b)
+    return TruncSeries(lead, coeffs)
+
+
+@given(lead=st.integers(min_value=-5, max_value=5),
+       coeffs=st.lists(st.one_of(st.just(F(0)), small), min_size=1, max_size=9),
+       c=st.one_of(st.just(F(0)), small, st.integers(min_value=-3, max_value=3)))
+@settings(max_examples=200, deadline=None)
+def test_scalar_add_equals_the_full_series_sum(lead, coeffs, c):
+    s = TruncSeries(lead, coeffs)  # cert_exp from -13 to 5: z^0 above and below it
+    want = _old_scalar_add(s, c)
+    for got in (s + c, c + s, s - (-c)):
+        assert (got.lead_exp, got.cert_exp, got.coeffs) == (want.lead_exp, want.cert_exp,
+                                                            want.coeffs)
