@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, TailBoundError
+from .errors import DomainError
 from .exactnum import (
     ComplexBall,
     RealBall,
@@ -39,6 +39,7 @@ from .exactnum import (
     series_power,
     series_root,
 )
+from .exactnum.poly import horner
 from .ntheory import is_prime, prime_divisors, valuation
 from .polymap import PolyMap
 
@@ -181,21 +182,13 @@ def phi_eval(frame: BoettcherFrame, alpha) -> ComplexBall:
         return ComplexBall.exact(alpha)
     if abs(alpha) < 2 * frame.rho:
         raise DomainError(f"phi evaluation requires |alpha| >= {2 * frame.rho}")
-    val = alpha + _horner_tail(frame.series.phi, alpha, frame.series.order)
+    # sum_{k=0..N} b_k alpha^(-k), exact
+    phi = frame.series.phi
+    val = alpha + horner([phi.coefficient(-k) for k in range(frame.series.order + 1)], 1 / alpha)
     return ComplexBall(val, 0, _phi_tail(frame, abs(alpha)))
 
 
-def _horner_tail(series: TruncSeries, x: Fraction, N: int) -> Fraction:
-    """sum_{k=0..N} c_{-k} x^(-k), exact."""
-    inv = 1 / x
-    acc = Fraction(0)
-    for k in range(N, -1, -1):
-        acc = acc * inv + series.coefficient(-k)
-    return acc
-
-
-def psi_eval(frame: BoettcherFrame, w: ComplexBall, tol: Fraction | None = None,
-             prec: int = 128) -> ComplexBall:
+def psi_eval(frame: BoettcherFrame, w: ComplexBall, prec: int = 128) -> ComplexBall:
     """Certified psi(w) for a complex ball with |w| >= 6 rho (any w != 0 for
     pure power maps, where psi is the identity)."""
     if frame.distortion == 0:
@@ -208,12 +201,7 @@ def psi_eval(frame: BoettcherFrame, w: ComplexBall, tol: Fraction | None = None,
     acc = ComplexBall.exact(0)
     for k in range(frame.series.order, -1, -1):
         acc = (acc * inv + ComplexBall.exact(frame.psi.coefficient(-k))).round_to(work)
-    tail = _psi_tail(frame, lo)
-    if tol is not None and tail > tol:
-        raise TailBoundError(
-            f"psi truncation tail {float(tail):.3g} above tolerance; raise the series order"
-        )
-    return (w + acc).widen(tail)
+    return (w + acc).widen(_psi_tail(frame, lo))
 
 
 @dataclass(frozen=True)
@@ -226,8 +214,7 @@ class FStarResult:
 
 
 def fstar_eval(P: PolyMap, alpha, tau: ComplexBall, N: int = 16,
-               prec: int = 128, tol: Fraction | None = None,
-               frame: BoettcherFrame | None = None) -> FStarResult:
+               prec: int = 128, frame: BoettcherFrame | None = None) -> FStarResult:
     """Certified value of the escape-parametrized root function
 
         f(tau) = 1 / psi( phi(alpha) * exp(-2 pi i (tau - i/24)) )
@@ -256,14 +243,9 @@ def fstar_eval(P: PolyMap, alpha, tau: ComplexBall, N: int = 16,
     im_part = pi_b * tau.real * (-2)
     factor = ball_cexp(ComplexBall.from_real_pair(re_part, im_part), prec)
     w = (phi_a * factor).round_to(prec + 32)
-    psi_w = psi_eval(frame, w, tol, prec)
+    psi_w = psi_eval(frame, w, prec)
     psi_tail = _psi_tail(frame, w.abs_lower()) if frame.distortion != 0 else Fraction(0)
-    value = psi_w.inverse()
-    if tol is not None and value.rad > tol:
-        raise TailBoundError(
-            f"truncation radius {float(value.rad):.3g} above tolerance; raise N or precision"
-        )
-    return FStarResult(value, phi_tail, psi_tail, frame.rho, frame.distortion)
+    return FStarResult(psi_w.inverse(), phi_tail, psi_tail, frame.rho, frame.distortion)
 
 
 def padic_abs(x: Fraction, p: int) -> Fraction:

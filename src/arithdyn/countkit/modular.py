@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import DomainError, TailBoundError
+from ..errors import DomainError
 from ..exactnum import (
     ComplexBall,
     RealBall,
@@ -76,8 +76,7 @@ class ModularValue:
     tail_bound: Fraction  # majorant added to the radius, rounded up
 
 
-def lambda_eval(tau: ComplexBall, N: int = 12, prec: int = 128,
-                tol: Fraction | None = None) -> ModularValue:
+def lambda_eval(tau: ComplexBall, N: int = 12, prec: int = 128) -> ModularValue:
     """Enclosure of lambda(tau) from at most N theta terms in each sum."""
     _check_domain(tau)
     q = _nome(tau, 1, prec)
@@ -109,13 +108,10 @@ def lambda_eval(tau: ComplexBall, N: int = 12, prec: int = 128,
     b_tail = rad_up(2 * qa ** ((m + 1) ** 2) / (1 - qa))
     a, b = a.widen(a_tail), b.widen(b_tail)
     value = (16 * q * _pow4(a, work) / _pow4(b, work)).round_to(work)
-    if tol is not None and value.rad > tol:
-        raise TailBoundError("lambda enclosure too wide; raise N or precision")
     return ModularValue(as_complex_ball(value), m, a_tail + b_tail)
 
 
-def delta_eval(tau: ComplexBall, N: int = 24, prec: int = 128,
-               tol: Fraction | None = None) -> ModularValue:
+def delta_eval(tau: ComplexBall, N: int = 24, prec: int = 128) -> ModularValue:
     """Enclosure of the discriminant (2 pi)^12 q prod_{n>=1} (1-q^n)^24 from
     at most N factors of the product."""
     _check_domain(tau)
@@ -148,15 +144,13 @@ def delta_eval(tau: ComplexBall, N: int = 24, prec: int = 128,
     prod = prod.widen(tail)
     factor = (ball_pi(prec) * 2) ** 12
     value = (prod * q * factor).round_to(work)
-    if tol is not None and value.rad > tol:
-        raise TailBoundError("delta enclosure too wide; raise N or precision")
     return ModularValue(as_complex_ball(value), m, tail)
 
 
 def modular_eval(which: str, tau: ComplexBall, N: int | None = None,
-                 prec: int = 128, tol: Fraction | None = None) -> ModularValue:
+                 prec: int = 128) -> ModularValue:
     if which == "lambda":
-        return lambda_eval(tau, N if N is not None else 12, prec, tol)
+        return lambda_eval(tau, N if N is not None else 12, prec)
     if which == "delta":
-        return delta_eval(tau, N if N is not None else 24, prec, tol)
+        return delta_eval(tau, N if N is not None else 24, prec)
     raise DomainError(f"unknown modular function {which!r}")

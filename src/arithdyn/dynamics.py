@@ -79,7 +79,7 @@ from .exactnum import IntPoly, RatPoly, RealBall, ball_log
 from .exactnum.linalg import solve
 from .factorint import FactorReport, compose_irreducible, factor_over_Q, factor_over_Z
 from .heights import height_rational
-from .ntheory import prime_divisors, valuation
+from .ntheory import prime_divisors, residue, valuation
 from .polymap import DEFAULT_DEGREE_CAP, PolyMap
 
 
@@ -263,8 +263,8 @@ def _padic_local_height(P: PolyMap, alpha: Fraction, p: int, e: int,
     s = e * (D - 1)
     L = K * s
     mod = p ** L
-    q = [_residue(c * Fraction(p) ** (e * (D - j)), mod) for j, c in enumerate(P.poly.coeffs)]
-    y = _residue(alpha * p ** e, mod)
+    q = [residue(c * Fraction(p) ** (e * (D - j)), mod) for j, c in enumerate(P.poly.coeffs)]
+    y = residue(alpha * p ** e, mod)
     for k in range(K):
         z = 0
         for c in reversed(q):
@@ -281,11 +281,6 @@ def _padic_local_height(P: PolyMap, alpha: Fraction, p: int, e: int,
         y = z // p ** s % mod
         q = [c % mod for c in q]
     return LocalHeight(str(p), K, False, RealBall.from_endpoints(0, top / DK))
-
-
-def _residue(x: Fraction, mod: int) -> int:
-    """A p-integral rational reduced modulo mod = p^L."""
-    return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,3 @@ class CertificationError(DomainError):
 
     Callers may retry with a higher working precision.
     """
-
-
-class TailBoundError(DomainError):
-    """A truncated-series tail bound exceeds the requested tolerance.
-
-    Callers should retry with a larger truncation order.
-    """

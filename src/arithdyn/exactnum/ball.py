@@ -50,7 +50,7 @@ import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
 from ..errors import CertificationError, DomainError
-from .poly import as_fraction
+from .poly import as_fraction, power
 
 DEFAULT_PREC = 128
 _RAD_BITS = 32  # significant bits of a radius after rad_up
@@ -375,16 +375,8 @@ class RealBall:
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
-            raise DomainError("integer power >= 0 expected; use ball_pow for real exponents")
-        out = RealBall.exact(1)
-        base = self
-        e = k
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+            raise DomainError("integer power >= 0 expected")
+        return power(self, k, RealBall.exact(1))
 
     def __abs__(self):
         mn, md, rn, rd = self._mn, self._md, self._rn, self._rd
@@ -481,14 +473,6 @@ def ball_pi(prec: int = DEFAULT_PREC) -> RealBall:
 
 def ball_e(prec: int = DEFAULT_PREC) -> RealBall:
     return ball_exp(RealBall.exact(1), prec)
-
-
-def ball_pow(x, y, prec: int = DEFAULT_PREC) -> RealBall:
-    """x ** y for positive x and real-ball/rational exponent y."""
-    y = as_real_ball(y)
-    if y.is_exact() and y.mid.denominator == 1 and y.mid >= 0:
-        return as_real_ball(x) ** int(y.mid)
-    return ball_exp(y * ball_log(x, prec), prec)
 
 
 def ball_root(x, k: int, prec: int = DEFAULT_PREC) -> RealBall:
@@ -651,15 +635,7 @@ class ComplexBall:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise DomainError("integer power >= 0 expected")
-        out = ComplexBall.exact(1)
-        base = self
-        e = k
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, k, ComplexBall.exact(1))
 
     def widen(self, err) -> "ComplexBall":
         """Same midpoint, radius rad + err rounded up to a short dyadic."""

@@ -13,8 +13,13 @@ two signed integers are multiplied once, a bias of 2^(8k-1) per slot makes
 every slot of the product nonnegative, and the slots are unpacked and
 unbiased.  ``rat_mul`` scales each Fraction operand to integers over the lcm
 of its denominators and calls ``int_mul``; IntPoly and RatPoly products and
-``TruncSeries`` products use these two.  The packer (``pack_slots``, ``unpack_slots``) also serves the products mod m of
-``factorint.modp``.
+``TruncSeries`` products use these two.  The packer (``pack_slots``,
+``unpack_slots``) also serves the products mod m of ``factorint.modp``.
+
+Every evaluation of a coefficient list at a point goes through ``horner``
+and every integer power through ``power`` (square-and-multiply), whatever
+the point: an int, a Fraction, a ball, a float, an mpmath number or a
+polynomial.  Loops that reduce or round at every step keep their own.
 """
 
 from __future__ import annotations
@@ -118,6 +123,32 @@ def rat_mul(a, b, n: int | None = None) -> list[Fraction]:
     return [Fraction(c, d) for c in int_mul(ia, ib, n)]
 
 
+def horner(coeffs, x):
+    """sum(coeffs[i] * x**i), constant term first, by Horner's rule: exact at
+    an int, Fraction or polynomial x; at a RealBall or ComplexBall it encloses
+    the value at every point of the ball; at a float or an mpmath number it
+    is rounded as that type rounds."""
+    *rest, acc = coeffs or (0,)
+    if not rest:
+        return x * 0 + acc
+    for c in reversed(rest):
+        acc = acc * x + c
+    return acc
+
+
+def power(x, k: int, one):
+    """x**k for an integer k >= 0 by square-and-multiply from ``one``; the
+    base is not squared again after the top bit of k."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
+
+
 def _strip(coeffs):
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -192,14 +223,7 @@ class _BasePoly:
     def __pow__(self, k: int):
         if k < 0:
             raise DomainError("negative polynomial power")
-        out = type(self)([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, type(self)([1]))
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
@@ -214,20 +238,12 @@ class _BasePoly:
     def eval(self, x):
         """Horner evaluation: exact at an int/Fraction point; at a RealBall or
         ComplexBall the result encloses p(w) for every point w of the ball."""
-        *rest, acc = self.coeffs or (0,)
-        if not rest:
-            return x * 0 + acc
-        for c in reversed(rest):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     def compose(self, other):
         """self(other(X)), exact."""
         other = self._coerce(other) if not isinstance(other, _BasePoly) else other
-        out = type(other)()
-        for c in reversed(self.coeffs):
-            out = out * other + type(other)([c])
-        return out
+        return horner(self.coeffs, other)
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.coeffs)!r})"
@@ -370,28 +386,29 @@ _TERM_RE = re.compile(
         (?P<var>[Xx])?(?:\^(?P<exp>\d+))?$""",
     re.VERBOSE,
 )
+_SIGN_RUN_RE = re.compile(r"((?:[+-]\s*)+)")
+# the sign runs allowed before a term: "+-" as in "X^2+-X", no doubled "+"
+_SIGNS = {"": 1, "+": 1, "-": -1, "+-": -1}
 
 
 def parse_poly(text: str) -> RatPoly:
     """Parse strings like "X^2 - 3*X + 1/2" into a RatPoly.
 
-    Integer and a/b rational coefficients only; no parentheses.
+    Integer and a/b rational coefficients only; no parentheses.  Each term
+    follows one "+", one "-" or "+-" (the first term may follow none), so a
+    dangling or doubled sign is a DomainError.
     """
-    s = text.replace("-", "+-")
-    terms = [t.strip() for t in s.split("+") if t.strip()]
-    if not terms:
-        raise DomainError(f"cannot parse polynomial {text!r}")
+    parts = _SIGN_RUN_RE.split(text)
+    if parts[0].strip():
+        parts.insert(0, "")  # the first term has no sign
+    else:
+        del parts[0]
     coeffs: dict[int, Fraction] = {}
-    for term in terms:
-        body = term
-        sign = 1
-        while body and body[0] in "+-":
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:].strip()
-        m = _TERM_RE.match(body)
-        if not m or (m.group("coef") is None and m.group("var") is None):
-            raise DomainError(f"cannot parse polynomial term {term!r} in {text!r}")
+    for signs, term in zip(parts[::2], parts[1::2]):
+        sign = _SIGNS.get("".join(signs.split()))
+        m = _TERM_RE.match(term.strip())
+        if sign is None or not m or (m.group("coef") is None and m.group("var") is None):
+            raise DomainError(f"cannot parse polynomial term {signs + term!r} in {text!r}")
         coef = sign * Fraction(m.group("coef") or "1")
         if m.group("var"):
             exp = int(m.group("exp") or 1)
@@ -400,5 +417,7 @@ def parse_poly(text: str) -> RatPoly:
                 raise DomainError(f"exponent without variable in {term!r}")
             exp = 0
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + coef
+    if not coeffs:
+        raise DomainError(f"cannot parse polynomial {text!r}")
     n = max(coeffs) + 1
     return RatPoly(coeffs.get(i, Fraction(0)) for i in range(n))

@@ -9,8 +9,9 @@ posteriori with exact rational arithmetic:
     every point z has a root of p within distance deg(p) * |p(z)/p'(z)|,
 
 so if the n disks D(z_i, deg * |p(z_i)/p'(z_i)|) are pairwise disjoint each
-one contains exactly one of the n roots.  All disk data (midpoints dyadic,
-radii rational upper bounds) is exact, so the certificate is rigorous.
+one contains exactly one of the n roots.  All disk data is exact: the
+midpoints are dyadic, and each radius is that bound rounded up by ``widen``
+to a short dyadic, so the certificate is rigorous.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import mpmath
 
 from ..errors import CertificationError, DomainError
 from .ball import ComplexBall, _fraction_from_mpf_tuple, _round_fraction, sqrt_up
-from .poly import IntPoly, RatPoly
+from .poly import IntPoly, RatPoly, horner
 
 _FLOAT_ITERS = 120  # Aberth passes in double precision
 _MP_ITERS = 200  # Aberth passes at mpmath precision
@@ -34,40 +35,45 @@ def _cauchy_radius(p: RatPoly) -> float:
     return 1.0 + max(abs(c / lc) for c in p.coeffs[:-1]) if p.degree >= 1 else 1.0
 
 
-def _aberth_float(p: RatPoly) -> list[complex]:
-    """Double-precision Aberth iteration; approximations only, no guarantees."""
-    n = p.degree
-    coeffs = [float(c) for c in p.coeffs]
-    dcoeffs = [float(i * c) for i, c in enumerate(p.coeffs) if i >= 1]
-
-    def ev(cs, z):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
-    r = _cauchy_radius(p)
-    zs = [
-        r * cmath.exp(2j * cmath.pi * (k + 0.3711) / n) * (1 + 0.05 * ((k * 7 % 11) / 11))
-        for k in range(n)
-    ]
-    for _ in range(_FLOAT_ITERS):
-        moved = 0.0
+def _aberth(cs, dcs, seeds, iters: int, tol, nudge, total) -> list:
+    """Aberth-Ehrlich iteration from ``seeds`` on the roots of the polynomial
+    with coefficients cs (constant term first) and derivative dcs, in the
+    arithmetic of the seeds (complex floats or mpmath numbers): at most
+    ``iters`` passes, ending after one that moves no root by ``tol``; a root
+    where the derivative vanishes moves by ``nudge``, and ``total`` sums the
+    Aberth correction.  Approximations only, no guarantees."""
+    zs = list(seeds)
+    n = len(zs)
+    for _ in range(iters):
+        moved = 0
         for i in range(n):
-            pz = ev(coeffs, zs[i])
-            dz = ev(dcoeffs, zs[i])
+            pz = horner(cs, zs[i])
+            dz = horner(dcs, zs[i])
             if dz == 0:
-                zs[i] += 1e-6 + 1e-6j
+                zs[i] += nudge
                 continue
             newton = pz / dz
-            s = sum(1 / (zs[i] - zs[j]) for j in range(n) if j != i)
+            s = total(1 / (zs[i] - zs[j]) for j in range(n) if j != i)
             denom = 1 - newton * s
             step = newton / denom if denom != 0 else newton
             zs[i] -= step
             moved = max(moved, abs(step))
-        if moved < 1e-14:
+        if moved < tol:
             break
     return zs
+
+
+def _float_approximations(p: RatPoly) -> list[complex]:
+    """Double-precision Aberth approximations, seeded on a perturbed circle of
+    Cauchy-bound radius."""
+    n = p.degree
+    r = _cauchy_radius(p)
+    seeds = [
+        r * cmath.exp(2j * cmath.pi * (k + 0.3711) / n) * (1 + 0.05 * ((k * 7 % 11) / 11))
+        for k in range(n)
+    ]
+    return _aberth([float(c) for c in p.coeffs], [float(c) for c in p.derivative().coeffs],
+                   seeds, _FLOAT_ITERS, 1e-14, 1e-6 + 1e-6j, sum)
 
 
 def _rational_root_candidates(z: complex, p: IntPoly) -> list[Fraction]:
@@ -83,34 +89,19 @@ def _rational_root_candidates(z: complex, p: IntPoly) -> list[Fraction]:
     return out
 
 
-def _aberth_mp(p: IntPoly, prec: int) -> list[mpmath.mpc]:
-    """Full Aberth pass at mpmath precision (fallback when float seeds fail)."""
+def _mp_approximations(p: IntPoly, prec: int) -> list[mpmath.mpc]:
+    """Aberth approximations at mpmath precision (when the float ones fail)."""
     n = p.degree
     with mpmath.workprec(prec):
         cs = [mpmath.mpf(c) for c in p.coeffs]
-        dcs = [mpmath.mpf(i * c) for i, c in enumerate(p.coeffs) if i >= 1]
-        r = mpmath.mpf(1) + max(abs(mpmath.mpf(c)) / abs(mpmath.mpf(p.lead)) for c in p.coeffs[:-1])
-        zs = [
+        r = 1 + max(abs(c) / abs(cs[-1]) for c in cs[:-1])
+        seeds = [
             r * mpmath.exp(2j * mpmath.pi * (k + mpmath.mpf("0.3711")) / n) * (1 + mpmath.mpf(k % 7) / 100)
             for k in range(n)
         ]
         tol = mpmath.ldexp(1, -prec + 8)
-        for _ in range(_MP_ITERS):
-            moved = mpmath.mpf(0)
-            for i in range(n):
-                pz = _mp_ev(cs, zs[i])
-                dz = _mp_ev(dcs, zs[i])
-                if dz == 0:
-                    zs[i] += tol
-                    continue
-                newton = pz / dz
-                s = mpmath.fsum((1 / (zs[i] - zs[j]) for j in range(n) if j != i))
-                denom = 1 - newton * s
-                step = newton / denom if denom != 0 else newton
-                zs[i] -= step
-                moved = max(moved, abs(step))
-            if moved < tol:
-                break
+        zs = _aberth(cs, [mpmath.mpf(c) for c in p.derivative().coeffs], seeds, _MP_ITERS,
+                     tol, tol, mpmath.fsum)
         return [+z for z in zs]
 
 
@@ -118,10 +109,10 @@ def _mp_polish(p: IntPoly, z0: complex | mpmath.mpc, prec: int) -> mpmath.mpc:
     with mpmath.workprec(prec):
         z = mpmath.mpc(z0)
         cs = [mpmath.mpf(c) for c in p.coeffs]
-        dcs = [mpmath.mpf(i * c) for i, c in enumerate(p.coeffs) if i >= 1]
+        dcs = [mpmath.mpf(c) for c in p.derivative().coeffs]
         for _ in range(prec):
-            pz = _mp_ev(cs, z)
-            dz = _mp_ev(dcs, z)
+            pz = horner(cs, z)
+            dz = horner(dcs, z)
             if dz == 0:
                 break
             step = pz / dz
@@ -129,13 +120,6 @@ def _mp_polish(p: IntPoly, z0: complex | mpmath.mpc, prec: int) -> mpmath.mpc:
             if abs(step) < mpmath.ldexp(1, -prec) * (1 + abs(z)):
                 break
         return +z
-
-
-def _mp_ev(cs, z):
-    acc = mpmath.mpc(0)
-    for c in reversed(cs):
-        acc = acc * z + c
-    return acc
 
 
 def _mpc_to_exact(z: mpmath.mpc, prec: int) -> tuple[Fraction, Fraction]:
@@ -146,23 +130,14 @@ def _mpc_to_exact(z: mpmath.mpc, prec: int) -> tuple[Fraction, Fraction]:
 
 def _residual_radius(p: IntPoly, re: Fraction, im: Fraction) -> Fraction:
     """Exact upper bound for deg(p) * |p(z)/p'(z)| at the exact point z."""
-    n = p.degree
-    pre, pim = _eval_complex_exact(p, re, im)
-    dre, dim = _eval_complex_exact(p.derivative(), re, im)
-    num_sq = pre * pre + pim * pim
-    den_sq = dre * dre + dim * dim
+    z = ComplexBall.exact(re, im)
+    num_sq = p.eval(z).abs_sq_mid()
+    den_sq = p.derivative().eval(z).abs_sq_mid()
     if den_sq == 0:
         raise CertificationError("derivative vanishes at approximation")
     if num_sq == 0:
         return Fraction(0)
-    return n * sqrt_up(Fraction(num_sq, den_sq), bits=96)
-
-
-def _eval_complex_exact(p: IntPoly, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
-    ar, ai = Fraction(0), Fraction(0)
-    for c in reversed(p.coeffs):
-        ar, ai = ar * re - ai * im + c, ar * im + ai * re
-    return ar, ai
+    return p.degree * sqrt_up(num_sq / den_sq, bits=96)
 
 
 def complex_roots_with_radii(p: IntPoly, precision: int = 64) -> list[ComplexBall]:
@@ -185,7 +160,7 @@ def complex_roots_with_radii(p: IntPoly, precision: int = 64) -> list[ComplexBal
 
     # exact rational roots first (numeric detection + exact verification)
     try:
-        approx = _aberth_float(rp)
+        approx = _float_approximations(rp)
     except (OverflowError, ZeroDivisionError):
         # coefficients beyond double range: the mpmath reseed path below
         # supplies proper seeds for every root of the remaining factor
@@ -223,20 +198,19 @@ def complex_roots_with_radii(p: IntPoly, precision: int = 64) -> list[ComplexBal
                 except CertificationError:
                     ok = False
                     break
-                if rad > target:
+                ball = ComplexBall.exact(re, im).widen(rad)
+                if ball.rad > target:
                     ok = False
                     break
-                cand_balls.append(ComplexBall(re, im, rad))
+                cand_balls.append(ball)
             if ok:
                 all_balls = balls + cand_balls
                 if len(all_balls) == n and _pairwise_disjoint(all_balls):
                     return all_balls
-            if not reseeded:
-                seeds = _aberth_mp(remaining, work)
-                reseeded = True
-            else:
+            if reseeded:
                 work *= 2
-                seeds = _aberth_mp(remaining, work)
+            reseeded = True
+            seeds = _mp_approximations(remaining, work)
             if work > _MAX_WORK_BITS:
                 raise CertificationError(
                     f"could not certify roots at {precision} bits (working precision cap {_MAX_WORK_BITS})"

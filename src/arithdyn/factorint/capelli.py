@@ -29,8 +29,8 @@ from itertools import islice
 
 from ..errors import DomainError
 from ..exactnum import IntPoly
+from ..ntheory import primes_from, residue
 from . import modp
-from .zassenhaus import _primes_from
 
 # odd primes tried, in increasing order, before a link is left to Zassenhaus
 _PRIMES_PER_LINK = 60
@@ -49,13 +49,13 @@ def compose_irreducible(f: IntPoly, P) -> tuple[str, int, int] | None:
         raise DomainError("Capelli certificate needs a monic inner polynomial")
     coeffs = [Fraction(c) for c in P.coeffs]
     den = math.lcm(*(c.denominator for c in coeffs))
-    for p in islice(_primes_from(3), _PRIMES_PER_LINK):
+    for p in islice(primes_from(3), _PRIMES_PER_LINK):
         if f.lead % p == 0 or den % p == 0:
             continue
         fp = modp.monic(modp.from_int_poly(f.coeffs, p), p)
         if not modp.is_squarefree(fp, p):
             continue
-        Pp = [c.numerator * pow(c.denominator, -1, p) % p for c in coeffs]
+        Pp = [residue(c, p) for c in coeffs]
         for prod, d in modp.distinct_degree(fp, p, _MAX_FACTOR_DEGREE):
             if _some_factor_certifies(prod, d, Pp, p):
                 return ("fp", p, d)

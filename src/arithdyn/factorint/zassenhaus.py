@@ -32,7 +32,7 @@ from math import isqrt
 
 from ..errors import DomainError, ResourceGuardError
 from ..exactnum import IntPoly, RatPoly
-from ..ntheory import is_prime
+from ..ntheory import primes_from
 from . import modp
 
 _PRIME_KEEP = 5  # modular factorizations kept for degree-set pruning
@@ -135,20 +135,10 @@ def _squarefree_parts(f: IntPoly) -> list[tuple[IntPoly, int]]:
     case; otherwise Yun's algorithm over Q decides.
     """
     if f.degree >= 1:
-        for p in islice(_primes_from(3), _CERTIFICATE_PRIMES):
+        for p in islice(primes_from(3), _CERTIFICATE_PRIMES):
             if f.lead % p and modp.is_squarefree(modp.from_int_poly(f.coeffs, p), p):
                 return [(f, 1)]
     return _yun_squarefree(f)
-
-
-def _primes_from(start: int):
-    n = max(3, start)
-    if n % 2 == 0:
-        n += 1
-    while True:
-        if is_prime(n):
-            yield n
-        n += 2
 
 
 def _mignotte_lift_bound(f: IntPoly) -> int:
@@ -230,7 +220,7 @@ def _factor_squarefree(f: IntPoly, seed: int) -> list[IntPoly]:
         return [f]
     candidates = []  # (num_factors, p, distinct-degree pieces of f mod p)
     masks = []
-    for p in _primes_from(3):
+    for p in primes_from(3):
         if f.lead % p == 0:
             continue
         fp = modp.from_int_poly(f.coeffs, p)

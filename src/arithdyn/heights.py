@@ -45,17 +45,15 @@ class AlgebraicNumber:
     root_selector: ComplexBall | None = None
 
     @classmethod
-    def create(cls, min_poly: IntPoly, root_selector: ComplexBall | None = None,
-               verify: bool = True) -> "AlgebraicNumber":
+    def create(cls, min_poly: IntPoly, root_selector: ComplexBall | None = None) -> "AlgebraicNumber":
         if min_poly.is_zero() or min_poly.degree < 1:
             raise DomainError("minimal polynomial must be nonconstant")
         cont, prim = min_poly.primitive()
         if abs(cont) != 1 or min_poly.lead < 0:
             raise DomainError("minimal polynomial must be primitive with positive leading coefficient")
-        if verify:
-            rep = factor_over_Z(min_poly)
-            if len(rep.factors) != 1 or rep.factors[0][1] != 1:
-                raise DomainError("minimal polynomial is reducible")
+        rep = factor_over_Z(min_poly)
+        if len(rep.factors) != 1 or rep.factors[0][1] != 1:
+            raise DomainError("minimal polynomial is reducible")
         return cls(min_poly, root_selector)
 
     @property

@@ -1,5 +1,6 @@
-"""Small number-theory helpers shared across the package: primality,
-factorization of integers, prime divisors, p-adic valuation."""
+"""Small number-theory helpers shared across the package: primality, the
+odd primes in order, factorization of integers, prime divisors, p-adic
+valuation, and rationals reduced modulo an integer."""
 
 from __future__ import annotations
 
@@ -87,6 +88,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def primes_from(start: int):
+    """The odd primes >= start, increasing, without end."""
+    n = max(3, start)
+    if n % 2 == 0:
+        n += 1
+    while True:
+        if is_prime(n):
+            yield n
+        n += 2
+
+
 # Brent's rho multiplies this many differences |x - y| mod n before each gcd
 _RHO_BLOCK = 128
 
@@ -167,3 +179,8 @@ def valuation(x, p: int) -> int:
         d //= p
         v -= 1
     return v
+
+
+def residue(x, m: int) -> int:
+    """The rational x, whose denominator is prime to m, reduced modulo m."""
+    return x.numerator * pow(x.denominator, -1, m) % m

@@ -97,6 +97,9 @@ def test_exit_codes(capsys):
     assert main(["snap", "--map", "X^2", "--alpha", "2"]) == 1  # missing --n
     # domain error: non-monic map
     assert main(["snap", "--map", "2*X^2", "--alpha", "2", "--n", "1"]) == 2
+    # domain error: a dangling or doubled "+" in a polynomial
+    for poly in ("X^2+", "X^2++X"):
+        assert main(["factor", "--poly", poly]) == 2
     # resource guard: degree cap
     assert main(["iterate", "--map", "X^2", "--n", "13"]) == 3
     capsys.readouterr()

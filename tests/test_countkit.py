@@ -182,15 +182,12 @@ def test_vanish_dimension_gate():
         vanishing_polynomial(pts, 1)  # 3 monomials <= 6 points
 
 
-@given(st.data())
+_coord = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@given(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8, unique=True))
 @settings(max_examples=20, deadline=None)
-def test_vanish_random(data):
-    k = data.draw(st.integers(1, 8))
-    pts = set()
-    while len(pts) < k:
-        x = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
-        y = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
-        pts.add((x, y))
+def test_vanish_random(pts):
     pts = sorted(pts)
     t_max = 1
     while (t_max + 1) * (t_max + 2) // 2 <= len(pts):

@@ -15,6 +15,7 @@ from arithdyn.exactnum import IntPoly, RatPoly, TruncSeries
 from arithdyn.exactnum.poly import int_mul, rat_mul
 from arithdyn.factorint import compose_irreducible, factor_over_Q, factor_over_Z
 from arithdyn.factorint import capelli, modp, zassenhaus
+from arithdyn.ntheory import is_prime, primes_from
 from arithdyn.polymap import PolyMap
 from conftest import random_monic_map
 from oracles import (
@@ -324,8 +325,8 @@ def test_series_product_matches_the_dict_convolution(data):
 
 def test_prime_sequence_is_the_odd_primes():
     odd_primes = [n for n in range(3, 3000, 2) if all(n % d for d in range(3, math.isqrt(n) + 1, 2))]
-    assert list(islice(zassenhaus._primes_from(3), len(odd_primes))) == odd_primes
-    assert next(zassenhaus._primes_from(90)) == 97
+    assert list(islice(primes_from(3), len(odd_primes))) == odd_primes
+    assert next(primes_from(90)) == 97
 
 
 # --- iterate towers ----------------------------------------------------------
@@ -395,7 +396,7 @@ def test_squarefree_certificate_skips_primes_of_bad_reduction(monkeypatch):
 
 
 def test_yun_decides_when_every_certificate_prime_divides_the_discriminant(monkeypatch):
-    N = math.prod(islice(zassenhaus._primes_from(3), zassenhaus._CERTIFICATE_PRIMES))
+    N = math.prod(islice(primes_from(3), zassenhaus._CERTIFICATE_PRIMES))
     yun = _count_yun_calls(monkeypatch)
     rep = factor_over_Z(IntPoly([0, -N, 1]))
     assert len(yun) == 1
@@ -507,7 +508,7 @@ def test_capelli_certificate_never_contradicts_zassenhaus(rng):
                 certified += 1
                 assert irreducible, (P, alpha, f, cert)
                 tag, p, d = cert
-                assert tag == "fp" and zassenhaus.is_prime(p)
+                assert tag == "fp" and is_prime(p)
                 assert 1 <= d <= capelli._MAX_FACTOR_DEGREE
     assert reducible > 0 and certified > 100
 

@@ -31,6 +31,14 @@ def test_parse_and_str():
         parse_poly("X^")
 
 
+def test_parse_rejects_dangling_and_doubled_signs():
+    assert parse_poly("+X^2") == RatPoly([0, 0, 1])
+    assert parse_poly("X^2+-X") == parse_poly("X^2 + - X") == RatPoly([0, -1, 1])
+    for text in ("X^2+", "X^2++X", "X^2-", "X^2--X", "X^2-+X", "+", "+ +X"):
+        with pytest.raises(DomainError):
+            parse_poly(text)
+
+
 def test_json_round_trip():
     p = RatPoly([F(1, 2), F(-3), F(1)])
     assert poly_from_json(p.to_json()) == p

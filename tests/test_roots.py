@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from arithdyn.errors import DomainError
@@ -72,3 +73,27 @@ def test_coefficients_beyond_double_range():
     assert len(balls) == 2
     for b in balls:
         assert abs(b.re * b.re - 10 ** 400) <= (2 * abs(b.re) + b.rad) * b.rad + b.rad
+
+
+def _exact(x: mpmath.mpf) -> F:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * F(int(man)) * F(2) ** int(exp)
+
+
+@pytest.mark.parametrize("coeffs", [[-1, -1, 0, 1], [-3] + [0] * 11 + [1], [1, -1, 0, 0, 0, 1],
+                                    [-9, 0, 4], [-5, 0, 3, 0, 0, 0, 0, 1]])
+@pytest.mark.parametrize("prec", [64, 128])
+def test_radii_are_short_dyadics_around_the_roots(coeffs, prec):
+    # each radius is rounded up by ``widen``: a dyadic of 32 significant
+    # bits (33 when the unrounded bound has a non-dyadic denominator, whose
+    # bit length only brackets its binary exponent), and the disk, grown by
+    # the 1e-45 error of a 50-digit root, still holds that root
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=200)
+        roots = [(_exact(mpmath.mpf(z.real)), _exact(mpmath.mpf(z.imag))) for z in roots]
+    for b in complex_roots_with_radii(IntPoly(coeffs), prec):
+        num, den = b.rad.numerator, b.rad.denominator
+        assert den & (den - 1) == 0 and num.bit_length() <= 33
+        assert b.rad <= F(1, 2 ** prec)
+        reach = (b.rad + F(1, 10 ** 45)) ** 2
+        assert any((re - b.re) ** 2 + (im - b.im) ** 2 <= reach for re, im in roots)
