@@ -81,7 +81,7 @@ def parse_number(text, what: str = "number"):
 class Param(NamedTuple):
     """One ``--name`` option.  ``kind`` is how its value is parsed: "int",
     "rational", "number" (``parse_number``), "text", "flag" or "list"
-    (repeatable text)."""
+    (repeatable text).  A ``positive`` int below 1 is a domain error."""
 
     name: str
     kind: str = "text"
@@ -89,6 +89,7 @@ class Param(NamedTuple):
     required: bool = False
     dest: str | None = None
     choices: tuple[str, ...] | None = None
+    positive: bool = False
 
     @property
     def key(self) -> str:
@@ -108,7 +109,7 @@ VERBS: dict[str, Verb] = {}
 COMMON = (
     Param("output"),
     Param("format", default="json", choices=("json", "csv")),
-    Param("precision", "int", 128),
+    Param("precision", "int", 128, positive=True),
     Param("seed", "int", 0),
     Param("jobs", "int", 1),
     Param("degree-cap", "int", DEFAULT_DEGREE_CAP),
@@ -134,9 +135,12 @@ def _value(p: Param, raw):
         return raw
     if p.kind == "int":
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError as exc:
             raise _CliError(f"--{p.name}: cannot parse integer {raw!r}") from exc
+        if p.positive and value < 1:
+            raise DomainError(f"--{p.name} must be positive, got {value}")
+        return value
     if p.kind == "rational":
         return _rational(raw, f"--{p.name}")
     if p.kind == "number":

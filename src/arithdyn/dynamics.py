@@ -22,10 +22,18 @@ p and a factor g of f_j mod p satisfy
 
 because then, for a root gamma of f_j, P(X) - gamma stays irreducible modulo
 the prime of Q(gamma) belonging to g, so it is irreducible over Q(gamma), and
-by Capelli's lemma f_j(P(X)) is irreducible over Q.  A piece whose chain
-breaks (no prime among the first 60 has such a g) goes whole to Zassenhaus,
-which sees at most degree (D - 1) D^(n-1) instead of the whole degree-D^n
-difference.  The tower is expanded over Z when P has integer coefficients.
+by Capelli's lemma f_j(P(X)) is irreducible over Q.  For D = 2 each h is
+linear with root gamma, and no f_j is formed (``factorint.quadratic_chain``):
+with t = c - b^2/4 the critical value of P = X^2 + bX + c, the roots of f_j
+mod p are the depth-j nodes theta of the tree of iterated P-preimages of
+gamma mod p, f_j mod p is squarefree iff no node of depth < j equals t, and
+p certifies link j with deg g = d iff some node theta of degree d <= 2 has
+N(theta - t) a non-residue mod p (the norm from F_(p^d) to F_p).  One walk
+of the tree per prime marks every link, and each link takes the first prime
+that certifies it.  A piece whose chain breaks (no prime among the first 60
+has such a g) goes whole to Zassenhaus, which sees at most degree
+(D - 1) D^(n-1) instead of the whole degree-D^n difference.  The tower is
+expanded over Z when P has integer coefficients.
 The pieces need not be coprime (they share a factor when P' vanishes on the
 orbit, or when the orbit is preperiodic), so the irreducible factors of all
 pieces are merged with their multiplicities added: by unique factorization
@@ -77,7 +85,8 @@ from fractions import Fraction
 from .errors import DomainError, ResourceGuardError
 from .exactnum import IntPoly, RatPoly, RealBall, ball_log
 from .exactnum.linalg import solve
-from .factorint import FactorReport, compose_irreducible, factor_over_Q, factor_over_Z
+from .factorint import (FactorReport, compose_irreducible, factor_over_Q, factor_over_Z,
+                        quadratic_chain)
 from .heights import height_rational
 from .ntheory import prime_divisors, residue, valuation
 from .polymap import DEFAULT_DEGREE_CAP, PolyMap
@@ -337,8 +346,7 @@ def snap_degree_multiset(P: PolyMap, alpha, n: int,
     factored piece by piece along the tower (see the module docstring)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    if P.degree ** n > degree_cap:
-        raise ResourceGuardError(f"iterate degree {P.degree}^{n} exceeds cap {degree_cap}")
+    P.check_iterate_degree(n, degree_cap)
     alpha = Fraction(alpha)
     betas = [alpha]  # beta_k = P^k(alpha)
     for _ in range(n):
@@ -386,16 +394,20 @@ def _tower_piece(h: IntPoly, P, powers: list, seed: int):
     """The irreducible factors of h(P^k(X)), k = len(powers) - 1, with their
     certificate (see ``SnapReport.certificates``).
 
-    Each link h(P^j(X)) -> h(P^(j+1)(X)) is certified by Capelli descent; a
-    piece whose chain breaks is factored whole.
+    Each link h(P^j(X)) -> h(P^(j+1)(X)) is certified by Capelli descent,
+    for D = 2 by one walk of the preimage tree per prime; a piece whose chain
+    breaks is factored whole.
     """
     k = len(powers) - 1
-    links = []
-    for j in range(k):
-        cert = compose_irreducible(h.compose(powers[j]).to_int_primitive()[1], P)
-        if cert is None:
-            break
-        links.append(cert)
+    if P.degree == 2:
+        links = quadratic_chain(h, P, k)
+    else:
+        links = []
+        for j in range(k):
+            cert = compose_irreducible(h.compose(powers[j]).to_int_primitive()[1], P)
+            if cert is None:
+                break
+            links.append(cert)
     piece = h.compose(powers[k]).to_int_primitive()[1]
     if len(links) == k:
         return ((piece, 1),), tuple(links)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ResourceGuardError
 from .exactnum import RealBall, ball_log
 from .ntheory import factorize, is_prime, valuation
 from .polymap import DEFAULT_DEGREE_CAP, PolyMap
@@ -149,6 +149,12 @@ class PadicBoundReport:
         return d * d * self.count_coefficient
 
 
+# bits of D^n above which padic_degree_bound stops: its report prints D^n's
+# cyclotomic degree and D^(n - m) in decimal, far below Python's 4300-digit
+# int-to-str limit at this size
+_POWER_BIT_CAP = 4096
+
+
 def padic_degree_bound(P: PolyMap, alpha, n: int, prec: int = 64,
                        degree_cap: int = DEFAULT_DEGREE_CAP,
                        cross_check: bool = True, seed: int = 0) -> PadicBoundReport:
@@ -167,6 +173,8 @@ def padic_degree_bound(P: PolyMap, alpha, n: int, prec: int = 64,
         raise DomainError("no good nonarchimedean place for this (map, alpha)")
     p = place.prime
     D = P.degree
+    if n > _POWER_BIT_CAP or (D ** n).bit_length() > _POWER_BIT_CAP:
+        raise ResourceGuardError(f"D^n = {D}^{n} exceeds {_POWER_BIT_CAP} bits")
     bound = cyclotomic_degree_qp(p, D ** n)
     m0 = 0
     for q in factorize(D):

@@ -1,6 +1,7 @@
 """Small number-theory helpers shared across the package: primality, the
 odd primes in order, factorization of integers, prime divisors, p-adic
-valuation, and rationals reduced modulo an integer."""
+valuation, rationals reduced modulo an integer, and the Legendre symbol and
+square roots modulo an odd prime."""
 
 from __future__ import annotations
 
@@ -184,3 +185,41 @@ def valuation(x, p: int) -> int:
 def residue(x, m: int) -> int:
     """The rational x, whose denominator is prime to m, reduced modulo m."""
     return x.numerator * pow(x.denominator, -1, m) % m
+
+
+def legendre(a: int, p: int) -> int:
+    """The Legendre symbol (a/p) for an odd prime p: 0, 1 or -1 (Euler's
+    criterion)."""
+    s = pow(a, (p - 1) // 2, p)
+    return -1 if s == p - 1 else s
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a modulo the odd prime p
+    (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    r, t = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    if t == 1:
+        return r
+    z = 2
+    while legendre(z, p) != -1:
+        z += 1
+    c = pow(z, q, p)
+    # invariant: r^2 = a t and c has order 2^s; t's order 2^i drops each round
+    while t != 1:
+        i, u = 0, t
+        while u != 1:
+            u = u * u % p
+            i += 1
+        if i == s:
+            raise DomainError(f"{a} is not a square modulo {p}")
+        b = pow(c, 1 << (s - i - 1), p)
+        r, c, s = r * b % p, b * b % p, i
+        t = t * c % p
+    return r

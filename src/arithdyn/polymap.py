@@ -63,14 +63,17 @@ class PolyMap:
         """Exact expanded n-th iterate (degree D**n); X for n = 0."""
         if n < 0:
             raise DomainError("iteration count must be >= 0")
-        if self.degree ** n > degree_cap:
-            raise ResourceGuardError(
-                f"iterate degree {self.degree}^{n} exceeds cap {degree_cap}"
-            )
+        self.check_iterate_degree(n, degree_cap)
         out = RatPoly([Fraction(0), Fraction(1)])
         for _ in range(n):
             out = self.poly.compose(out)
         return out
+
+    def check_iterate_degree(self, n: int, degree_cap: int) -> None:
+        """Raise ResourceGuardError when D**n exceeds the cap.  D**n >= 2**n,
+        so D**n is formed only for n below the cap's bit length."""
+        if n >= degree_cap.bit_length() or self.degree ** n > degree_cap:
+            raise ResourceGuardError(f"iterate degree {self.degree}^{n} exceeds cap {degree_cap}")
 
     def __str__(self):
         return str(self.poly)

@@ -106,6 +106,38 @@ def test_exit_codes(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["census", "--function", "lambda", "--height", "3", "--precision", "0"],
+    ["census", "--function", "lambda", "--height", "3", "--precision", "-5"],
+    ["canonical-height", "--map", "X^2+1", "--alpha", "1/3", "--precision", "0"],
+    ["canonical-height", "--map", "X^2+1", "--alpha", "1/3", "--precision", "-5"],
+    ["sweep", "--verb", "canonical-height", "--map", "X^2+1", "--alpha", "1/3",
+     "--vary", "precision=0:1"],
+])
+def test_nonpositive_precision_is_a_domain_error(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("domain error: --precision must be positive")
+
+
+_HUGE_N = "100000000000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["snap", "--map", "X^2+1", "--alpha", "1", "--n", _HUGE_N],
+    ["irreducible-count", "--map", "X^2+1", "--alpha", "1", "--n", _HUGE_N],
+    ["iterate", "--map", "X^2+1", "--n", _HUGE_N],
+    ["proportion", "--map", "X^2+1", "--alpha", "1", "--n", _HUGE_N, "--delta", "1/2"],
+    ["padic-bound", "--map", "X^2+1", "--alpha", "1/3", "--n", _HUGE_N],
+    # D^n would print with more than Python's 4300-digit int-to-str limit
+    ["padic-bound", "--map", "X^2+1", "--alpha", "1/3", "--n", "20000"],
+])
+def test_a_huge_n_trips_the_resource_guard_at_once(argv, capsys):
+    t0 = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().err.startswith("resource guard: ")
+
+
+@pytest.mark.parametrize("argv", [
     ["snap", "--map", "X^2+1", "--alpha", "1/0", "--n", "2"],
     ["snap", "--map", "X^2+1", "--alpha", "abc", "--n", "2"],
     ["height", "--rational", "1/0"],

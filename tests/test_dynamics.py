@@ -7,6 +7,7 @@ import pytest
 from arithdyn import dynamics
 from arithdyn.errors import DomainError, ResourceGuardError
 from arithdyn.exactnum import RealBall, ball_log, parse_poly
+from arithdyn.factorint import capelli, modp
 from arithdyn.dynamics import (
     bounded_height_region_check,
     canonical_height,
@@ -257,6 +258,19 @@ def test_tower_jobs_certify_every_composed_piece_by_capelli(m, alpha, n, monkeyp
         assert all(link[0] == "fp" for link in c), c
     # a piece h(P^k(X)) has k links; the top level is k = n - 1
     assert max(len(c) for c in certs) == n - 1
+
+
+@pytest.mark.parametrize("m, alpha, n", [job for job in _TOWER_JOBS if job[0].startswith("X^2")])
+def test_quadratic_tower_jobs_screen_no_link_as_a_polynomial(m, alpha, n, monkeypatch):
+    # D = 2 chains are certified on the preimage tree: no f_j mod p is formed
+    def per_link(*args):
+        raise AssertionError("a quadratic chain was screened link by link")
+
+    monkeypatch.setattr(dynamics, "compose_irreducible", per_link)
+    monkeypatch.setattr(capelli, "compose_irreducible", per_link)
+    monkeypatch.setattr(modp, "distinct_degree", per_link)
+    rep = snap_degree_multiset(PolyMap.from_text(m), alpha, n)
+    assert all(link[0] == "fp" for c in rep.certificates for link in c)
 
 
 def test_a_broken_chain_is_factored_whole():

@@ -15,7 +15,7 @@ from arithdyn.exactnum import IntPoly, RatPoly, TruncSeries
 from arithdyn.exactnum.poly import int_mul, rat_mul
 from arithdyn.factorint import compose_irreducible, factor_over_Q, factor_over_Z
 from arithdyn.factorint import capelli, modp, zassenhaus
-from arithdyn.ntheory import is_prime, primes_from
+from arithdyn.ntheory import is_prime, legendre, primes_from, sqrt_mod
 from arithdyn.polymap import PolyMap
 from conftest import random_monic_map
 from oracles import (
@@ -525,6 +525,7 @@ def test_capelli_certificate_refuses_reducible_compositions(f, P, whole):
     _, rep = factor_over_Q(f.compose(P))
     assert sorted(list(g.coeffs) for g, m in rep.factors for _ in range(m)) == whole
     assert compose_irreducible(f, P) is None
+    assert capelli.quadratic_chain(f, P, 1) == []
 
 
 @given(st.data())
@@ -552,3 +553,86 @@ def test_quadratic_norm_criterion_matches_factoring(data):
         split = modp.equal_degree_split(prod, d, p, random.Random(0))
         expected = any(modp.is_irreducible(modp.compose(g, P, p), p) for g in split)
         assert capelli._some_factor_certifies(prod, d, P, p) == expected
+
+
+# --- the quadratic preimage-tree walk ----------------------------------------
+
+
+def _per_link_chain(h: IntPoly, P, k: int):
+    """The oracle: ``compose_irreducible`` on each h(P^j(X)), j < k, up to
+    the first link it refuses."""
+    links, f = [], h
+    for _ in range(k):
+        cert = compose_irreducible(f, P)
+        if cert is None:
+            break
+        links.append(cert)
+        f = f.compose(P).to_int_primitive()[1]
+    return links
+
+
+def _tower_chains(P: PolyMap, alpha, n: int):
+    """(h, k) for each piece h(P^k(X)) of P^n(X) - P^n(alpha), k >= 1."""
+    beta = F(alpha)
+    for k in range(n):
+        nxt = P.eval(beta)
+        q_beta = (P.poly - nxt).divmod(RatPoly([-beta, 1]))[0]
+        if k:
+            yield from ((h, k) for h, _ in factor_over_Q(q_beta)[1].factors)
+        beta = nxt
+
+
+@pytest.mark.parametrize("m, alpha, n, broken", [
+    # the four D = 2 jobs of perfbench's tower workload
+    ("X^2+1", 1, 7, {}), ("X^2+X", 1, 7, {}), ("X^2-2", 3, 7, {}), ("X^2", 2, 7, {}),
+    ("X^2+1", 1, 10, {}),
+    # Chebyshev: the top piece h(P^8(X)) breaks at its last link, f_7 -> f_8
+    ("X^2-2", 3, 9, {8: 7}),
+])
+def test_tree_walk_matches_per_link_certificates(m, alpha, n, broken):
+    P = PolyMap.from_text(m)
+    for h, k in _tower_chains(P, alpha, n):
+        links = capelli.quadratic_chain(h, P.poly, k)
+        assert links == _per_link_chain(h, P.poly, k), (h, k)
+        assert len(links) == broken.get(k, k)
+
+
+def test_tree_walk_matches_per_link_certificates_on_random_maps(rng):
+    towers = links = breaks = 0
+    while towers < 40:
+        P = random_monic_map(rng, 2)
+        alpha = F(rng.randint(-4, 4), rng.randint(1, 3))
+        for h, k in _tower_chains(P, alpha, 6):
+            walk = capelli.quadratic_chain(h, P.poly, k)
+            assert walk == _per_link_chain(h, P.poly, k), (P, alpha, h, k)
+            links += len(walk)
+            breaks += len(walk) < k
+        towers += 1
+    assert links > 400 and breaks > 0
+
+
+@pytest.mark.parametrize("p", [17, 41, 73, 97, 113, 193, 241, 257])
+def test_legendre_and_sqrt_mod_where_tonelli_shanks_loops(p):
+    # p = 1 mod 8: p - 1 has at least three factors 2
+    squares = {x * x % p for x in range(1, p)}
+    for a in range(-p, 2 * p):
+        expected = 0 if a % p == 0 else 1 if a % p in squares else -1
+        assert legendre(a, p) == expected, a
+        if expected >= 0:
+            assert sqrt_mod(a, p) ** 2 % p == a % p
+        else:
+            with pytest.raises(DomainError):
+                sqrt_mod(a, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41])
+def test_fp2_root_squares_back(p):
+    r = next(z for z in range(2, p) if legendre(z, p) == -1)
+    roots = 0
+    for a, b in itertools.product(range(p), range(1, p)):
+        if legendre(a * a - r * b * b, p) == 1:
+            x, y = capelli.sqrt_fp2(a, b, r, p)
+            assert ((x * x + r * y * y) % p, 2 * x * y % p) == (a, b)
+            roots += 1
+    # F_p^* lies in the squares of F_(p^2)^*, which leaves (p - 1)^2 / 2 of them with b != 0
+    assert roots == (p - 1) ** 2 // 2

@@ -42,7 +42,7 @@ def test_every_traced_name_resolves_and_is_restored():
             assert getattr(obj, attr).__wrapped__ is originals[name, attr], name
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["fstar", "--map", "X^2+1", "--alpha", "64", "--order", "6"]) == 0
-            assert cli.main(["snap", "--map", "X^2+1/2", "--alpha", "1", "--n", "3"]) == 0
+            assert cli.main(["snap", "--map", "X^3+1/2", "--alpha", "1", "--n", "2"]) == 0
         stats = tracer.span_stats()
     finally:
         tracer.uninstall()
