@@ -8,7 +8,9 @@ produce byte-identical outputs.  Numeric cells are exact rational strings
 floats never appear.
 
 Exit codes: 0 success, 1 unknown verb or malformed parameters, 2 domain
-errors, 3 resource-guard trips.
+errors, 3 resource-guard trips.  A rational or polynomial input, or a
+result, with an integer of more than 100,000 decimal digits is a
+resource-guard trip.
 
 Config files are key=value lines ('#' comments allowed); keys are the long
 option names with dashes replaced by underscores, and a key the verb does
@@ -32,6 +34,11 @@ from .exactnum import ComplexBall, RealBall, ball_decimal, ball_e, parse_poly
 from .polymap import DEFAULT_DEGREE_CAP, PolyMap
 
 _DIGITS = 30  # decimal digits in rendered enclosures
+# the most decimal digits of an integer read or printed: ``main`` raises
+# Python's int<->str limit (4300) to this and reports a conversion past it as
+# a resource-guard trip.  Both conversions are quadratic in the digits; at
+# this size each takes about 0.2 s (CPython 3.11).
+_MAX_INT_DIGITS = 100_000
 
 
 class _CliError(Exception):
@@ -43,12 +50,19 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+def _too_many_digits(exc: Exception) -> bool:
+    """Whether exc is Python's int<->str limit, set to ``_MAX_INT_DIGITS``."""
+    return isinstance(exc, ValueError) and "integer string conversion" in str(exc)
+
+
 def _rational(text, what: str) -> Fraction:
     """Exact rational from a command-line value ("3/4", "2.5", "-7"); a
     malformed one is a usage error."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
+        if _too_many_digits(exc):
+            raise
         raise _CliError(f"{what}: cannot parse rational {text!r}") from exc
 
 
@@ -746,11 +760,18 @@ def _csv_cell(v) -> str:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_MAX_INT_DIGITS)
     try:
         args, params = _parse(argv)
         result, rows = VERBS[args.verb].run(_typed(vars(args), params))
         _emit(args, result, rows)
         return 0
+    except ValueError as exc:
+        if not _too_many_digits(exc):
+            raise
+        print(f"resource guard: an integer of more than {_MAX_INT_DIGITS} digits", file=sys.stderr)
+        return 3
     except _CliError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -760,6 +781,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ exactly, by induction on n: P^{k+1}(X) - beta_{k+1} = P(P^k X) - P(beta_k)
 = (P^k(X) - beta_k) * Q_{beta_k}(P^k(X)).  Each Q_{beta_k} is factored over
 Q by Zassenhaus, and each of its irreducible factors h starts a chain
 f_0 = h, f_(j+1) = f_j(P(X)), ending in the piece f_k = h(P^k(X)).  Each
-link is proven irreducible in turn by Capelli descent
-(``factorint.compose_irreducible``): f_(j+1) is irreducible when an odd prime
-p and a factor g of f_j mod p satisfy
+link is proven irreducible in turn by Capelli descent (``factorint.chain``):
+f_(j+1) is irreducible when an odd prime p and a factor g of f_j mod p
+satisfy
 
 1. p does not divide lc(f_j) * den(P);
 2. f_j mod p is squarefree;
@@ -22,23 +22,26 @@ p and a factor g of f_j mod p satisfy
 
 because then, for a root gamma of f_j, P(X) - gamma stays irreducible modulo
 the prime of Q(gamma) belonging to g, so it is irreducible over Q(gamma), and
-by Capelli's lemma f_j(P(X)) is irreducible over Q.  For D = 2 each h is
-linear with root gamma, and no f_j is formed (``factorint.quadratic_chain``):
-with t = c - b^2/4 the critical value of P = X^2 + bX + c, the roots of f_j
-mod p are the depth-j nodes theta of the tree of iterated P-preimages of
-gamma mod p, f_j mod p is squarefree iff no node of depth < j equals t, and
-p certifies link j with deg g = d iff some node theta of degree d <= 2 has
-N(theta - t) a non-residue mod p (the norm from F_(p^d) to F_p).  One walk
-of the tree per prime marks every link, and each link takes the first prime
-that certifies it.  A piece whose chain breaks (no prime among the first 60
-has such a g) goes whole to Zassenhaus, which sees at most degree
-(D - 1) D^(n-1) instead of the whole degree-D^n difference.  The tower is
-expanded over Z when P has integer coefficients.
-The pieces need not be coprime (they share a factor when P' vanishes on the
-orbit, or when the orbit is preperiodic), so the irreducible factors of all
-pieces are merged with their multiplicities added: by unique factorization
-in Z[X] the merged product is the factorization of the whole, and a
-reconstruction check confirms it.
+by Capelli's lemma f_j(P(X)) is irreducible over Q.  No f_j with j < k is
+formed: one driver walks each prime once over all k links, and each link
+takes the first prime that certifies it.  The per-prime kernel depends on D
+(the proofs are in ``factorint.capelli``):
+
+- D >= 3: the kernel tracks the irreducible factors of degree <= max(3, D - 1)
+  of f_j mod p; those of f_(j+1) are the small factors of g(P) for the
+  tracked g of f_j, and a repeated root of f_(j+1) needs a critical value
+  of P among the tracked roots of f_j.
+- D = 2: each h is linear with root gamma, and the kernel walks the tree of
+  iterated P-preimages of gamma mod p with one Legendre symbol per node.
+
+A piece whose chain breaks (no prime among the first 60 has such a g) goes
+whole to Zassenhaus, which sees at most degree (D - 1) D^(n-1) instead of the
+whole degree-D^n difference.  The tower is expanded over Z when P has integer
+coefficients.  The pieces need not be coprime (they share a factor when P'
+vanishes on the orbit, or when the orbit is preperiodic), so the irreducible
+factors of all pieces are merged with their multiplicities added: by unique
+factorization in Z[X] the merged product is the factorization of the whole,
+and a reconstruction check confirms it.
 
 The canonical height of a rational alpha under a monic degree-D map is the
 sum of local canonical heights (Call-Silverman, Compositio 89, 1993;
@@ -79,14 +82,14 @@ archimedean loss by the cofactor coefficient lengths.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceGuardError
 from .exactnum import IntPoly, RatPoly, RealBall, ball_log
 from .exactnum.linalg import solve
-from .factorint import (FactorReport, compose_irreducible, factor_over_Q, factor_over_Z,
-                        quadratic_chain)
+from .factorint import FactorReport, chain, factor_over_Q, factor_over_Z
 from .heights import height_rational
 from .ntheory import prime_divisors, residue, valuation
 from .polymap import DEFAULT_DEGREE_CAP, PolyMap
@@ -326,14 +329,24 @@ class SnapReport:
         """Exact share of roots of degree <= D^(delta n) among all D^n roots.
 
         The comparison d <= D^(delta n) is exact: with delta = p/q it reads
-        d^q <= (D^n)^p.
+        d^q <= (D^n)^p.  With b(x) the bit length of x, 2^(b(x)-1) <= x <
+        2^b(x), so q b(d) <= p (b(D^n) - 1) proves it and q (b(d) - 1) >=
+        p b(D^n) refutes it; only the degrees between form the powers.
         """
         delta = Fraction(delta)
         if delta <= 0:
             raise DomainError("delta must be positive")
         p, q = delta.numerator, delta.denominator
-        bound = self.degree ** p
-        return Fraction(sum(1 for d in self.multiset if d ** q <= bound), self.degree)
+        top = self.degree.bit_length()
+
+        def low(d: int) -> bool:
+            if d == 1 or q * d.bit_length() <= p * (top - 1):
+                return True
+            if q * (d.bit_length() - 1) >= p * top:
+                return False
+            return d ** q <= self.degree ** p
+
+        return Fraction(sum(m for d, m in Counter(self.multiset).items() if low(d)), self.degree)
 
 
 # bits of P^k(alpha) (numerator plus denominator) at which snap stops
@@ -365,7 +378,7 @@ def snap_degree_multiset(P: PolyMap, alpha, n: int,
         if rem:
             raise DomainError("P(Y) - P(beta) is not divisible by Y - beta")
         for h, m in factor_over_Q(q_beta, seed)[1].factors:
-            factors, links = _tower_piece(h, Pr, powers, seed)
+            factors, links = _tower_piece(h, Pr, k, powers[k], seed)
             for g, mg in factors:
                 parts[g] = parts.get(g, 0) + mg * m
             certificates.append(links)
@@ -390,25 +403,12 @@ def snap_degree_multiset(P: PolyMap, alpha, n: int,
     )
 
 
-def _tower_piece(h: IntPoly, P, powers: list, seed: int):
-    """The irreducible factors of h(P^k(X)), k = len(powers) - 1, with their
-    certificate (see ``SnapReport.certificates``).
-
-    Each link h(P^j(X)) -> h(P^(j+1)(X)) is certified by Capelli descent,
-    for D = 2 by one walk of the preimage tree per prime; a piece whose chain
-    breaks is factored whole.
-    """
-    k = len(powers) - 1
-    if P.degree == 2:
-        links = quadratic_chain(h, P, k)
-    else:
-        links = []
-        for j in range(k):
-            cert = compose_irreducible(h.compose(powers[j]).to_int_primitive()[1], P)
-            if cert is None:
-                break
-            links.append(cert)
-    piece = h.compose(powers[k]).to_int_primitive()[1]
+def _tower_piece(h: IntPoly, P, k: int, top, seed: int):
+    """The irreducible factors of h(P^k(X)), top = P^k(X), with their
+    certificate (see ``SnapReport.certificates``): the Capelli chain of its
+    k links, or the piece factored whole when the chain breaks."""
+    links = chain(h, P, k)
+    piece = h.compose(top).to_int_primitive()[1]
     if len(links) == k:
         return ((piece, 1),), tuple(links)
     return factor_over_Z(piece, seed).factors, (("zassenhaus",),)

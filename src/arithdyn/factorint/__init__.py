@@ -1,7 +1,6 @@
 """Univariate integer polynomial factorization into irreducibles."""
 
-from .capelli import compose_irreducible, quadratic_chain
+from .capelli import chain
 from .zassenhaus import FactorReport, factor_over_Q, factor_over_Z
 
-__all__ = ["FactorReport", "compose_irreducible", "factor_over_Q", "factor_over_Z",
-           "quadratic_chain"]
+__all__ = ["FactorReport", "chain", "factor_over_Q", "factor_over_Z"]

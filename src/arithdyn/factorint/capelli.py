@@ -1,4 +1,4 @@
-"""Irreducibility of a composition f(P(X)) by Capelli descent over F_p.
+"""Irreducibility of the compositions h(P^k(X)) by Capelli descent over F_p.
 
 Let f in Z[X] be primitive and irreducible over Q with a root gamma, K =
 Q(gamma), and P monic in Q[X].  By Capelli's lemma (Schinzel, *Polynomials
@@ -19,11 +19,46 @@ integral at that prime, and a factorization of P(X) - gamma over K reduces
 to one of P(X) - theta over F_p(theta).  By Capelli's lemma over F_p,
 condition 4 says that P(X) - theta is irreducible there.
 
-For a quadratic P = X^2 + bX + c the conditions along a whole chain f_j =
-h(P^j(X)), h of degree 1 or 2, are read off the tree of iterated
-P-preimages of the roots of h (``quadratic_chain``).  Let p be an odd prime
-not dividing lc(h) * den(P), s = -b/2 the critical point and t = P(s) =
-c - b^2/4 the critical value.  Over the algebraic closure of F_p:
+``chain`` proves a whole chain f_j = h(P^j(X)), j <= k, link by link
+without forming any f_j: each odd prime p not dividing lc(h) * den(P) (then
+f_j mod p is h(P^j(X)) mod p up to a unit) is walked once over all k links
+by a per-prime kernel, and each link takes the first prime, in increasing
+order, that certifies it with the least deg g.
+
+The small-factor walk (``_small_factor_degrees``, any degree D of P).  Let
+m = max(3, D - 1).  The walk tracks the set S_j of monic irreducible factors
+of degree <= m of f_j mod p, and whether f_j mod p is squarefree:
+
+- S_0 and the flag come from factoring h mod p.
+- Every factor in S_(j+1) divides g(P) for some g in S_j: a root x of degree
+  e <= m of f_(j+1) = f_j(P) has P(x) a root of f_j whose degree divides e,
+  so its minimal polynomial g is in S_j, and x is a root of g(P).  Since g
+  divides f_j, every factor of g(P) divides f_(j+1).  So S_(j+1) is the set
+  of factors of degree <= m of the g(P), g in S_j, and a factor g whose g(P)
+  is irreducible of degree <= m is tracked too.
+- f_(j+1) mod p is squarefree iff f_j mod p is and g(P) is squarefree for
+  every g in S_j.  A repeated root x of f_j(P), when f_j is squarefree, has
+  P'(x) = 0, so P(x) is a root of f_j that is a critical value of P.  A
+  critical point is a root of P', of degree <= D - 1, and so is its value;
+  that root's minimal polynomial g is in S_j because D - 1 <= m, and x is a
+  repeated root of g(P).  The converse holds because g divides f_j.  Since
+  g(P) is tested for f_(j+1), this test decides link j + 1, not link j.
+- Link j is certified with deg g = d iff f_j mod p is squarefree and some g
+  in S_j of degree d <= 3 has g(P) irreducible (conditions 2-4), and m >= 3
+  makes every such g a tracked one.
+- When P' = 0 mod p, every g(P) is a polynomial in X^p, a p-th power, so p
+  certifies nothing.
+
+So m = max(3, D - 1) is the least bound that serves both: 3 for the
+certificates and D - 1 for the critical values.  Each step factors
+polynomials of degree <= m * D over F_p, and the last link needs no
+factors, only the irreducibility of g(P) for its g of degree <= 3.
+
+The tree walk (``_tree_degrees``, D = 2 and deg h <= 2).  For a quadratic
+P = X^2 + bX + c the same data are read off the tree of iterated
+P-preimages of the roots of h with one Legendre symbol per node.  Let s =
+-b/2 be the critical point and t = P(s) = c - b^2/4 the critical value.
+Over the algebraic closure of F_p:
 
 - the roots of f_j mod p are the depth-j nodes of the tree, and the
   children of a node theta are s +- sqrt(theta - t);
@@ -39,7 +74,8 @@ c - b^2/4 the critical value.  Over the algebraic closure of F_p:
 
 A node of degree 4 or more has no descendant of degree at most 2, so one
 walk per prime keeps the nodes of degree 1 as ints and those of degree 2 as
-pairs (u, v), one per conjugate pair, and marks every depth at once.
+pairs (u, v), one per conjugate pair, and marks every depth at once.  Both
+kernels give the same degrees; the tree walk is the faster one on D = 2.
 """
 
 from __future__ import annotations
@@ -56,76 +92,32 @@ from . import modp
 
 # odd primes tried, in increasing order, before a link is left to Zassenhaus
 _PRIMES_PER_LINK = 60
-# the largest deg g tried; each degree costs one more Frobenius power of x
-# modulo f mod p, and its factors g are found in increasing degree
+# the largest deg g a certificate uses (condition 3)
 _MAX_FACTOR_DEGREE = 3
 
 
-def compose_irreducible(f: IntPoly, P) -> tuple[str, int, int] | None:
-    """``("fp", p, deg g)`` proving f(P(X)) irreducible over Q, or None.
+def chain(h: IntPoly, P, k: int) -> list[tuple[str, int, int]]:
+    """The certificates ``("fp", p, deg g)`` of the links h(P^j(X)) ->
+    h(P^(j+1)(X)), j < k, up to the first link that no prime certifies, for
+    a monic P (an IntPoly or RatPoly) and h primitive and irreducible over Q.
 
-    f must be primitive and irreducible over Q, P (an IntPoly or RatPoly)
-    monic.  None proves nothing: f(P(X)) may still be irreducible.
+    No h(P^j(X)) is formed: each prime walks all k links once (see the
+    module docstring), primes are walked lazily and in increasing order, and
+    a link takes the first prime that certifies it.  A list shorter than k
+    means the chain broke at its next link.
     """
     if P.lead != 1:
         raise DomainError("Capelli certificate needs a monic inner polynomial")
     coeffs = [Fraction(c) for c in P.coeffs]
     den = math.lcm(*(c.denominator for c in coeffs))
-    for p in islice(primes_from(3), _PRIMES_PER_LINK):
-        if f.lead % p == 0 or den % p == 0:
-            continue
-        fp = modp.monic(modp.from_int_poly(f.coeffs, p), p)
-        if not modp.is_squarefree(fp, p):
-            continue
-        Pp = [residue(c, p) for c in coeffs]
-        for prod, d in modp.distinct_degree(fp, p, _MAX_FACTOR_DEGREE):
-            if _some_factor_certifies(prod, d, Pp, p):
-                return ("fp", p, d)
-    return None
-
-
-def _some_factor_certifies(prod, d: int, P, p) -> bool:
-    """Whether g(P(X)) is irreducible over F_p for some irreducible factor g
-    of prod, a product of distinct monic irreducibles of degree d.
-
-    For P = X^2 + bX + c, with theta a root of g, P(X) - theta is irreducible
-    over F_p(theta) = F_(p^d) iff its discriminant b^2 - 4c + 4 theta is a
-    non-square there (Euler's criterion).  So the factors that certify are
-    those of gcd(prod, (4x + b^2 - 4c)^((p^d - 1)/2) + 1), and none need be
-    split off.
-    """
-    if len(P) == 3:
-        c, b = P[0], P[1]
-        w = modp.pow_mod([(b * b - 4 * c) % p, 4], (p ** d - 1) // 2, modp.Modulus(prod, p))
-        return len(modp.gcd(modp.add(w, [1], p), prod, p)) > 1
-    rng = random.Random(p)
-    return any(modp.is_irreducible(modp.compose(g, P, p), p)
-               for g in modp.equal_degree_split(prod, d, p, rng))
-
-
-def quadratic_chain(h: IntPoly, P, k: int) -> list[tuple[str, int, int]]:
-    """The certificates of the links h(P^j(X)) -> h(P^(j+1)(X)), j < k, up to
-    the first link that no prime certifies, for a monic quadratic P (an
-    IntPoly or RatPoly) and h primitive and irreducible over Q of degree 1 or
-    2.
-
-    Link for link this is ``compose_irreducible(h(P^j(X)), P)`` (made
-    primitive), from the same primes in the same order, but no h(P^j(X)) is
-    formed: each prime walks the preimage tree of the roots of h once (see
-    the module docstring), and a link takes the first prime that certifies
-    it.  A list shorter than k means the chain broke at its next link.
-    """
-    if P.degree != 2 or P.lead != 1 or not 1 <= h.degree <= 2:
-        raise DomainError("the tree walk needs a monic quadratic map and h of degree 1 or 2")
-    c, b = (Fraction(x) for x in P.coeffs[:2])
-    den = math.lcm(c.denominator, b.denominator)
+    kernel = _tree_degrees if P.degree == 2 and h.degree <= 2 else _small_factor_degrees
     primes = (p for p in islice(primes_from(3), _PRIMES_PER_LINK) if h.lead % p and den % p)
     walked: list[tuple[int, list[int]]] = []  # (p, its degree per link), in prime order
     links = []
     for j in range(k):
         cert = next(((p, ds[j]) for p, ds in walked if ds[j]), None)
         for p in primes if cert is None else ():
-            walked.append((p, ds := _tree_degrees(h, residue(b, p), residue(c, p), p, k)))
+            walked.append((p, ds := kernel(h, [residue(c, p) for c in coeffs], p, k)))
             if ds[j]:
                 cert = p, ds[j]
                 break
@@ -135,10 +127,42 @@ def quadratic_chain(h: IntPoly, P, k: int) -> list[tuple[str, int, int]]:
     return links
 
 
-def _tree_degrees(h: IntPoly, b: int, c: int, p: int, k: int) -> list[int]:
+def _small_factor_degrees(h: IntPoly, P: list[int], p: int, k: int) -> list[int]:
+    """For each link j < k, the least d <= 3 for which p certifies it (a
+    tracked factor g of f_j mod p of degree d with g(P) irreducible, f_j mod p
+    squarefree), or 0; P is the list of residues of the map mod p."""
+    m = max(_MAX_FACTOR_DEGREE, len(P) - 2)
+    rng = random.Random(p)
+
+    def small(pieces):  # the factors of degree <= m from distinct-degree pieces
+        return [g for prod, d in pieces if d <= m
+                for g in modp.equal_degree_split(prod, d, p, rng)]
+
+    f = modp.monic(modp.from_int_poly(h.coeffs, p), p)
+    nodes = small(modp.distinct_degree(f, p, m)) if modp.is_squarefree(f, p) else []
+    out: list[int] = []
+    while len(out) < k - 1 and nodes:
+        images = [modp.compose(g, P, p) for g in nodes]
+        squarefree = [modp.is_squarefree(image, p) for image in images]
+        pieces = [list(modp.distinct_degree(image, p)) if sq else []
+                  for image, sq in zip(images, squarefree)]
+        out.append(min((len(g) - 1 for g, image, ps in zip(nodes, images, pieces)
+                        if len(g) <= _MAX_FACTOR_DEGREE + 1
+                        and [d for _, d in ps] == [len(image) - 1]), default=0))
+        # f_(j+1) mod p is squarefree iff every image is
+        nodes = [g for ps in pieces for g in small(ps)] if all(squarefree) else []
+    # the last link needs no children: its least d is tested first
+    out.append(next((len(g) - 1 for g in sorted(nodes, key=len)
+                     if len(g) <= _MAX_FACTOR_DEGREE + 1
+                     and modp.is_irreducible(modp.compose(g, P, p), p)), 0))
+    return out + [0] * (k - len(out))
+
+
+def _tree_degrees(h: IntPoly, P: list[int], p: int, k: int) -> list[int]:
     """For each link j < k, the least d in (1, 2) for which p certifies it
     (a node of degree d at depth j whose N(theta - t) is a non-residue, with
-    no node equal to t above it), or 0."""
+    no node equal to t above it), or 0; P = [c, b, 1] mod p."""
+    c, b = P[0], P[1]
     r = next(z for z in range(2, p) if legendre(z, p) == -1)
     s = -b * pow(2, -1, p) % p
     t = (c - s * s) % p

@@ -15,15 +15,18 @@ the fixed-N theta sums and discriminant product (every term up to N, the
 tail majorant at N) as the reference for the precision-driven stopping rule
 of those enclosures, and the telescoped orbit heights h(P^n(alpha))/D^n (exact orbit values of
 about D^n h(alpha) bits) as the reference for the local-height canonical
-heights of ``dynamics``.
+heights of ``dynamics``, and the per-link Capelli screen (each h(P^j(X))
+formed and factored mod p, link by link) as the reference for both kernels
+of ``factorint.capelli.chain``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import mpmath
 
@@ -42,6 +45,9 @@ from arithdyn.exactnum import (
     ball_pi,
     rad_up,
 )
+from arithdyn.factorint import factor_over_Q, modp
+from arithdyn.factorint.capelli import _MAX_FACTOR_DEGREE, _PRIMES_PER_LINK
+from arithdyn.ntheory import primes_from, residue
 from arithdyn.polymap import PolyMap
 
 _ZERO = Fraction(0)
@@ -460,3 +466,72 @@ def telescoped_height_stats(P: PolyMap, alpha, eps, prec: int = 0,
     tail = gc.tail_bound(n)
     canonical = RealBall(log_ball.mid / D ** n, log_ball.rad / D ** n + tail)
     return OrbitStats(alpha, n, tuple(heights), canonical, gc.gap(max(prec, 64)))
+
+
+# --- the per-link Capelli screen ---------------------------------------------
+
+
+def compose_irreducible(f: IntPoly, P) -> tuple[str, int, int] | None:
+    """``("fp", p, deg g)`` proving f(P(X)) irreducible over Q, or None.
+
+    f must be primitive and irreducible over Q, P (an IntPoly or RatPoly)
+    monic.  None proves nothing: f(P(X)) may still be irreducible.
+    """
+    if P.lead != 1:
+        raise DomainError("Capelli certificate needs a monic inner polynomial")
+    coeffs = [Fraction(c) for c in P.coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    for p in islice(primes_from(3), _PRIMES_PER_LINK):
+        if f.lead % p == 0 or den % p == 0:
+            continue
+        fp = modp.monic(modp.from_int_poly(f.coeffs, p), p)
+        if not modp.is_squarefree(fp, p):
+            continue
+        Pp = [residue(c, p) for c in coeffs]
+        for prod, d in modp.distinct_degree(fp, p, _MAX_FACTOR_DEGREE):
+            if _some_factor_certifies(prod, d, Pp, p):
+                return ("fp", p, d)
+    return None
+
+
+def _some_factor_certifies(prod, d: int, P, p) -> bool:
+    """Whether g(P(X)) is irreducible over F_p for some irreducible factor g
+    of prod, a product of distinct monic irreducibles of degree d.
+
+    For P = X^2 + bX + c, with theta a root of g, P(X) - theta is irreducible
+    over F_p(theta) = F_(p^d) iff its discriminant b^2 - 4c + 4 theta is a
+    non-square there (Euler's criterion).  So the factors that certify are
+    those of gcd(prod, (4x + b^2 - 4c)^((p^d - 1)/2) + 1), and none need be
+    split off.
+    """
+    if len(P) == 3:
+        c, b = P[0], P[1]
+        w = modp.pow_mod([(b * b - 4 * c) % p, 4], (p ** d - 1) // 2, modp.Modulus(prod, p))
+        return len(modp.gcd(modp.add(w, [1], p), prod, p)) > 1
+    rng = random.Random(p)
+    return any(modp.is_irreducible(modp.compose(g, P, p), p)
+               for g in modp.equal_degree_split(prod, d, p, rng))
+
+
+def per_link_chain(h: IntPoly, P, k: int):
+    """``compose_irreducible`` on each h(P^j(X)), j < k, up to the first
+    link it refuses."""
+    links, f = [], h
+    for _ in range(k):
+        cert = compose_irreducible(f, P)
+        if cert is None:
+            break
+        links.append(cert)
+        f = f.compose(P).to_int_primitive()[1]
+    return links
+
+
+def tower_chains(P: PolyMap, alpha, n: int):
+    """(h, k) for each piece h(P^k(X)) of P^n(X) - P^n(alpha), k >= 1."""
+    beta = Fraction(alpha)
+    for k in range(n):
+        nxt = P.eval(beta)
+        q_beta = (P.poly - nxt).divmod(RatPoly([-beta, 1]))[0]
+        if k:
+            yield from ((h, k) for h, _ in factor_over_Q(q_beta)[1].factors)
+        beta = nxt

@@ -137,6 +137,56 @@ def test_a_huge_n_trips_the_resource_guard_at_once(argv, capsys):
     assert capsys.readouterr().err.startswith("resource guard: ")
 
 
+_C = str(10 ** 300 + 7)  # P^5 of X^2 + C has coefficients of about 4,800 digits
+_LONG = "7" * 4400
+_TOO_LONG = "7" * 100_001
+
+
+@pytest.mark.parametrize("argv", [
+    ["iterate", "--map", f"X^2+{_C}", "--n", "5"],
+    ["snap", "--map", f"X^2+{_C}", "--alpha", "1", "--n", "5"],
+    ["factor", "--poly", f"X^2+{_LONG}"],
+    ["height", "--rational", f"1/{_LONG}"],
+])
+def test_integers_past_pythons_4300_digits_are_read_and_printed(argv, capsys):
+    limit = sys.get_int_max_str_digits()
+    rc, out = run_cli(argv, capsys)
+    assert rc == 0
+    assert sys.get_int_max_str_digits() == limit
+    longest = max(len(s) for s in json.dumps(json.loads(out)["result"]).split('"'))
+    assert longest > 4400
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "--poly", f"X^2+{_TOO_LONG}"],
+    ["height", "--rational", _TOO_LONG],
+    ["iterate", "--map", f"X^2+{_TOO_LONG}", "--n", "1"],
+    ["snap", "--map", "X^2+1", "--alpha", f"1/{_TOO_LONG}", "--n", "1"],
+    ["sweep", "--verb", "snap", "--map", "X^2+1", "--n", "1", "--vary", f"alpha={_TOO_LONG}"],
+    # read in, but P^3 has a coefficient of about 120,000 digits
+    ["iterate", "--map", f"X^2+{'7' * 30000}", "--n", "3"],
+])
+def test_integers_past_the_digit_guard_trip_it(argv, capsys):
+    t0 = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - t0 < 2
+    assert capsys.readouterr().err.startswith("resource guard: ")
+
+
+def test_an_integer_option_past_the_digit_guard_is_malformed(capsys):
+    assert main(["order", "--a", _TOO_LONG, "--n", "7"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_a_tiny_delta_forms_no_huge_power(capsys):
+    # delta = p/q compares d^q with (D^n)^p; q = 10^10 would need gigabytes
+    t0 = time.perf_counter()
+    rc, out = run_cli(["proportion", "--map", "X^2", "--alpha", "2", "--n", "3",
+                       "--delta", "1/10000000000"], capsys)
+    assert rc == 0 and time.perf_counter() - t0 < 1
+    assert json.loads(out)["result"]["proportion"] == "1/4"  # the two roots of degree 1
+
+
 @pytest.mark.parametrize("argv", [
     ["snap", "--map", "X^2+1", "--alpha", "1/0", "--n", "2"],
     ["snap", "--map", "X^2+1", "--alpha", "abc", "--n", "2"],

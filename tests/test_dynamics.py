@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction as F
@@ -6,7 +7,7 @@ import pytest
 
 from arithdyn import dynamics
 from arithdyn.errors import DomainError, ResourceGuardError
-from arithdyn.exactnum import RealBall, ball_log, parse_poly
+from arithdyn.exactnum import IntPoly, RatPoly, RealBall, ball_log, parse_poly
 from arithdyn.factorint import capelli, modp
 from arithdyn.dynamics import (
     bounded_height_region_check,
@@ -21,7 +22,7 @@ from arithdyn.heights import height_rational
 from arithdyn.ntheory import PROVEN_PRIME_BOUND
 from arithdyn.polymap import PolyMap
 from conftest import random_monic_map
-from oracles import telescoped_height_stats
+from oracles import per_link_chain, telescoped_height_stats, tower_chains
 
 P2 = PolyMap.from_text("X^2")
 P21 = PolyMap.from_text("X^2+1")
@@ -266,11 +267,34 @@ def test_quadratic_tower_jobs_screen_no_link_as_a_polynomial(m, alpha, n, monkey
     def per_link(*args):
         raise AssertionError("a quadratic chain was screened link by link")
 
-    monkeypatch.setattr(dynamics, "compose_irreducible", per_link)
-    monkeypatch.setattr(capelli, "compose_irreducible", per_link)
+    monkeypatch.setattr(capelli, "_small_factor_degrees", per_link)
     monkeypatch.setattr(modp, "distinct_degree", per_link)
     rep = snap_degree_multiset(PolyMap.from_text(m), alpha, n)
     assert all(link[0] == "fp" for c in rep.certificates for link in c)
+
+
+@pytest.mark.parametrize("m, alpha, n", [job for job in _TOWER_JOBS if job[0].startswith("X^3")]
+                         + [("X^3+X+1", 1, 6)])
+def test_tower_forms_no_polynomial_below_the_top_piece(m, alpha, n, monkeypatch):
+    # the only compositions snap makes are P^(k+1) = P(P^k) and each piece
+    # h(P^k(X)) itself; no h(P^j(X)) with j < k is formed for any D
+    calls = []
+    compose = IntPoly.compose  # RatPoly shares it
+
+    def counted(self, other):
+        calls.append(other.degree)
+        return compose(self, other)
+
+    monkeypatch.setattr(IntPoly, "compose", counted)
+    monkeypatch.setattr(RatPoly, "compose", counted)
+    P = PolyMap.from_text(m)
+    rep = snap_degree_multiset(P, alpha, n)
+    monkeypatch.undo()
+    pieces = len(rep.certificates) - 1  # every piece but X - alpha
+    assert len(calls) == n + pieces, calls
+    # and the chains are the per-link screen's, link for link
+    assert [c for c in rep.certificates if c] == [
+        tuple(per_link_chain(h, P.poly, k)) for h, k in tower_chains(P, alpha, n)]
 
 
 def test_a_broken_chain_is_factored_whole():
@@ -297,6 +321,17 @@ def test_low_degree_proportion_examples():
     assert low_degree_proportion(P2, 2, 2, F(2, 5)) == F(1, 2)
     assert low_degree_proportion(P2, 2, 3, F(1, 2)) == F(1, 2)
     assert low_degree_proportion(P2, 2, 2, F(5)) == 1
+
+
+def test_low_degree_share_matches_the_exact_powers():
+    # the bit-length screen against d^q <= (D^n)^p, for every degree d <= D^n
+    rep = snap_degree_multiset(P2, 2, 3)
+    for degree in (8, 27, 64, 81, 125, 1024):
+        every = dataclasses.replace(rep, degree=degree, multiset=tuple(range(1, degree + 1)))
+        for p in range(1, 13):
+            for q in range(1, 13):
+                exact = sum(1 for d in every.multiset if d ** q <= degree ** p)
+                assert every.low_degree_share(F(p, q)) == F(exact, degree), (degree, p, q)
 
 
 def test_proportion_monotone_in_delta():

@@ -13,18 +13,21 @@ from arithdyn.dynamics import snap_degree_multiset
 from arithdyn.errors import DomainError
 from arithdyn.exactnum import IntPoly, RatPoly, TruncSeries
 from arithdyn.exactnum.poly import int_mul, rat_mul
-from arithdyn.factorint import compose_irreducible, factor_over_Q, factor_over_Z
-from arithdyn.factorint import capelli, modp, zassenhaus
-from arithdyn.ntheory import is_prime, legendre, primes_from, sqrt_mod
+from arithdyn.factorint import capelli, factor_over_Q, factor_over_Z, modp, zassenhaus
+from arithdyn.ntheory import is_prime, legendre, primes_from, residue, sqrt_mod
 from arithdyn.polymap import PolyMap
 from conftest import random_monic_map
 from oracles import (
+    _some_factor_certifies,
+    compose_irreducible,
     dict_series_mul,
     exhaustive_factorization,
+    per_link_chain,
     school_divmod,
     school_mul,
     school_poly_mul,
     school_pow_mod,
+    tower_chains,
 )
 
 # a pool of known irreducibles for reconstruction stress tests
@@ -503,6 +506,7 @@ def test_capelli_certificate_never_contradicts_zassenhaus(rng):
         alpha = F(rng.randint(-4, 4), rng.randint(1, 3))
         for f, g, irreducible in _capelli_chains(P, alpha, {2: 4, 3: 3}[P.degree]):
             cert = compose_irreducible(f, P.poly)
+            assert capelli.chain(f, P.poly, 1) == ([cert] if cert else []), (P, alpha, f)
             reducible += not irreducible
             if cert is not None:
                 certified += 1
@@ -525,7 +529,7 @@ def test_capelli_certificate_refuses_reducible_compositions(f, P, whole):
     _, rep = factor_over_Q(f.compose(P))
     assert sorted(list(g.coeffs) for g, m in rep.factors for _ in range(m)) == whole
     assert compose_irreducible(f, P) is None
-    assert capelli.quadratic_chain(f, P, 1) == []
+    assert capelli.chain(f, P, 1) == []
 
 
 @given(st.data())
@@ -552,34 +556,10 @@ def test_quadratic_norm_criterion_matches_factoring(data):
     for prod, d in modp.distinct_degree(f, p):
         split = modp.equal_degree_split(prod, d, p, random.Random(0))
         expected = any(modp.is_irreducible(modp.compose(g, P, p), p) for g in split)
-        assert capelli._some_factor_certifies(prod, d, P, p) == expected
+        assert _some_factor_certifies(prod, d, P, p) == expected
 
 
-# --- the quadratic preimage-tree walk ----------------------------------------
-
-
-def _per_link_chain(h: IntPoly, P, k: int):
-    """The oracle: ``compose_irreducible`` on each h(P^j(X)), j < k, up to
-    the first link it refuses."""
-    links, f = [], h
-    for _ in range(k):
-        cert = compose_irreducible(f, P)
-        if cert is None:
-            break
-        links.append(cert)
-        f = f.compose(P).to_int_primitive()[1]
-    return links
-
-
-def _tower_chains(P: PolyMap, alpha, n: int):
-    """(h, k) for each piece h(P^k(X)) of P^n(X) - P^n(alpha), k >= 1."""
-    beta = F(alpha)
-    for k in range(n):
-        nxt = P.eval(beta)
-        q_beta = (P.poly - nxt).divmod(RatPoly([-beta, 1]))[0]
-        if k:
-            yield from ((h, k) for h, _ in factor_over_Q(q_beta)[1].factors)
-        beta = nxt
+# --- the Capelli chain: the tree walk (D = 2) and the small-factor walk ------
 
 
 @pytest.mark.parametrize("m, alpha, n, broken", [
@@ -589,12 +569,17 @@ def _tower_chains(P: PolyMap, alpha, n: int):
     # Chebyshev: the top piece h(P^8(X)) breaks at its last link, f_7 -> f_8
     ("X^2-2", 3, 9, {8: 7}),
 ])
-def test_tree_walk_matches_per_link_certificates(m, alpha, n, broken):
+def test_tree_walk_matches_per_link_certificates(m, alpha, n, broken, monkeypatch):
     P = PolyMap.from_text(m)
-    for h, k in _tower_chains(P, alpha, n):
-        links = capelli.quadratic_chain(h, P.poly, k)
-        assert links == _per_link_chain(h, P.poly, k), (h, k)
+    chains = [(h, k, per_link_chain(h, P.poly, k)) for h, k in tower_chains(P, alpha, n)]
+    for h, k, expected in chains:
+        links = capelli.chain(h, P.poly, k)
+        assert links == expected, (h, k)
         assert len(links) == broken.get(k, k)
+    # the small-factor walk, which serves D >= 3, certifies the same on D = 2
+    monkeypatch.setattr(capelli, "_tree_degrees", capelli._small_factor_degrees)
+    for h, k, expected in chains:
+        assert capelli.chain(h, P.poly, k) == expected, (h, k)
 
 
 def test_tree_walk_matches_per_link_certificates_on_random_maps(rng):
@@ -602,13 +587,74 @@ def test_tree_walk_matches_per_link_certificates_on_random_maps(rng):
     while towers < 40:
         P = random_monic_map(rng, 2)
         alpha = F(rng.randint(-4, 4), rng.randint(1, 3))
-        for h, k in _tower_chains(P, alpha, 6):
-            walk = capelli.quadratic_chain(h, P.poly, k)
-            assert walk == _per_link_chain(h, P.poly, k), (P, alpha, h, k)
+        for h, k in tower_chains(P, alpha, 6):
+            walk = capelli.chain(h, P.poly, k)
+            assert walk == per_link_chain(h, P.poly, k), (P, alpha, h, k)
             links += len(walk)
             breaks += len(walk) < k
         towers += 1
     assert links > 400 and breaks > 0
+
+
+@pytest.mark.parametrize("m, alpha, n", [
+    # the two D = 3 jobs of perfbench's tower workload
+    ("X^3+X+1", 1, 4), ("X^3-X", 2, 4),
+    ("X^3+X+1", 1, 6), ("X^3-3*X", 3, 5), ("X^3+2", 1, 5), ("X^4+X+1", 1, 4),
+    ("X^3+X^2-1", 2, 5), ("X^5+3", 1, 3),
+])
+def test_small_factor_walk_matches_per_link_certificates(m, alpha, n):
+    P = PolyMap.from_text(m)
+    for h, k in tower_chains(P, alpha, n):
+        assert capelli.chain(h, P.poly, k) == per_link_chain(h, P.poly, k), (h, k)
+
+
+def test_small_factor_walk_matches_per_link_certificates_on_random_maps(rng):
+    # 80 draws of degree 3 or 4; the one break among them is the level-1
+    # piece 2P(X) + 1 = X(2X^3 - 5X - 4) of X^4 - 5/2 X^2 - 2X - 1/2 at 0
+    towers = links = breaks = 0
+    while towers < 80:
+        P = random_monic_map(rng, 4)
+        if P.degree < 3:
+            continue
+        alpha = F(rng.randint(-4, 4), rng.randint(1, 3))
+        for h, k in tower_chains(P, alpha, {3: 4, 4: 3}[P.degree]):
+            walk = capelli.chain(h, P.poly, k)
+            assert walk == per_link_chain(h, P.poly, k), (P, alpha, h, k)
+            links += len(walk)
+            breaks += len(walk) < k
+        towers += 1
+    assert links > 300 and breaks > 0
+
+
+def test_small_factor_walk_tracks_critical_values_of_degree_d_minus_1():
+    # P = X^5 + 4X + 2: mod 13, P' = 5X^4 + 4 is irreducible, so P's critical
+    # values have degree 4, and h = (their minimal polynomial)(X - 2) mod 13.
+    # So h(P) mod 13 has a repeated root, and 13 must not certify link 1,
+    # though X - 2 -> X -> P(X) would: a walk that tracked factors of degree
+    # <= 3 only would miss the repeated root.  lc(h) = 3*5*7*11 makes 13 the
+    # first prime walked.
+    P = IntPoly([2, 4, 0, 0, 0, 1])
+    h = IntPoly([6, 12, 4, 11, 7, 1155])
+    assert capelli._small_factor_degrees(h, list(P.coeffs), 13, 2) == [0, 0]
+    assert capelli.chain(h, P, 2) == per_link_chain(h, P, 2) == [("fp", 19, 3), ("fp", 41, 1)]
+
+
+def test_both_kernels_give_the_same_degrees_on_quadratic_maps(rng):
+    # per prime and per link, not only the first certificate of each link
+    towers = lists = 0
+    while towers < 40:
+        P = random_monic_map(rng, 2)
+        alpha = F(rng.randint(-4, 4), rng.randint(1, 3))
+        coeffs = [F(c) for c in P.poly.coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        for h, k in tower_chains(P, alpha, 6):
+            for p in islice((p for p in primes_from(3) if h.lead % p and den % p), 8):
+                Pp = [residue(c, p) for c in coeffs]
+                tree = capelli._tree_degrees(h, Pp, p, k)
+                assert capelli._small_factor_degrees(h, Pp, p, k) == tree, (P, alpha, h, p)
+                lists += any(tree)
+        towers += 1
+    assert lists > 1000
 
 
 @pytest.mark.parametrize("p", [17, 41, 73, 97, 113, 193, 241, 257])
