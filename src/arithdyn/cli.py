@@ -12,20 +12,29 @@ errors, 3 resource-guard trips.  A rational or polynomial input, or a
 result, with an integer of more than 100,000 decimal digits is a
 resource-guard trip.
 
+Options are parsed straight from the verb table below, the one place an
+option is declared.  Each is written in full as ``--name value`` or
+``--name=value``; the value is the next token whatever it looks like, so
+``--alpha -1/2`` and ``--poly "-X^2+4"`` read signed values.  A flag takes no
+value.  ``--help`` or ``-h`` (alone or after a verb) and ``--version`` print
+a listing built from the table.
+
 Config files are key=value lines ('#' comments allowed); keys are the long
 option names with dashes replaced by underscores, and a key the verb does
-not declare is a usage error.  Explicit command-line flags override config
-values, which override built-in defaults.
+not declare is a usage error.  Values merge in one order: built-in
+defaults, then config lines, then the command line, a later value winning;
+a repeatable option collects the values of both.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -45,9 +54,15 @@ class _CliError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _CliError(message)
+class _Listing(Exception):
+    """``--help`` or ``--version``: the text to print, with exit code 0."""
+
+
+def _shown(text) -> str:
+    """A value as a message echoes it: its repr, cut to the first 40
+    characters (and its length given) when longer."""
+    text = str(text)
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def _too_many_digits(exc: Exception) -> bool:
@@ -63,7 +78,7 @@ def _rational(text, what: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         if _too_many_digits(exc):
             raise
-        raise _CliError(f"{what}: cannot parse rational {text!r}") from exc
+        raise _CliError(f"{what}: cannot parse rational {_shown(text)}") from exc
 
 
 # the exact ball e^k grows with |k|; e^1000 already takes most of a second
@@ -80,9 +95,9 @@ def parse_number(text, what: str = "number"):
     if text == "e" or text.startswith("e^"):
         k = _rational(text[2:], f"{what}: exponent of e") if text.startswith("e^") else Fraction(1)
         if k.denominator != 1:
-            raise _CliError(f"{what}: only integer powers of e are supported: {text!r}")
+            raise _CliError(f"{what}: only integer powers of e are supported: {_shown(text)}")
         if abs(k) > _MAX_E_POWER:
-            raise ResourceGuardError(f"{what}: |exponent of e| above {_MAX_E_POWER}: {text!r}")
+            raise ResourceGuardError(f"{what}: |exponent of e| above {_MAX_E_POWER}: {_shown(text)}")
         out = ball_e(192) ** abs(k.numerator)
         return out.inverse() if k < 0 else out
     return _rational(text, what)
@@ -109,6 +124,13 @@ class Param(NamedTuple):
     def key(self) -> str:
         """Namespace attribute, jobspec key and config key."""
         return self.dest or self.name.replace("-", "_")
+
+    @property
+    def usage(self) -> str:
+        """Its ``--help`` line: the name, the kind (or choices), and "required" or the default."""
+        default = "" if self.default in (None, [], "") else f" (default {self.default})"
+        kind = "|".join(self.choices or [self.kind])
+        return f"  --{self.name:<16} {kind}" + (" (required)" if self.required else default)
 
 
 class Verb(NamedTuple):
@@ -151,7 +173,7 @@ def _value(p: Param, raw):
         try:
             value = int(raw)
         except ValueError as exc:
-            raise _CliError(f"--{p.name}: cannot parse integer {raw!r}") from exc
+            raise _CliError(f"--{p.name}: cannot parse integer {_shown(raw)}") from exc
         if p.positive and value < 1:
             raise DomainError(f"--{p.name} must be positive, got {value}")
         return value
@@ -162,12 +184,12 @@ def _value(p: Param, raw):
     if p.kind == "flag":
         return raw if isinstance(raw, bool) else str(raw).lower() in ("1", "true", "yes")
     if p.choices and raw not in p.choices:
-        raise _CliError(f"--{p.name}: invalid choice {raw!r} (choose from {', '.join(p.choices)})")
+        raise _CliError(f"--{p.name}: invalid choice {_shown(raw)} (one of {', '.join(p.choices)})")
     return str(raw)
 
 
-def _typed(values: dict, params) -> argparse.Namespace:
-    return argparse.Namespace(**(values | {p.key: _value(p, values.get(p.key)) for p in params}))
+def _typed(values: dict, params) -> SimpleNamespace:
+    return SimpleNamespace(**(values | {p.key: _value(p, values.get(p.key)) for p in params}))
 
 
 def _check_required(verb: Verb, values: dict) -> None:
@@ -475,7 +497,7 @@ def _run_vanish(a):
         for pair in a.points.split(";"):
             xy = pair.split(",")
             if len(xy) != 2:
-                raise _CliError(f"--points: need x,y pairs separated by ';', got {pair!r}")
+                raise _CliError(f"--points: need x,y pairs separated by ';', got {_shown(pair)}")
             points.append((_rational(xy[0], "--points"), _rational(xy[1], "--points")))
     poly = vanishing_polynomial(points, a.t_max)
     res = poly.to_json() | {"total_degree": poly.total_degree, "text": str(poly)}
@@ -541,7 +563,7 @@ def _run_census(a):
     from .countkit import CENSUS_FUNCTIONS, CensusResult, enumerate_rationals
 
     if a.function not in CENSUS_FUNCTIONS:
-        raise _CliError(f"unknown census function {a.function!r}")
+        raise _CliError(f"unknown census function {_shown(a.function)}")
     params = {"value": a.value, "N": a.order, "map_text": a.map or "X^2",
               "alpha": a.alpha if a.alpha is not None else Fraction(4)}
     qs = enumerate_rationals(a.height)
@@ -576,24 +598,26 @@ def _run_modular(a):
 
 def _sweep_worker(payload):
     verb, values = payload
-    return VERBS[verb].run(argparse.Namespace(**values))[1]
+    return VERBS[verb].run(SimpleNamespace(**values))[1]
 
 
-def _vary_values(spec: str) -> tuple[str, list]:
+def _vary_values(spec: str) -> tuple[str, list | range]:
+    """The swept name and its values: a list of texts, or a range of ints
+    (not materialized, so its size is checked first)."""
     if "=" not in spec:
-        raise _CliError(f"malformed --vary {spec!r} (need name=a:b or name=v1,v2,...)")
+        raise _CliError(f"malformed --vary {_shown(spec)} (need name=a:b or name=v1,v2,...)")
     name, body = spec.split("=", 1)
     if ":" not in body:
         return name, [v for v in body.split(",") if v != ""]
     parts = body.split(":")
     if len(parts) not in (2, 3):
-        raise _CliError(f"malformed range in --vary {spec!r}")
+        raise _CliError(f"malformed range in --vary {_shown(spec)}")
     try:
         a, b = int(parts[0]), int(parts[1])
         step = int(parts[2]) if len(parts) == 3 else 1
-        return name, list(range(a, b + 1, step))
+        return name, range(a, b + 1, step)
     except ValueError as exc:
-        raise _CliError(f"malformed range in --vary {spec!r}") from exc
+        raise _CliError(f"malformed range in --vary {_shown(spec)}") from exc
 
 
 @_verb("sweep", "run a verb over parameter ranges, one CSV row per tuple",
@@ -609,15 +633,19 @@ def _run_sweep(a):
         name, values = _vary_values(spec)
         p = declared.get(name.replace("-", "_"))
         if p is None:
-            raise _CliError(f"--vary: {verb.name} has no parameter {name!r}")
+            raise _CliError(f"--vary: {verb.name} has no parameter {_shown(name)}")
         if any(q.key == p.key for q, _ in ranges):
-            raise _CliError(f"--vary: {name!r} is swept twice")
+            raise _CliError(f"--vary: {_shown(name)} is swept twice")
         ranges.append((p, values))
+    # checked before any tuple is built; len() refuses a range past sys.maxsize,
+    # so a range's size is taken as ceil((stop - start) / step)
+    count = math.prod(max(0, -((v.start - v.stop) // v.step)) if isinstance(v, range) else len(v)
+                      for _, v in ranges)
+    if count > a.job_cap:
+        raise ResourceGuardError(f"sweep of {count} jobs exceeds cap {a.job_cap}")
     tuples = [[]]
     for p, values in ranges:
         tuples = [t + [(p, v)] for t in tuples for v in values]
-    if len(tuples) > a.job_cap:
-        raise ResourceGuardError(f"sweep of {len(tuples)} jobs exceeds cap {a.job_cap}")
     payloads = []
     for t in tuples:
         values = vars(a) | {p.key: _value(p, v) for p, v in t}
@@ -629,88 +657,77 @@ def _run_sweep(a):
 
 
 # ---------------------------------------------------------------------------
-# parsing: the table above builds every parser, check and coercion
+# parsing: the table above is the parser's only input
 
 
-def _add_params(parser: argparse.ArgumentParser, params) -> None:
-    for p in params:
-        kw = {"dest": p.key, "default": p.default}
-        if p.kind == "flag":
-            kw["action"] = "store_true"
-        elif p.kind == "list":
-            kw["action"] = "append"
-        elif p.kind == "int":
-            kw["type"] = int
-        if p.choices:
-            kw["choices"] = p.choices
-        parser.add_argument(f"--{p.name}", **kw)
-
-
-def _top_parser() -> _Parser:
-    parser = _Parser(prog="arithdyn", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="verb")
-    for v in VERBS.values():
-        sub.add_parser(v.name, help=v.help)
-    return parser
-
-
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> list[tuple[str, str]]:
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _CliError(f"cannot read config {path!r}: {exc}") from exc
-    out = {}
-    for line in lines:
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise _CliError(f"malformed config line {line!r}")
-        k, v = line.split("=", 1)
-        out[k.strip().replace("-", "_")] = v.strip()
+        raise _CliError(f"cannot read config {_shown(path)}: {exc}") from exc
+    out = []
+    for line in filter(None, (line.split("#", 1)[0].strip() for line in lines)):
+        k, eq, v = line.partition("=")
+        if not eq:
+            raise _CliError(f"malformed config line {_shown(line)}")
+        out.append((k.strip().replace("-", "_"), v.strip()))
     return out
 
 
-def _config_defaults(cfg: dict, params, verb: str) -> dict:
-    """Config values as parser defaults, coerced by the verb's own types;
-    text-valued ones stay as written, so the jobspec shows them verbatim."""
-    declared = {p.key: p for p in params}
-    out = {}
-    for k, v in cfg.items():
-        p = declared.get(k)
-        if p is None:
-            raise _CliError(f"config key {k!r} is not a parameter of {verb}")
-        out[k] = [v] if p.kind == "list" else _value(p, v) if p.kind in ("int", "flag") else v
-    return out
+def _listing(verb: Verb | None) -> str:
+    """The ``--help`` text, off the table: the verbs, or one verb's options."""
+    if verb is None:
+        rows = [__doc__, "verbs:", *(f"  {v.name:<20} {v.help}" for v in VERBS.values())]
+    else:
+        rows = [verb.help, "", "options:", *(p.usage for p in verb.params + COMMON)]
+    usage = f"usage: arithdyn {verb.name if verb else 'VERB'} [--name value | --name=value] ..."
+    return "\n".join([usage, "", *rows]) + "\n"
 
 
-def _parse(argv: list[str]) -> tuple[argparse.Namespace, tuple[Param, ...]]:
-    """The raw namespace (what the jobspec prints) and the declared params."""
+def _parse(argv: list[str]) -> tuple[SimpleNamespace, tuple[Param, ...]]:
+    """The raw namespace (what the jobspec prints) and the declared params.
+
+    Values merge in one loop: the table's defaults, then the config file's
+    lines, then the command line; a later value wins, and a list option
+    collects them all.  Int and flag values are typed as they are merged;
+    every other value stays as written until the verb runs."""
+    if argv[:1] in (["--help"], ["-h"], ["--version"]):
+        raise _Listing(__version__ + "\n" if argv[0] == "--version" else _listing(None))
     if not argv or argv[0] not in VERBS:
-        _top_parser().parse_args(argv)  # --help, --version, or a usage error
-        raise _CliError("no verb given (see --help)")
+        got = f"unknown verb {_shown(argv[0])}" if argv else "no verb given"
+        raise _CliError(f"{got} (see --help)")
     verb = VERBS[argv[0]]
-    # --config (and sweep's --verb) decide which params the verb takes
-    pre = _Parser(add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
-    pre.add_argument("--verb", dest="sweep_verb")
-    known, _ = pre.parse_known_args(argv[1:])
-    cfg = _load_config(known.config) if known.config else {}
-    params = COMMON + verb.params
-    target = (known.sweep_verb or cfg.get("sweep_verb")) if verb.name == "sweep" else None
-    if target is not None:
-        if target not in VERBS or target == "sweep":
-            raise _CliError(f"unknown sweep verb {target!r}")
-        params += VERBS[target].params
-    parser = _Parser(prog=f"arithdyn {verb.name}", description=verb.help)
-    _add_params(parser, params)
-    parser.set_defaults(**_config_defaults(cfg, params, verb.name))
-    args = parser.parse_args(argv[1:])
-    args.verb = verb.name
-    _check_required(verb, vars(args))
-    return args, params
+    flags = {f"--{p.name}" for v in VERBS.values() for p in COMMON + v.params if p.kind == "flag"}
+    given, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if token in ("--help", "-h"):
+            raise _Listing(_listing(verb))
+        if not token.startswith("--"):
+            raise _CliError(f"unexpected argument {_shown(token)}")
+        name, eq, value = token.partition("=")
+        if name in flags and eq:
+            raise _CliError(f"{_shown(name)} is a flag and takes no value")
+        value = value if eq else True if name in flags else next(tokens, None)
+        if value is None:
+            raise _CliError(f"{_shown(name)} needs a value")
+        given.append((name, value))
+    cmd = dict(given)
+    cfg = _load_config(cmd["--config"]) if cmd.get("--config") else []
+    target = cmd.get("--verb", dict(cfg).get("sweep_verb")) if verb.name == "sweep" else None
+    if target is not None and (target not in VERBS or target == "sweep"):
+        raise _CliError(f"unknown sweep verb {_shown(target)}")
+    params = COMMON + verb.params + (VERBS[target].params if target else ())
+    values = {p.key: p.default for p in params} | {"verb": verb.name}
+    by_key, by_name = {p.key: p for p in params}, {f"--{p.name}": p for p in params}
+    for pairs, declared, what in ((cfg, by_key, "config key "), (given, by_name, "")):
+        for k, v in pairs:
+            if k not in declared:
+                raise _CliError(f"{what}{_shown(k)} is not a parameter of {verb.name}")
+            p = declared[k]
+            values[p.key] = ([*values[p.key], v] if p.kind == "list"
+                             else _value(p, v) if p.kind in ("int", "flag") else v)
+    _check_required(verb, values)
+    return SimpleNamespace(**values), params
 
 
 def _jobspec(args) -> dict:
@@ -718,10 +735,7 @@ def _jobspec(args) -> dict:
     for k, v in sorted(vars(args).items()):
         if k in ("output", "config") or v is None or k == "vary" and not v:
             continue
-        if isinstance(v, (list, tuple)):
-            spec[k] = [str(x) for x in v]
-        else:
-            spec[k] = v if isinstance(v, (int, bool)) else str(v)
+        spec[k] = v if isinstance(v, (int, list)) else str(v)  # list: vary's texts
     return spec
 
 
@@ -772,6 +786,9 @@ def main(argv=None) -> int:
             raise
         print(f"resource guard: an integer of more than {_MAX_INT_DIGITS} digits", file=sys.stderr)
         return 3
+    except _Listing as exc:
+        sys.stdout.write(str(exc))
+        return 0
     except _CliError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the CLI: DomainError -> 2, ResourceGuardError -> 3,
-anything argparse-shaped -> 1.
+a malformed command line or parameter -> 1.
 """
 
 

@@ -16,21 +16,25 @@ image of every point of the input balls, with no rounding at all.
 Rounding follows one rule, in ``_round_scaled``: n 2^s / d goes to the
 nearest integer, ties to even, for a midpoint, and up for a radius; a
 shift when d is a power of two, a divmod otherwise.  ``round_to``
-shortens the midpoint to ``prec`` significant bits (s from the bit
-lengths of n and d), ``round_to_grid`` rounds it to the absolute grid
-2^-w (s = w), and ``widen(err)`` rounds ``rad + err`` up to a short dyadic
-(32 significant bits).  ``widen`` is the one place where a rounding error
-or a truncation majorant enters a radius: the rounding errors of
-``round_to`` and ``round_to_grid``, the growth term of ``ball_cexp``, the
-series tails of ``countkit.modular`` and ``boettcher.psi_eval``, and the
-escape tails of the archimedean local height in ``dynamics``.  So radii
-stay short and stay certified, following the midpoint-radius design of Arb
-(Johansson, IEEE TC 2017).  An orbit that falls into a superattracting
-cycle needs the absolute grid: relative rounding would let the exponents
-of its midpoint and radius double at every step.
+shortens the midpoint to at most ``prec`` + 1 significant bits (s from the
+bit lengths of n and d: prec + 1 bits for a dyadic n/d, prec or prec + 1
+for a non-dyadic one, whose bit lengths only bracket its binary exponent),
+``round_to_grid`` rounds it to the absolute grid 2^-w (s = w), and
+``widen(err)`` rounds ``rad + err`` up to a short dyadic (at most 33
+significant bits, from ``_RAD_BITS`` = 32).  ``widen`` is the one place
+where a rounding error or a truncation majorant enters a radius: the
+rounding errors of ``round_to`` and ``round_to_grid``, the growth term of
+``ball_cexp``, the series tails of ``countkit.modular`` and
+``boettcher.psi_eval``, and the escape tails of the archimedean local
+height in ``dynamics``.  So radii stay short and stay certified, following
+the midpoint-radius design of Arb (Johansson, IEEE TC 2017).  An orbit
+that falls into a superattracting cycle needs the absolute grid: relative
+rounding would let the exponents of its midpoint and radius double at
+every step.
 Transcendental functions (log, exp, sqrt, sin, cos, pi) are delegated to
-mpmath's directed-rounding interval context and converted back to
-midpoint-radius form, so every enclosure produced here is rigorous.
+mpmath's directed-rounding interval context (imported on first use) and
+converted back to midpoint-radius form, so every enclosure produced here
+is rigorous.
 
 ``ComplexBall.real``/``.imag`` (disk to interval) and ``as_complex_ball``
 (interval to disk) are the one crossing between the two ball types.
@@ -45,21 +49,25 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import gcd, isqrt
-
-import mpmath
-from mpmath.ctx_iv import MPIntervalContext
+from typing import TYPE_CHECKING
 
 from ..errors import CertificationError, DomainError
 from .poly import as_fraction, power
 
+if TYPE_CHECKING:
+    from mpmath.ctx_iv import MPIntervalContext
+
 DEFAULT_PREC = 128
-_RAD_BITS = 32  # significant bits of a radius after rad_up
+_RAD_BITS = 32  # the prec of rad_up: a radius keeps at most _RAD_BITS + 1 significant bits
 
 _ZERO = Fraction(0)
 
 
 @functools.lru_cache(maxsize=32)
 def _ctx(prec: int) -> MPIntervalContext:
+    # mpmath is imported on first use: only the transcendental kernels need it
+    from mpmath.ctx_iv import MPIntervalContext
+
     c = MPIntervalContext()
     c.prec = max(8, int(prec))
     return c
@@ -93,7 +101,9 @@ def _iv_from_fraction(q: Fraction, ctx):
 def _iv_from_endpoints(lo: Fraction, hi: Fraction, ctx):
     a = _iv_from_fraction(lo, ctx)
     b = _iv_from_fraction(hi, ctx)
-    mk = mpmath.mp.make_mpf
+    from mpmath import mp
+
+    mk = mp.make_mpf
     return ctx.mpf([mk(a._mpi_[0]), mk(b._mpi_[1])])
 
 
@@ -157,11 +167,15 @@ def _round_scaled(n: int, d: int, s: int, up: bool = False) -> int:
 
 
 def _round_sig(n: int, d: int, prec: int, up: bool = False) -> tuple[int, int]:
-    """n/d rounded to ``prec`` significant bits, as (R, s) for the value R 2^-s.
+    """n/d rounded to at most ``prec`` + 1 significant bits, as (R, s) for
+    the value R 2^-s.
 
-    s comes from the bit lengths of n and d in lowest terms, so a non-dyadic
-    n/d must come in lowest terms; for a power-of-two d their difference is
-    floor(log2 |n/d|) in any terms."""
+    s = prec - (bit length of n - bit length of d).  For a power-of-two d
+    that difference is floor(log2 |n/d|) in any terms, so |n/d| 2^s lies in
+    [2^prec, 2^(prec+1)) and R has prec + 1 bits (or is 2^(prec+1), one
+    significant bit, after a carry).  For another d it only brackets the
+    binary exponent, so R has prec or prec + 1 bits; such an n/d must come
+    in lowest terms."""
     s = prec - (abs(n).bit_length() - d.bit_length())
     return _round_scaled(n, d, s, up), s
 
@@ -174,15 +188,17 @@ def _scaled_pair(R: int, s: int) -> tuple[int, int]:
 
 
 def _rad_up(n: int, d: int) -> tuple[int, int]:
-    """The radius n/d >= 0 rounded up to _RAD_BITS significant bits, in lowest terms."""
+    """The radius n/d >= 0 rounded up as ``_round_sig`` does at prec _RAD_BITS
+    (at most _RAD_BITS + 1 significant bits), in lowest terms."""
     if d & (d - 1):
         n, d = _reduce(n, d)
     return _scaled_pair(*_round_sig(n, d, _RAD_BITS, True))
 
 
 def _round_mid(n: int, d: int, prec: int) -> tuple[int, int, int, int]:
-    """n/d (in lowest terms) rounded to ``prec`` significant bits: the value
-    in lowest terms and the absolute rounding error, not reduced."""
+    """n/d (in lowest terms) rounded as ``_round_sig`` does (at most ``prec`` + 1
+    significant bits): the value in lowest terms and the absolute rounding
+    error, not reduced."""
     vn, vd = _scaled_pair(*_round_sig(n, d, prec))
     en, ed = _add(vn, vd, -n, d)
     return vn, vd, abs(en), ed
@@ -226,12 +242,13 @@ def sqrt_up(x: Fraction, bits: int = 64) -> Fraction:
 
 
 def _round_fraction(q: Fraction, prec: int) -> Fraction:
-    """Nearest dyadic with ~prec significant bits (ties to even)."""
+    """Nearest dyadic with at most prec + 1 significant bits (ties to even)."""
     return Fraction(*_scaled_pair(*_round_sig(q.numerator, q.denominator, prec)))
 
 
 def rad_up(r: Fraction) -> Fraction:
-    """Round a radius up to a dyadic of _RAD_BITS significant bits (sound compaction)."""
+    """Round a radius up to a dyadic of at most _RAD_BITS + 1 significant bits
+    (sound compaction)."""
     return Fraction(*_scaled_pair(*_round_sig(*_pair(r), _RAD_BITS, True)))
 
 
@@ -390,8 +407,9 @@ class RealBall:
         return _real(self._mn, self._md, rn, rd)
 
     def round_to(self, prec: int) -> "RealBall":
-        """Midpoint rounded to ``prec`` significant bits; the radius grows by
-        the rounding error and is rounded up as in ``widen``."""
+        """Midpoint rounded to at most ``prec`` + 1 significant bits (``prec`` + 1
+        for a dyadic one); the radius grows by the rounding error and is
+        rounded up as in ``widen``."""
         mn, md, en, ed = _round_mid(self._mn, self._md, prec)
         rn, rd = _rad_up(*_add(self._rn, self._rd, en, ed))
         return _real(mn, md, rn, rd)
@@ -643,8 +661,9 @@ class ComplexBall:
         return _complex(self._xn, self._xd, self._yn, self._yd, rn, rd)
 
     def round_to(self, prec: int) -> "ComplexBall":
-        """Both parts of the centre rounded to ``prec`` significant bits; the
-        radius grows by the length of the rounding error, as in ``widen``."""
+        """Both parts of the centre rounded to at most ``prec`` + 1 significant
+        bits, as in ``RealBall.round_to``; the radius grows by the length of
+        the rounding error, as in ``widen``."""
         xn, xd, e1n, e1d = _round_mid(self._xn, self._xd, prec)
         yn, yd, e2n, e2d = _round_mid(self._yn, self._yd, prec)
         en, ed = _abs_up(e1n, e1d, e2n, e2d)

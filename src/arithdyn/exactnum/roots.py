@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from ..errors import CertificationError, DomainError
 from .ball import ComplexBall, _fraction_from_mpf_tuple, _round_fraction, sqrt_up
 from .poly import IntPoly, RatPoly, horner
+
+if TYPE_CHECKING:
+    import mpmath
 
 _FLOAT_ITERS = 120  # Aberth passes in double precision
 _MP_ITERS = 200  # Aberth passes at mpmath precision
@@ -91,6 +93,8 @@ def _rational_root_candidates(z: complex, p: IntPoly) -> list[Fraction]:
 
 def _mp_approximations(p: IntPoly, prec: int) -> list[mpmath.mpc]:
     """Aberth approximations at mpmath precision (when the float ones fail)."""
+    import mpmath  # on first use: only the root polishing at high precision needs it
+
     n = p.degree
     with mpmath.workprec(prec):
         cs = [mpmath.mpf(c) for c in p.coeffs]
@@ -106,6 +110,8 @@ def _mp_approximations(p: IntPoly, prec: int) -> list[mpmath.mpc]:
 
 
 def _mp_polish(p: IntPoly, z0: complex | mpmath.mpc, prec: int) -> mpmath.mpc:
+    import mpmath
+
     with mpmath.workprec(prec):
         z = mpmath.mpc(z0)
         cs = [mpmath.mpf(c) for c in p.coeffs]

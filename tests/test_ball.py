@@ -19,6 +19,7 @@ from arithdyn.exactnum import (
     sqrt_down,
     sqrt_up,
 )
+from arithdyn.exactnum.ball import _RAD_BITS, _rad_up, _round_sig
 from arithdyn.exactnum.poly import RatPoly, parse_poly
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
@@ -323,3 +324,29 @@ def test_kernel_rounds_exact_ties_like_the_fraction_formulas(odd, neg, k, j, rad
     if w >= 0:
         got = x.round_to_grid(w)
         assert (got.mid, got.rad) == _old_real("round_to_grid", (mid, rad), (0, 0), w)
+
+
+@given(n=st.integers(1, 1 << 400), neg=st.booleans(), k=st.integers(0, 300),
+       d=st.integers(3, 1 << 300).filter(lambda d: d & (d - 1)),
+       prec=st.sampled_from([1, 2, 32, 128]))
+@settings(max_examples=300, deadline=None)
+def test_rounding_keeps_at_most_prec_plus_one_bits_and_rad_up_never_rounds_down(n, neg, k, d, prec):
+    """A dyadic n/2^k rounds to prec + 1 significant bits (one, after a carry
+    to a power of two); a non-dyadic n/d in lowest terms to prec or prec + 1,
+    since the bit lengths of n and d only bracket its binary exponent."""
+    g = gcd(n, d)
+    for num, den in ((n, 1 << k), (n // g, d // g)):
+        num = -num if neg else num
+        dyadic = not den & (den - 1)
+        for up in (False, True):
+            R, s = _round_sig(num, den, prec, up)
+            assert _significant_bits(Fraction(R)) <= prec + 1
+            carried = abs(R) == 1 << (prec + 1)
+            assert carried or abs(R).bit_length() in ((prec + 1,) if dyadic else (prec, prec + 1))
+        rn, rd = _rad_up(abs(num), den)
+        assert Fraction(rn, rd) >= Fraction(abs(num), den)
+        assert _significant_bits(Fraction(rn, rd)) <= _RAD_BITS + 1
+        assert _significant_bits(RealBall(Fraction(num, den), 0).round_to(prec).mid) <= prec + 1
+    # the carry: 2^100 - 1 rounds up to 2^33 at 32 bits, nearest or up
+    n = (1 << 100) - 1
+    assert _round_sig(n, 1, 32) == _round_sig(n, 1, 32, True) == (1 << 33, -67)

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from arithdyn.cli import main, parse_number
+from arithdyn import __version__
+from arithdyn.cli import COMMON, VERBS, main, parse_number
 from arithdyn.exactnum import RealBall, ball_e
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -330,6 +331,114 @@ def test_importing_the_cli_leaves_the_process_pool_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_a_cli_run_imports_neither_mpmath_nor_argparse():
+    # mpmath is imported on first use of a transcendental kernel or of root
+    # polishing; the option parser is the CLI's own
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, arithdyn.cli as c; c.main(['escape-radius', '--map', 'X^2+1']); "
+         "print(sorted({'mpmath', 'argparse'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("args, option, value", [
+    (["snap", "--map", "X^2-1", "--n", "2"], "--alpha", "-1/2"),
+    (["height"], "--rational", "-3/4"),
+    (["factor"], "--poly", "-X^2+4"),
+    (["order", "--n", "7"], "--a", "-3"),
+])
+def test_a_value_may_begin_with_a_minus_sign(args, option, value, capsys):
+    rc, spaced = run_cli([*args, option, value], capsys)
+    assert rc == 0
+    rc, joined = run_cli([*args, f"{option}={value}"], capsys)
+    assert rc == 0 and spaced == joined
+
+
+def test_option_names_are_written_in_full(tmp_path, capsys):
+    cfg = tmp_path / "eps.cfg"
+    cfg.write_text("eps=1/10\n")
+    base = ["canonical-height", "--map", "X^2+1", "--alpha", "1"]
+    for short in (["--conf", str(cfg)], ["--prec", "64"]):
+        assert main(base + short) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and short[0] in err
+    rc, out = run_cli(base + ["--config", str(cfg)], capsys)
+    assert rc == 0 and json.loads(out)["jobspec"]["eps"] == "1/10"
+
+
+def test_help_and_version_are_read_off_the_verb_table(capsys):
+    rc, out = run_cli(["--version"], capsys)
+    assert rc == 0 and out == __version__ + "\n"
+    for flag in ("--help", "-h"):
+        rc, out = run_cli([flag], capsys)
+        assert rc == 0 and all(f"  {v} " in out for v in VERBS)
+        for verb in VERBS.values():
+            rc, out = run_cli([verb.name, "--map", "X^2", flag], capsys)
+            assert rc == 0 and out.startswith(f"usage: arithdyn {verb.name} ")
+            assert all(f"  --{p.name} " in out for p in COMMON + verb.params)
+
+
+def test_a_flag_takes_no_value(capsys):
+    rc, out = run_cli(["power-lemma", "--oracle", "--X", "9"], capsys)
+    assert rc == 0 and json.loads(out)["result"]["max_M"] == 4
+    assert main(["power-lemma", "--oracle", "yes", "--X", "9"]) == 1
+    assert main(["power-lemma", "--oracle=yes", "--X", "9"]) == 1
+    assert main(["snap", "--map", "X^2", "--alpha", "2", "--n"]) == 1
+    assert "'--n' needs a value" in capsys.readouterr().err
+
+
+_JUNK = "x" * 200_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["order", "--a", _TOO_LONG, "--n", "7"],
+    ["height", "--rational", _JUNK],
+    ["masser-t", "--AZ", "2", "--d", "2", "--H", "e^" + _JUNK],
+    [_JUNK],
+    ["height", _JUNK],
+    ["height", f"--{_JUNK}", "1"],
+    ["cover", "--R", "2", "--r", "1", "--format", _JUNK],
+    ["census", "--function", _JUNK, "--height", "3"],
+    ["vanish", "--points", _JUNK, "--t-max", "2"],
+    ["sweep", "--verb", _JUNK],
+    ["sweep", "--verb", "snap", "--map", "X^2", "--alpha", "2", "--vary", _JUNK],
+    ["sweep", "--verb", "snap", "--map", "X^2", "--alpha", "2", "--vary", f"n=1:{_JUNK}"],
+    ["sweep", "--verb", "snap", "--map", "X^2", "--alpha", "2", "--vary", f"{_JUNK}=1"],
+])
+def test_usage_errors_echo_a_long_value_cut_short(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and len(err) < 300
+
+
+@pytest.mark.parametrize("vary", [
+    ["n=1:1000000000000"],
+    ["n=1000000000000:1:-1"],
+    ["n=1:100000000000000000000000000000"],  # past sys.maxsize, which len() refuses
+    ["n=1:1000", "precision=1:1000"],
+])
+def test_sweep_checks_the_job_cap_before_building_any_range(vary, capsys):
+    argv = ["sweep", "--verb", "snap", "--map", "X^2", "--alpha", "2"]
+    t0 = time.perf_counter()
+    assert main(argv + [x for v in vary for x in ("--vary", v)]) == 3
+    assert time.perf_counter() - t0 < 1
+    assert "exceeds cap 10000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vary, jobs", [("n=1:4:2", 2), ("n=1:5:2", 3), ("n=4:1:-1", 2),
+                                        ("n=2,3,", 2), ("n=1,2,3", 3), ("n=3:2", 0)])
+def test_sweep_counts_its_jobs_exactly(vary, jobs, capsys):
+    argv = ["sweep", "--verb", "snap", "--map", "X^2", "--alpha", "2", "--vary", vary]
+    rc, out = run_cli(argv + ["--job-cap", "2"], capsys)
+    assert rc == (0 if jobs <= 2 else 3)
+    if rc == 0:
+        assert json.loads(out)["result"]["jobs"] == jobs
+    capsys.readouterr()
 
 
 def test_large_e_power_is_a_resource_guard_trip(capsys):

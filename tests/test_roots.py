@@ -84,10 +84,10 @@ def _exact(x: mpmath.mpf) -> F:
                                     [-9, 0, 4], [-5, 0, 3, 0, 0, 0, 0, 1]])
 @pytest.mark.parametrize("prec", [64, 128])
 def test_radii_are_short_dyadics_around_the_roots(coeffs, prec):
-    # each radius is rounded up by ``widen``: a dyadic of 32 significant
-    # bits (33 when the unrounded bound has a non-dyadic denominator, whose
-    # bit length only brackets its binary exponent), and the disk, grown by
-    # the 1e-45 error of a 50-digit root, still holds that root
+    # each radius is rounded up by ``widen``: a dyadic of at most 33
+    # significant bits (33 for a dyadic unrounded bound, 32 or 33 for a
+    # non-dyadic one, whose bit lengths only bracket its binary exponent), and
+    # the disk, grown by the 1e-45 error of a 50-digit root, still holds it
     with mpmath.workdps(50):
         roots = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=200)
         roots = [(_exact(mpmath.mpf(z.real)), _exact(mpmath.mpf(z.imag))) for z in roots]
