@@ -615,7 +615,7 @@ def _vary_values(spec: str) -> tuple[str, list | range]:
     try:
         a, b = int(parts[0]), int(parts[1])
         step = int(parts[2]) if len(parts) == 3 else 1
-        return name, range(a, b + 1, step)
+        return name, range(a, b + 1 if step > 0 else b - 1, step)  # b is included
     except ValueError as exc:
         raise _CliError(f"malformed range in --vary {_shown(spec)}") from exc
 

@@ -93,6 +93,8 @@ def _classify(q: Fraction, v: RealBall, H: Fraction, prec: int) -> CensusRecord 
 def census_records(evaluator: Evaluator, qs, H, precision: int = 128,
                    escalations: int = 1) -> list[CensusRecord]:
     """Classify f(q) for the given rationals (used for chunked parallel runs)."""
+    if escalations < 0:
+        raise DomainError(f"escalations must be >= 0, got {escalations}")
     H = Fraction(H)
     records = []
     for q in qs:

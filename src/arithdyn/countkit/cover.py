@@ -13,12 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from ..errors import DomainError
+from ..errors import DomainError, ResourceGuardError
 
 # 239/169 < sqrt(2):  2*169^2 - 239^2 = 1
 _SQRT2_LO = Fraction(239, 169)
 # 70711/100000 > 1/sqrt(2)
 _INV_SQRT2_HI = Fraction(70711, 100000)
+# grid points a cover may scan (R/r up to about 700)
+_MAX_GRID_POINTS = 10 ** 6
 
 
 def disk_cover(R, r) -> list[tuple[Fraction, Fraction]]:
@@ -33,6 +35,8 @@ def disk_cover(R, r) -> list[tuple[Fraction, Fraction]]:
     thr = R * R + 2 * R * s * _INV_SQRT2_HI + s * s / 2
     s2 = s * s
     imax = isqrt(int(thr / s2)) + 1
+    if (2 * imax + 1) ** 2 > _MAX_GRID_POINTS:
+        raise ResourceGuardError(f"cover grid exceeds {_MAX_GRID_POINTS} points")
     out = []
     for i in range(-imax, imax + 1):
         for j in range(-imax, imax + 1):

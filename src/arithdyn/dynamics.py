@@ -36,12 +36,32 @@ takes the first prime that certifies it.  The per-prime kernel depends on D
 
 A piece whose chain breaks (no prime among the first 60 has such a g) goes
 whole to Zassenhaus, which sees at most degree (D - 1) D^(n-1) instead of the
-whole degree-D^n difference.  The tower is expanded over Z when P has integer
-coefficients.  The pieces need not be coprime (they share a factor when P'
-vanishes on the orbit, or when the orbit is preperiodic), so the irreducible
-factors of all pieces are merged with their multiplicities added: by unique
-factorization in Z[X] the merged product is the factorization of the whole,
-and a reconstruction check confirms it.
+whole degree-D^n difference.  The pieces are formed over Z when P has integer
+coefficients.  They need not be coprime (they share a factor when P' vanishes
+on the orbit, or when the orbit is preperiodic), so the irreducible factors of
+all pieces are merged with their multiplicities added.  The merged product is
+proven to be the primitive part of P^n(X) - P^n(alpha) level by level, and
+P^n(X) itself is never formed:
+
+- for each k, the zero remainder of P(Y) - beta_(k+1) divided by Y - beta_k
+  proves P(Y) - beta_(k+1) = (Y - beta_k) Q_{beta_k}(Y), and
+  ``factor_over_Z`` checks that the factors h it returns rebuild Q_{beta_k}
+  up to a rational constant;
+- substituting Y = P^k(X) is a ring homomorphism Q[Y] -> Q[X], so each level
+  identity holds at Y = P^k(X), and the levels telescope to the identity
+  above;
+- X - alpha enters as den(alpha) X - num(alpha), and each other piece is
+  the primitive part of h(P^k(X)), either proven irreducible by its chain
+  or factored by ``factor_over_Z`` (which checks its own reconstruction),
+  so the merged product is P^n(X) - P^n(alpha) up to a nonzero rational
+  constant;
+- every merged factor is primitive with a positive leading coefficient, so
+  by Gauss's lemma their product is too; two such integer polynomials that
+  differ by a rational constant are equal.  The merged product is therefore
+  exactly the primitive part of P^n(X) - P^n(alpha), and by unique
+  factorization in Z[X] the merged factors are its factorization.
+
+The largest polynomial formed is a piece, of degree at most (D - 1) D^(n-1).
 
 The canonical height of a rational alpha under a monic degree-D map is the
 sum of local canonical heights (Call-Silverman, Compositio 89, 1993;
@@ -367,10 +387,10 @@ def snap_degree_multiset(P: PolyMap, alpha, n: int,
         if v.numerator.bit_length() + v.denominator.bit_length() > _ORBIT_BIT_CAP:
             raise ResourceGuardError("orbit value size exceeds bit cap")
         betas.append(v)
-    # the tower is expanded over Z when the map is, else over Q
+    # the pieces are formed over Z when the map is, else over Q
     ring = IntPoly if all(c.denominator == 1 for c in P.poly.coeffs) else RatPoly
     Pr = ring(P.poly.coeffs)
-    powers = [ring([0, 1])]  # P^k(X)
+    top = ring([0, 1])  # P^k(X)
     parts: dict[IntPoly, int] = {IntPoly([-alpha.numerator, alpha.denominator]): 1}
     certificates: list[tuple[tuple, ...]] = [()]
     for k, (beta, nxt) in enumerate(zip(betas, betas[1:])):
@@ -378,15 +398,14 @@ def snap_degree_multiset(P: PolyMap, alpha, n: int,
         if rem:
             raise DomainError("P(Y) - P(beta) is not divisible by Y - beta")
         for h, m in factor_over_Q(q_beta, seed)[1].factors:
-            factors, links = _tower_piece(h, Pr, k, powers[k], seed)
+            factors, links = _tower_piece(h, Pr, k, top, seed)
             for g, mg in factors:
                 parts[g] = parts.get(g, 0) + mg * m
             certificates.append(links)
-        powers.append(Pr.compose(powers[-1]))
+        if k < n - 1:
+            top = Pr.compose(top)
+    # the primitive part of P^n(X) - P^n(alpha), by the module docstring's proof
     rep = FactorReport.from_parts(1, 1, parts)
-    target = powers[-1] * betas[-1].denominator - betas[-1].numerator
-    if rep.reconstruct() != target.to_int_primitive()[1]:
-        raise DomainError("tower factorization does not rebuild P^n(X) - P^n(alpha)")
     entries: list[int] = []
     for f, m in rep.factors:
         entries.extend([f.degree] * (m * f.degree))

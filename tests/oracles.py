@@ -15,9 +15,11 @@ the fixed-N theta sums and discriminant product (every term up to N, the
 tail majorant at N) as the reference for the precision-driven stopping rule
 of those enclosures, and the telescoped orbit heights h(P^n(alpha))/D^n (exact orbit values of
 about D^n h(alpha) bits) as the reference for the local-height canonical
-heights of ``dynamics``, and the per-link Capelli screen (each h(P^j(X))
+heights of ``dynamics``, the per-link Capelli screen (each h(P^j(X))
 formed and factored mod p, link by link) as the reference for both kernels
-of ``factorint.capelli.chain``.
+of ``factorint.capelli.chain``, and the expanded P^n(X) - P^n(alpha) as the
+reference for the factorization ``dynamics.snap_degree_multiset`` proves
+level by level.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from arithdyn.exactnum import (
 from arithdyn.factorint import factor_over_Q, modp
 from arithdyn.factorint.capelli import _MAX_FACTOR_DEGREE, _PRIMES_PER_LINK
 from arithdyn.ntheory import primes_from, residue
-from arithdyn.polymap import PolyMap
+from arithdyn.polymap import DEFAULT_DEGREE_CAP, PolyMap
 
 _ZERO = Fraction(0)
 
@@ -535,3 +537,20 @@ def tower_chains(P: PolyMap, alpha, n: int):
         if k:
             yield from ((h, k) for h, _ in factor_over_Q(q_beta)[1].factors)
         beta = nxt
+
+
+# --- the tower identity ------------------------------------------------------
+
+
+def tower_identity(P: PolyMap, alpha, n: int, report,
+                   degree_cap: int = DEFAULT_DEGREE_CAP) -> None:
+    """Raise AssertionError unless a ``snap_degree_multiset`` report's factors
+    rebuild the primitive part of P^n(X) - P^n(alpha), expanded here whole
+    (under the same degree cap) and evaluated at alpha for P^n(alpha)."""
+    top = P.iterate_poly(n, degree_cap)
+    value = top.eval(Fraction(alpha))
+    if report.value != value:
+        raise AssertionError(f"snap reports P^{n}({alpha}) = {report.value}, not {value}")
+    if report.factor_report.reconstruct() != (top - value).to_int_primitive()[1]:
+        raise AssertionError(f"snap's factors of P^{n}(X) - P^{n}({alpha}) do not rebuild it "
+                             f"(P = {P})")

@@ -430,8 +430,9 @@ def test_sweep_checks_the_job_cap_before_building_any_range(vary, capsys):
     assert "exceeds cap 10000" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("vary, jobs", [("n=1:4:2", 2), ("n=1:5:2", 3), ("n=4:1:-1", 2),
-                                        ("n=2,3,", 2), ("n=1,2,3", 3), ("n=3:2", 0)])
+@pytest.mark.parametrize("vary, jobs", [("n=1:4:2", 2), ("n=1:5:2", 3), ("n=4:1:-1", 4),
+                                        ("n=4:3:-1", 2), ("n=2,3,", 2), ("n=1,2,3", 3),
+                                        ("n=3:2", 0)])
 def test_sweep_counts_its_jobs_exactly(vary, jobs, capsys):
     argv = ["sweep", "--verb", "snap", "--map", "X^2", "--alpha", "2", "--vary", vary]
     rc, out = run_cli(argv + ["--job-cap", "2"], capsys)
@@ -439,6 +440,32 @@ def test_sweep_counts_its_jobs_exactly(vary, jobs, capsys):
     if rc == 0:
         assert json.loads(out)["result"]["jobs"] == jobs
     capsys.readouterr()
+
+
+def test_a_descending_sweep_range_includes_its_end(capsys):
+    argv = ["sweep", "--verb", "snap", "--map", "X^2", "--alpha", "2", "--vary", "n=5:1:-1"]
+    rc, out = run_cli(argv + ["--format", "csv"], capsys)
+    assert rc == 0
+    assert [row.split(",")[0] for row in out.strip().splitlines()[2:]] == ["5", "4", "3", "2", "1"]
+    assert main(argv + ["--job-cap", "4"]) == 3
+    assert "sweep of 5 jobs exceeds cap 4" in capsys.readouterr().err
+
+
+def test_a_cover_past_the_grid_guard_exits_3_at_once(capsys):
+    t0 = time.perf_counter()
+    assert main(["cover", "--R", "1000000", "--r", "1/1000000"]) == 3
+    assert time.perf_counter() - t0 < 1
+    assert "resource guard" in capsys.readouterr().err
+
+
+def test_census_refuses_negative_escalations(capsys):
+    argv = ["census", "--function", "lambda", "--height", "3", "--escalations"]
+    assert main(argv + ["-1"]) == 2
+    assert "escalations must be >= 0" in capsys.readouterr().err
+    rc, out = run_cli(argv + ["0"], capsys)
+    assert rc == 0
+    assert [r["verdict"] for r in json.loads(out)["result"]["records"]] == [
+        "certified-no-rational"] * 3
 
 
 def test_large_e_power_is_a_resource_guard_trip(capsys):

@@ -22,7 +22,7 @@ from arithdyn.heights import height_rational
 from arithdyn.ntheory import PROVEN_PRIME_BOUND
 from arithdyn.polymap import PolyMap
 from conftest import random_monic_map
-from oracles import per_link_chain, telescoped_height_stats, tower_chains
+from oracles import per_link_chain, telescoped_height_stats, tower_chains, tower_identity
 
 P2 = PolyMap.from_text("X^2")
 P21 = PolyMap.from_text("X^2+1")
@@ -273,17 +273,18 @@ def test_quadratic_tower_jobs_screen_no_link_as_a_polynomial(m, alpha, n, monkey
     assert all(link[0] == "fp" for c in rep.certificates for link in c)
 
 
-@pytest.mark.parametrize("m, alpha, n", [job for job in _TOWER_JOBS if job[0].startswith("X^3")]
-                         + [("X^3+X+1", 1, 6)])
+@pytest.mark.parametrize("m, alpha, n", _TOWER_JOBS + [("X^3+X+1", 1, 6)])
 def test_tower_forms_no_polynomial_below_the_top_piece(m, alpha, n, monkeypatch):
-    # the only compositions snap makes are P^(k+1) = P(P^k) and each piece
-    # h(P^k(X)) itself; no h(P^j(X)) with j < k is formed for any D
+    # the only compositions snap makes are P^(k+1) = P(P^k) for k < n - 1 and
+    # each piece h(P^k(X)) itself; no h(P^j(X)) with j < k is formed for any
+    # D, and neither is P^n(X) nor anything else of degree D^n
     calls = []
     compose = IntPoly.compose  # RatPoly shares it
 
     def counted(self, other):
-        calls.append(other.degree)
-        return compose(self, other)
+        out = compose(self, other)
+        calls.append(out.degree)
+        return out
 
     monkeypatch.setattr(IntPoly, "compose", counted)
     monkeypatch.setattr(RatPoly, "compose", counted)
@@ -291,10 +292,23 @@ def test_tower_forms_no_polynomial_below_the_top_piece(m, alpha, n, monkeypatch)
     rep = snap_degree_multiset(P, alpha, n)
     monkeypatch.undo()
     pieces = len(rep.certificates) - 1  # every piece but X - alpha
-    assert len(calls) == n + pieces, calls
+    assert len(calls) == n - 1 + pieces, calls
+    assert max(calls) < P.degree ** n, calls
     # and the chains are the per-link screen's, link for link
     assert [c for c in rep.certificates if c] == [
         tuple(per_link_chain(h, P.poly, k)) for h, k in tower_chains(P, alpha, n)]
+
+
+def test_tower_identity_rejects_a_tampered_report():
+    # X^2 - 2 at alpha = 3: beta_1 = 7, so X^2 - 9 gives the factors X -/+ 3
+    P = PolyMap.from_text("X^2-2")
+    rep = snap_degree_multiset(P, 3, 3)
+    tower_identity(P, 3, 3, rep)
+    (f, m), *rest = rep.factor_report.factors
+    for factors in (((f, m + 1), *rest), tuple(rest)):
+        bad = dataclasses.replace(rep.factor_report, factors=factors)
+        with pytest.raises(AssertionError, match="do not rebuild"):
+            tower_identity(P, 3, 3, dataclasses.replace(rep, factor_report=bad))
 
 
 def test_a_broken_chain_is_factored_whole():
