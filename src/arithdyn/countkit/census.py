@@ -99,15 +99,15 @@ def census_records(evaluator: Evaluator, qs, H, precision: int = 128,
     records = []
     for q in qs:
         prec = precision
-        rec = None
-        for _ in range(escalations + 1):
+        for attempt in range(escalations + 1):
+            if attempt:
+                prec *= 4
             v = evaluator(q, prec)
             rec = _classify(q, v, H, prec)
             if rec is not None:
                 break
-            prec *= 4
-        if rec is None:
-            rec = CensusRecord(q, evaluator(q, prec), "undecided-at-precision", None, prec)
+        else:  # the last ball classified, at the precision it was taken at
+            rec = CensusRecord(q, v, "undecided-at-precision", None, prec)
         records.append(rec)
     return records
 
@@ -118,7 +118,8 @@ def census(evaluator: Evaluator, H, precision: int = 128,
 
     Per-point undecided verdicts escalate the working precision (x4 each
     time, up to ``escalations`` retries) and are reported as
-    undecided-at-precision if still unresolved, never dropped.  An evaluator
+    undecided-at-precision, with the last ball and the precision it was
+    taken at, if still unresolved, never dropped.  An evaluator
     built by ``make_evaluator(..., precision=precision)`` raises its lambda or
     delta term cap with each escalation.
     """

@@ -19,12 +19,16 @@ of its denominators and calls ``int_mul``; IntPoly and RatPoly products and
 Every evaluation of a coefficient list at a point goes through ``horner``
 and every integer power through ``power`` (square-and-multiply), whatever
 the point: an int, a Fraction, a ball, a float, an mpmath number or a
-polynomial.  Loops that reduce or round at every step keep their own.
+polynomial.  ``power`` takes the product as an argument, so it also serves
+the powers mod g of ``factorint.modp.pow_mod`` (a product that reduces) and
+the truncated series powers of ``series.series_power`` (one whose certified
+floor is kept by the series product itself).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from array import array
@@ -136,16 +140,16 @@ def horner(coeffs, x):
     return acc
 
 
-def power(x, k: int, one):
-    """x**k for an integer k >= 0 by square-and-multiply from ``one``; the
-    base is not squared again after the top bit of k."""
+def power(x, k: int, one, mul=operator.mul):
+    """x**k for an integer k >= 0 by square-and-multiply from ``one`` under
+    the product ``mul``; the base is not squared again after the top bit of k."""
     out = one
     while k:
         if k & 1:
-            out = out * x
+            out = mul(out, x)
         k >>= 1
         if k:
-            x = x * x
+            x = mul(x, x)
     return out
 
 

@@ -1,8 +1,7 @@
 """Certified complex root isolation for squarefree integer polynomials.
 
 Strategy: simultaneous (Aberth-Ehrlich) iteration seeded on a perturbed
-circle of Cauchy-bound radius gives fast approximations; exact rational
-roots are snapped and deflated; the remaining approximations are polished
+circle of Cauchy-bound radius gives fast approximations; each is polished
 by Newton steps at increasing mpmath precision and then certified a
 posteriori with exact rational arithmetic:
 
@@ -78,19 +77,6 @@ def _float_approximations(p: RatPoly) -> list[complex]:
                    seeds, _FLOAT_ITERS, 1e-14, 1e-6 + 1e-6j, sum)
 
 
-def _rational_root_candidates(z: complex, p: IntPoly) -> list[Fraction]:
-    """Rational candidates near a numeric root (real roots have q | lead)."""
-    x = z.real
-    if not (abs(z.imag) <= 1e-7 * (1 + abs(x))) or x != x or abs(x) > 1e300:
-        return []
-    lead = abs(p.lead)
-    out = [Fraction(x).limit_denominator(max(1, lead))]
-    nearest_int = Fraction(round(x))
-    if nearest_int != out[0]:
-        out.append(nearest_int)
-    return out
-
-
 def _mp_approximations(p: IntPoly, prec: int) -> list[mpmath.mpc]:
     """Aberth approximations at mpmath precision (when the float ones fail)."""
     import mpmath  # on first use: only the root polishing at high precision needs it
@@ -149,10 +135,15 @@ def _residual_radius(p: IntPoly, re: Fraction, im: Fraction) -> Fraction:
 def complex_roots_with_radii(p: IntPoly, precision: int = 64) -> list[ComplexBall]:
     """deg(p) disjoint complex balls, each containing exactly one root of p.
 
-    Requires p nonzero and squarefree.  Rational roots come back with radius
-    0; the remaining radii are at most 2**-precision.  Raises
+    Requires p nonzero and squarefree.  The radii are at most 2**-precision
+    (0 where the polished point is an exact root).  Raises
     CertificationError if the certificate cannot be established below
     _MAX_WORK_BITS working bits.
+
+    No root is snapped to a rational: the one caller,
+    ``heights.height_algebraic``, passes minimal polynomials of degree >= 2,
+    which are irreducible and so have no rational root, and the disjoint-disk
+    certificate holds for any squarefree p.
     """
     if p.is_zero():
         raise DomainError("zero polynomial")
@@ -160,70 +151,42 @@ def complex_roots_with_radii(p: IntPoly, precision: int = 64) -> list[ComplexBal
     if n == 0:
         return []
     rp = p.to_rat()
-    g = rp.gcd(rp.derivative())
-    if g.degree > 0:
+    if rp.gcd(rp.derivative()).degree > 0:
         raise DomainError("polynomial is not squarefree")
-
-    # exact rational roots first (numeric detection + exact verification)
     try:
-        approx = _float_approximations(rp)
+        seeds: list = _float_approximations(rp)
     except (OverflowError, ZeroDivisionError):
         # coefficients beyond double range: the mpmath reseed path below
-        # supplies proper seeds for every root of the remaining factor
-        approx = []
-    exact_roots: list[Fraction] = []
-    remaining = p
-    rem_approx = []
-    for z in approx:
-        hit = None
-        for cand in _rational_root_candidates(z, remaining):
-            if remaining.to_rat().eval(cand) == 0:
-                hit = cand
+        # supplies proper seeds for every root
+        seeds = []
+    target = Fraction(1, 2 ** precision)
+    work = max(64, 2 * precision + 32)
+    reseeded = False
+    while True:
+        ok = len(seeds) == n
+        balls = []
+        for z in seeds if ok else ():
+            re, im = _mpc_to_exact(_mp_polish(p, z, work), work)
+            try:
+                rad = _residual_radius(p, re, im)
+            except CertificationError:
+                ok = False
                 break
-        if hit is not None:
-            exact_roots.append(hit)
-            num, den = hit.numerator, hit.denominator
-            remaining = remaining.exact_div(IntPoly([-num, den]))
-        else:
-            rem_approx.append(z)
-
-    balls = [ComplexBall.exact(rt) for rt in exact_roots]
-    if remaining.degree >= 1:
-        target = Fraction(1, 2 ** precision)
-        work = max(64, 2 * precision + 32)
-        seeds: list = rem_approx
-        reseeded = False
-        while True:
-            ok = len(seeds) == remaining.degree
-            cand_balls = []
-            for z in seeds if ok else ():
-                zz = _mp_polish(remaining, z, work)
-                re, im = _mpc_to_exact(zz, work)
-                try:
-                    rad = _residual_radius(remaining, re, im)
-                except CertificationError:
-                    ok = False
-                    break
-                ball = ComplexBall.exact(re, im).widen(rad)
-                if ball.rad > target:
-                    ok = False
-                    break
-                cand_balls.append(ball)
-            if ok:
-                all_balls = balls + cand_balls
-                if len(all_balls) == n and _pairwise_disjoint(all_balls):
-                    return all_balls
-            if reseeded:
-                work *= 2
-            reseeded = True
-            seeds = _mp_approximations(remaining, work)
-            if work > _MAX_WORK_BITS:
-                raise CertificationError(
-                    f"could not certify roots at {precision} bits (working precision cap {_MAX_WORK_BITS})"
-                )
-    if not _pairwise_disjoint(balls):
-        raise CertificationError("duplicate rational roots; input not squarefree")
-    return balls
+            ball = ComplexBall.exact(re, im).widen(rad)
+            if ball.rad > target:
+                ok = False
+                break
+            balls.append(ball)
+        if ok and _pairwise_disjoint(balls):
+            return balls
+        if reseeded:
+            work *= 2
+        reseeded = True
+        seeds = _mp_approximations(p, work)
+        if work > _MAX_WORK_BITS:
+            raise CertificationError(
+                f"could not certify roots at {precision} bits (working precision cap {_MAX_WORK_BITS})"
+            )
 
 
 def _pairwise_disjoint(balls: list[ComplexBall]) -> bool:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DomainError
-from .poly import RatPoly, as_fraction, rat_mul
+from .poly import RatPoly, as_fraction, power, rat_mul
 
 _ZERO = Fraction(0)
 
@@ -156,15 +156,17 @@ class TruncSeries:
 
 
 def series_power(s: TruncSeries, D: int) -> TruncSeries:
-    """Exact truncation of s**D by repeated multiplication."""
+    """Exact truncation of s**D by square-and-multiply (``poly.power``).
+
+    s = z + ... certified down to c makes s^a certified down to c + a - 1,
+    and the product of s^a and s^b is certified down to c + a + b - 1
+    whatever the split, so every order of products gives the same series.
+    """
     if not s.has_lead_z():
         raise DomainError("series_power expects a series with leading term z")
     if D < 1:
         raise DomainError("power must be a positive integer")
-    out = s
-    for _ in range(D - 1):
-        out = out * s
-    return out
+    return power(s, D - 1, s)
 
 
 def series_reciprocal(s: TruncSeries) -> TruncSeries:

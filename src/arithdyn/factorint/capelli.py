@@ -54,19 +54,22 @@ certificates and D - 1 for the critical values.  Each step factors
 polynomials of degree <= m * D over F_p, and the last link needs no
 factors, only the irreducibility of g(P) for its g of degree <= 3.
 
-The tree walk (``_tree_degrees``, D = 2 and deg h <= 2).  For a quadratic
+The tree walk (``_tree_degrees``, D = 2 and deg h = 1).  For a quadratic
 P = X^2 + bX + c the same data are read off the tree of iterated
-P-preimages of the roots of h with one Legendre symbol per node.  Let s =
--b/2 be the critical point and t = P(s) = c - b^2/4 the critical value.
-Over the algebraic closure of F_p:
+P-preimages of the root of h with one Legendre symbol per node.  Every h
+that ``dynamics`` sends for D = 2 is linear: the primitive multiple of
+Q_beta(X) = X + beta + b, of degree D - 1, whose root is -(beta + b) mod p.
+A quadratic h goes to the small-factor walk, which gives the same degrees.
+Let s = -b/2 be the critical point and t = P(s) = c - b^2/4 the critical
+value.  Over the algebraic closure of F_p:
 
 - the roots of f_j mod p are the depth-j nodes of the tree, and the
   children of a node theta are s +- sqrt(theta - t);
 - f_j mod p is squarefree iff h mod p is and no node of depth < j equals t
   (P^j has derivative prod_(i<j) P'(P^i(X)), and P' vanishes only at s);
 - an irreducible factor g of f_j mod p of degree d is the Frobenius orbit of
-  a node theta of degree d; every node degree is deg(root of h) times a
-  power of 2, so under the cap of 3 only d = 1 and d = 2 occur;
+  a node theta of degree d; every node degree is a power of 2, so under the
+  cap of 3 only d = 1 and d = 2 occur;
 - g(P(X)) is irreducible over F_p iff (P(X) - theta) is irreducible over
   F_(p^d), i.e. iff theta - t is a non-square there, i.e. iff its norm
   N(theta - t) to F_p is a non-residue mod p.  For theta = u + v sqrt(r),
@@ -110,7 +113,7 @@ def chain(h: IntPoly, P, k: int) -> list[tuple[str, int, int]]:
         raise DomainError("Capelli certificate needs a monic inner polynomial")
     coeffs = [Fraction(c) for c in P.coeffs]
     den = math.lcm(*(c.denominator for c in coeffs))
-    kernel = _tree_degrees if P.degree == 2 and h.degree <= 2 else _small_factor_degrees
+    kernel = _tree_degrees if P.degree == 2 and h.degree == 1 else _small_factor_degrees
     primes = (p for p in islice(primes_from(3), _PRIMES_PER_LINK) if h.lead % p and den % p)
     walked: list[tuple[int, list[int]]] = []  # (p, its degree per link), in prime order
     links = []
@@ -161,20 +164,13 @@ def _small_factor_degrees(h: IntPoly, P: list[int], p: int, k: int) -> list[int]
 def _tree_degrees(h: IntPoly, P: list[int], p: int, k: int) -> list[int]:
     """For each link j < k, the least d in (1, 2) for which p certifies it
     (a node of degree d at depth j whose N(theta - t) is a non-residue, with
-    no node equal to t above it), or 0; P = [c, b, 1] mod p."""
+    no node equal to t above it), or 0; P = [c, b, 1] mod p and h linear,
+    so the tree grows from the one root -h0/h1 mod p."""
     c, b = P[0], P[1]
     r = next(z for z in range(2, p) if legendre(z, p) == -1)
     s = -b * pow(2, -1, p) % p
     t = (c - s * s) % p
-    if h.degree == 1:
-        ones, twos = [-h[0] * pow(h[1], -1, p) % p], []
-    else:  # the roots of h: (X - u)^2 = disc / (2 h2)^2
-        h0, h1, h2 = h.coeffs
-        inv = pow(2 * h2, -1, p)
-        a = (h1 * h1 - 4 * h0 * h2) * inv * inv % p
-        if a == 0:  # h mod p is not squarefree
-            return [0] * k
-        ones, twos = _children(-h1 * inv % p, a, legendre(a, p), r, p)
+    ones, twos = [-h[0] * pow(h[1], -1, p) % p], []
     out: list[int] = []
     while len(out) < k and (ones or twos):
         marks = [legendre(x - t, p) for x in ones]

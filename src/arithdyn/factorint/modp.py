@@ -2,8 +2,10 @@
 
 Coefficients are plain ints reduced into [0, m).  Only what the Zassenhaus
 driver and the Capelli certificate need: ring ops, composition, division,
-gcd/gcdex over a prime field, powmod, an irreducibility test, and
-distinct-degree and equal-degree splitting.
+gcd/gcdex over a prime field, powmod (``exactnum.poly.power`` with a product
+that reduces mod g), an irreducibility test, distinct-degree splitting, and
+equal-degree splitting over F_p for odd p, the only primes either caller
+walks.
 
 Products use Kronecker substitution with the packer of ``exactnum.poly``
 (the one that also serves the exact products over Z and Q): each operand is
@@ -25,7 +27,7 @@ from __future__ import annotations
 import random
 
 from ..errors import DomainError
-from ..exactnum.poly import pack_slots, slot_bytes, unpack_slots
+from ..exactnum.poly import pack_slots, power, slot_bytes, unpack_slots
 
 
 def trim(f: list[int]) -> list[int]:
@@ -204,16 +206,9 @@ def deriv(f, m):
 
 
 def pow_mod(f, e: int, mod: Modulus):
-    """f**e mod g over Z/m, for the fixed g of ``mod``."""
-    out = [1]
-    base = mod.rem(f)
-    while e:
-        if e & 1:
-            out = mod.rem(mul(out, base, mod.m))
-        e >>= 1
-        if e:
-            base = mod.rem(mul(base, base, mod.m))
-    return out
+    """f**e mod g over Z/m, for the fixed g of ``mod``: ``power`` with a
+    product that reduces mod g."""
+    return power(mod.rem(f), e, [1], lambda a, b: mod.rem(mul(a, b, mod.m)))
 
 
 def is_squarefree(f, p) -> bool:
@@ -257,7 +252,10 @@ def distinct_degree(f, p, max_degree=None):
 
 
 def equal_degree_split(f, d: int, p, rng: random.Random):
-    """Cantor-Zassenhaus split of a monic squarefree product of degree-d irreducibles."""
+    """Cantor-Zassenhaus split of a monic squarefree product of degree-d
+    irreducibles over F_p, p odd: both callers, the Capelli small-factor walk
+    and ``factor_squarefree_monic`` under Zassenhaus, draw p from
+    ``primes_from(3)``, so the characteristic-2 trace map is not needed."""
     n = len(f) - 1
     if n == d:
         return [f]
@@ -268,19 +266,8 @@ def equal_degree_split(f, d: int, p, rng: random.Random):
         if len(r) <= 1:
             continue
         g = gcd(r, f, p)
-        if 1 < len(g) < len(f):
-            pass
-        elif p == 2:
-            t = list(r)
-            acc = list(r)
-            for _ in range(d - 1):
-                acc = pow_mod(acc, 2, mod)
-                t = add(t, acc, p)
-            g = gcd(t, f, p)
-        else:
-            e = (p ** d - 1) // 2
-            t = sub(pow_mod(r, e, mod), [1], p)
-            g = gcd(t, f, p)
+        if not 1 < len(g) < len(f):
+            g = gcd(sub(pow_mod(r, (p ** d - 1) // 2, mod), [1], p), f, p)
         if 1 < len(g) < len(f):
             q = divmod_general(f, g, p)[0]
             return equal_degree_split(g, d, p, rng) + equal_degree_split(q, d, p, rng)

@@ -107,9 +107,8 @@ _RHO_BLOCK = 128
 def _pollard_rho(n: int) -> int:
     """A proper divisor of the composite n: Pollard rho with Brent's cycle
     search, one gcd per block of steps; a block whose product is 0 mod n is
-    replayed one gcd per step."""
-    if n % 2 == 0:
-        return 2
+    replayed one gcd per step.  n is odd: ``factorize``, the one caller,
+    divides out every 2 first."""
     for c in range(1, 1000):
         y, r, prod, d = 2, 1, 1, 1
         while d == 1:

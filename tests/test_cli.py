@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import subprocess
 import sys
@@ -221,6 +220,32 @@ def test_sweep_passes_the_verbs_own_defaults(capsys):
         assert rc == 0
         direct.append(out.strip().splitlines()[2])
     assert swept == direct
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--function", "lambda", "--height", "6", "--format", "csv"],
+    ["sweep", "--verb", "snap", "--map", "X^2", "--alpha", "2", "--vary", "n=1:4",
+     "--format", "csv"],
+])
+def test_two_workers_print_what_one_does(argv, capsys, monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    outs = []
+    for jobs in ("1", "2"):
+        rc, out = run_cli(argv + ["--jobs", jobs], capsys)
+        assert rc == 0
+        outs.append(out.splitlines())
+    assert pools == [2]
+    assert outs[0][0].startswith("# jobspec:") and len(outs[0]) > 3
+    assert outs[0][1:] == outs[1][1:]
 
 
 def test_weil_height_with_a_large_prime_denominator(capsys):
@@ -486,17 +511,16 @@ def test_e_powers_equal_the_repeated_product():
             assert (got.mid, got.rad) == (expected.mid, expected.rad), sign * k
 
 
-@pytest.mark.parametrize("script, header", [
-    ("snap_sweep.py", "n,alpha,D,r,r_with_multiplicity,max_degree,proportion,"
-                      "bound_shape_value,squarefree"),
-    ("lambda_census.py", "q,mid,rad,verdict,candidate"),
-])
-def test_scripts_run_their_shipped_configs(script, header, tmp_path):
-    spec = importlib.util.spec_from_file_location(script[:-3], SCRIPTS / script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+@pytest.mark.parametrize("verb, config, header", [
+    ("sweep", "snap_x2.cfg", "n,alpha,D,r,r_with_multiplicity,max_degree,proportion,"
+                             "bound_shape_value,squarefree"),
+    ("census", "lambda_census.cfg", "q,mid,rad,verdict,candidate"),
+], ids=["snap_x2.cfg", "lambda_census.cfg"])
+def test_scripts_run_their_shipped_configs(verb, config, header, tmp_path):
+    cfg = SCRIPTS / "configs" / config
+    assert f"# run: arithdyn {verb} --config scripts/configs/{config}" in cfg.read_text()
     out = tmp_path / "out.csv"
-    assert module.run([str(out)]) == 0
+    assert main([verb, "--config", str(cfg), "--output", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# jobspec:")
     assert lines[1] == header

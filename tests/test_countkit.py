@@ -11,6 +11,7 @@ from arithdyn.countkit import (
     admissible,
     bound_shape,
     census,
+    census_records,
     construction_coefficient_power,
     cover_count_bound_holds,
     covers_sample,
@@ -333,6 +334,26 @@ def test_census_soundness_reverification():
         if r.verdict == "candidate-rational":
             v2 = ev(r.q, 4 * r.precision_used)
             assert v2.contains(r.candidate)
+
+
+@pytest.mark.parametrize("escalations, verdict, precision, calls", [
+    (0, "undecided-at-precision", 4, 1),
+    (1, "certified-no-rational", 16, 2),
+])
+def test_census_reports_the_last_precision_it_classified_at(escalations, verdict, precision,
+                                                            calls):
+    # 1/3 +- 1/prec holds 1/2 at prec 4 and clears every height-2 rational at
+    # prec 16; an undecided point keeps its last ball and is not evaluated again
+    seen = []
+
+    def evaluator(q, prec):
+        seen.append(prec)
+        return RealBall(F(1, 3), F(1, prec))
+
+    (rec,) = census_records(evaluator, [F(1, 2)], 2, precision=4, escalations=escalations)
+    assert (rec.verdict, rec.precision_used) == (verdict, precision)
+    assert rec.value.rad == F(1, precision)
+    assert len(seen) == calls and seen[-1] == precision
 
 
 def test_escalation_raises_the_lambda_delta_term_cap():

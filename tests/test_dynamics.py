@@ -214,6 +214,36 @@ def test_canonical_height_with_a_perfect_power_denominator(capsys):
     assert ball.overlaps(telescoped_height_stats(P, F(1, 3), F(1, 10)).canonical)
 
 
+def test_canonical_height_refines_the_archimedean_grid(capsys, monkeypatch):
+    # X^3 - 3X maps [-2, 2] onto itself, so the orbit of 1/3 stays bounded:
+    # lambda_inf = 0 and h^ = log 3, from the place 3 alone.  At eps 1e-30 the
+    # rounding on the 133-bit grid outgrows the share, and the orbit restarts
+    # on the 266-bit grid
+    import json
+
+    import mpmath
+
+    from arithdyn.cli import main
+
+    widths = set()
+    round_to_grid = RealBall.round_to_grid
+
+    def spy(self, w):
+        widths.add(w)
+        return round_to_grid(self, w)
+
+    monkeypatch.setattr(RealBall, "round_to_grid", spy)
+    assert main(["canonical-height", "--map", "X^3-3*X", "--alpha", "1/3", "--eps", "1e-30"]) == 0
+    got = json.loads(capsys.readouterr().out)["result"]
+    assert widths == {133, 266}
+    (inf,) = (pl["enclosure"] for pl in got["places"] if pl["place"] == "inf")
+    assert RealBall(F(inf["mid"]), F(inf["rad"])).contains(0)
+    with mpmath.workdps(50):
+        log3 = F(mpmath.nstr(mpmath.log(3), 50))
+    canonical = got["canonical"]
+    assert RealBall(F(canonical["mid"]), F(canonical["rad"])).contains(log3)
+
+
 def test_snap_examples():
     assert snap_degree_multiset(P2, 2, 2).multiset == (1, 1, 2, 2)
     assert snap_degree_multiset(P2, 2, 3).multiset == (1, 1, 2, 2, 4, 4, 4, 4)

@@ -143,6 +143,15 @@ def test_padic_degree_bound_x2_plus_1():
     assert rep.low_degree_count_bound(1) == 4  # d^2 D^(2m) with m = 1
 
 
+def test_padic_degree_bound_at_a_place_that_is_not_a_prime_of_d():
+    # p = 3, q = 2: 3 = 3 mod 4, so e = 2, and 3^2 - 1 = 2^3 gives
+    # m_uniform = 3; the bound is ord(3 mod 8) = 2
+    rep = padic_degree_bound(PolyMap.from_text("X^2"), F(1, 27), 3)
+    assert rep.place.prime == 3
+    assert (rep.bound, rep.m_uniform, rep.cap_form, rep.count_coefficient) == (2, 3, 1, 64)
+    assert rep.snap_max_degree == 4
+
+
 def test_padic_bound_no_place():
     with pytest.raises(DomainError):
         padic_degree_bound(PolyMap.from_text("X^2+1"), 0, 2)
