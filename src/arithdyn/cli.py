@@ -429,12 +429,12 @@ def _run_galcor(a):
 
 
 @_verb("padic-bound", "degree lower bound for iterate roots at a good prime",
-       _MAP, _ALPHA, _N, Param("no-cross-check", "flag", False))
+       _MAP, _ALPHA, _N)
 def _run_padic_bound(a):
     from .galois import padic_degree_bound
 
     rep = padic_degree_bound(PolyMap.from_text(a.map), a.alpha, a.n, a.precision,
-                             a.degree_cap, not a.no_cross_check, a.seed)
+                             a.degree_cap, a.seed)
     res = {"place": rep.place.describe(), "bound": rep.bound, "cap_form": _fr(rep.cap_form),
            "m_uniform": rep.m_uniform, "m_height_cap": _ball_cell(rep.m_height_cap, a.precision),
            "count_coefficient": rep.count_coefficient, "snap_max_degree": rep.snap_max_degree}

@@ -23,12 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from ..errors import DomainError
+from ..errors import DomainError, ResourceGuardError
 from ..exactnum import ComplexBall, RealBall
 from ..polymap import PolyMap
 from .modular import delta_eval, lambda_eval
 
 Evaluator = Callable[[Fraction, int], RealBall]
+
+# (numerator, denominator) pairs a census may scan (H up to 447)
+_MAX_PAIRS = 10 ** 5
 
 
 def enumerate_rationals(H) -> list[Fraction]:
@@ -37,6 +40,8 @@ def enumerate_rationals(H) -> list[Fraction]:
     if H < 1:
         raise DomainError("H must be >= 1")
     top = math.floor(H)
+    if top * (top - 1) // 2 > _MAX_PAIRS:
+        raise ResourceGuardError(f"census scan exceeds {_MAX_PAIRS} (numerator, denominator) pairs")
     out = []
     for q in range(2, top + 1):
         for p in range(1, q):

@@ -91,12 +91,23 @@ denominators.
 The one-step comparison constant c with |h(P(x)) - D h(x)| <= c for all
 rational x (reported as ``gap_constant``) is constructed explicitly from
 cofactor identities: writing the map on P^1 as [N(X,Y) : M(X,Y)] with
-integer forms, solving
+integer forms, the cofactors of
 
-    A*N + B*M = R * X^(2D-1)      and      A'*N + B'*M = R * Y^(2D-1)
+    A*N + B*M = X^(2D-1)      and      A'*N + B'*M = Y^(2D-1)
 
-for integer cofactors bounds the possible gcd cancellation by R and the
-archimedean loss by the cofactor coefficient lengths.
+bound the possible gcd cancellation by their common denominator and the
+archimedean loss by their coefficient lengths.  Here N_j = delta [X^j]P is
+the coefficient of X^j Y^(D-j), so N_D = delta, and M = delta Y^D.
+
+- B*M only reaches the monomials X^k Y^(2D-1-k) with k < D, so the rows
+  k >= D of the first identity involve A alone and are triangular:
+  A(X) N(X) = X^(2D-1) + O(X^(D-1)).  So A_(D-1-m), for m < D, is the
+  coefficient of z^m in 1/(N_D + N_(D-1) z + ... + N_1 z^(D-1)), a power
+  series reciprocal, and B is the low D terms of -A*N/delta.
+- The second identity has the solution A' = 0, B' = Y^(D-1)/delta, of
+  length 1 over its denominator delta, while the first has A_(D-1) = 1/delta
+  and so length at least 1.  The Y identity never sets the maximum and is
+  not formed.
 """
 
 from __future__ import annotations
@@ -107,8 +118,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceGuardError
-from .exactnum import IntPoly, RatPoly, RealBall, ball_log
-from .exactnum.linalg import solve
+from .exactnum import IntPoly, RatPoly, RealBall, TruncSeries, ball_log, series_reciprocal
+from .exactnum.poly import horner, rat_mul
 from .factorint import FactorReport, chain, factor_over_Q, factor_over_Z
 from .heights import height_rational
 from .ntheory import prime_divisors, residue, valuation
@@ -125,8 +136,6 @@ class GapConstant:
 
     one_step_arg: int
     degree: int
-    upper_arg: int
-    lower_arg: int
 
     def one_step(self, prec: int = 64) -> RealBall:
         return ball_log(RealBall.exact(self.one_step_arg), prec)
@@ -143,28 +152,15 @@ def height_gap_constant(P: PolyMap) -> GapConstant:
     D = P.degree
     a = P.lower_coefficients()
     delta = math.lcm(*(c.denominator for c in a))
-    A = [c * delta for c in a]  # integers
-    upper_arg = delta + sum(abs(x.numerator) for x in A)
-
-    # N_j = coefficient of X^j Y^(D-j) in Delta * Y^D P(X/Y); M = Delta Y^D
-    N = [int(A[D - 1 - j]) if j < D else delta for j in range(D + 1)]
-    lengths = []
-    for rhs_row in (2 * D - 1, 0):
-        mat = [[Fraction(0)] * (2 * D) for _ in range(2 * D)]
-        for i in range(D):  # A-columns
-            for j in range(D + 1):
-                mat[i + j][i] += N[j]
-        for i in range(D):  # B-columns (B * Delta Y^D)
-            mat[i][D + i] += delta
-        rhs = [Fraction(int(k == rhs_row)) for k in range(2 * D)]
-        w = solve(mat, rhs)
-        lcm = math.lcm(*(x.denominator for x in w))
-        ints = [int(x * lcm) for x in w]
-        g = math.gcd(lcm, *(abs(v) for v in ints)) or 1
-        ints = [v // g for v in ints]
-        lengths.append(sum(abs(v) for v in ints))
-    lower_arg = max(lengths)
-    return GapConstant(max(upper_arg, lower_arg), D, upper_arg, lower_arg)
+    # N_j = delta [X^j]P, the coefficient of X^j Y^(D-j) in delta Y^D P(X/Y)
+    N = [int(c * delta) for c in reversed(a)] + [delta]
+    upper_arg = sum(abs(c) for c in N)
+    # the cofactors of A*N + B*M = X^(2D-1), as the module docstring derives them
+    r = series_reciprocal(TruncSeries(0, N[:0:-1]))
+    A = [r.coefficient(i - D + 1) for i in range(D)]
+    B = [-c / delta for c in rat_mul(A, N, D)]
+    lcm = math.lcm(*(x.denominator for x in A + B))
+    return GapConstant(max(upper_arg, int(sum(abs(x) for x in A + B) * lcm)), D)
 
 
 @dataclass(frozen=True)
@@ -298,9 +294,7 @@ def _padic_local_height(P: PolyMap, alpha: Fraction, p: int, e: int,
     q = [residue(c * Fraction(p) ** (e * (D - j)), mod) for j, c in enumerate(P.poly.coeffs)]
     y = residue(alpha * p ** e, mod)
     for k in range(K):
-        z = 0
-        for c in reversed(q):
-            z = (z * y + c) % mod
+        z = horner(q, y) % mod
         t, rest = 0, z
         while t < L and rest % p == 0:
             t, rest = t + 1, rest // p

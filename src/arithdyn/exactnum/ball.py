@@ -12,7 +12,8 @@ tau = 2i/(1-q) of the census pullback) takes the same code: its
 denominator is simply not a power of two, and a gcd reduces it.
 
 The ring operations (+, -, *, /) stay exact: the returned ball contains the
-image of every point of the input balls, with no rounding at all.
+image of every point of the input balls, with no rounding at all.  Division
+is the product with ``inverse``, which is the exact ball 1/m at an exact m.
 Rounding follows one rule, in ``_round_scaled``: n 2^s / d goes to the
 nearest integer, ties to even, for a midpoint, and up for a radius; a
 shift when d is a power of two, a divmod otherwise.  ``round_to``
@@ -380,12 +381,7 @@ class RealBall:
         return RealBall.from_endpoints(lo, hi)
 
     def __truediv__(self, other):
-        other = as_real_ball(other)
-        if other._rn == 0:
-            if other._mn == 0:
-                raise DomainError("division by zero")
-            return RealBall(self.mid / other.mid, self.rad / abs(other.mid))
-        return self * other.inverse()
+        return self * as_real_ball(other).inverse()
 
     def __rtruediv__(self, other):
         return as_real_ball(other) / self
@@ -622,30 +618,17 @@ class ComplexBall:
     __rmul__ = __mul__
 
     def inverse(self) -> "ComplexBall":
+        # mod_lo <= |m| - r, so this one check makes den, mod_lo and mod_lo - r positive
         mod_lo = self.abs_lower()
-        if mod_lo <= self.rad or mod_lo == 0:
+        if mod_lo <= self.rad:
             raise DomainError("inverse of disk containing zero")
         den = self.abs_sq_mid()
-        if den == 0:
-            raise DomainError("inverse of disk containing zero")
-        re = self.re / den
-        im = -self.im / den
         # |1/w - 1/m| <= r / (|m| (|m| - r)) for |w - m| <= r < |m|
-        r_lower = mod_lo - self.rad
-        if r_lower <= 0:
-            raise DomainError("inverse of disk containing zero")
-        rad = self.rad / (mod_lo * r_lower)
-        return ComplexBall(re, im, rad)
+        rad = self.rad / (mod_lo * (mod_lo - self.rad))
+        return ComplexBall(self.re / den, -self.im / den, rad)
 
     def __truediv__(self, other):
-        other = as_complex_ball(other)
-        if other._rn == 0:
-            den = other.abs_sq_mid()
-            if den == 0:
-                raise DomainError("division by zero")
-            inv = ComplexBall(other.re / den, -other.im / den, _ZERO)
-            return self * inv
-        return self * other.inverse()
+        return self * as_complex_ball(other).inverse()
 
     def __rtruediv__(self, other):
         return as_complex_ball(other) / self

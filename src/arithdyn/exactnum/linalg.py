@@ -1,10 +1,8 @@
-"""Exact linear algebra over the rationals: RREF, kernel basis, linear solve."""
+"""Exact linear algebra over the rationals: RREF and kernel basis."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from ..errors import DomainError
 
 
 def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -47,15 +45,3 @@ def kernel_basis(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction
         basis.append(v)
     return basis
 
-
-def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square nonsingular system exactly."""
-    n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    m, pivots = rref(aug)
-    if len(pivots) != n or any(p >= n for p in pivots):
-        raise DomainError("singular or inconsistent linear system")
-    out = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        out[pc] = m[r][n]
-    return out

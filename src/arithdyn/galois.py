@@ -156,13 +156,15 @@ _POWER_BIT_CAP = 4096
 
 
 def padic_degree_bound(P: PolyMap, alpha, n: int, prec: int = 64,
-                       degree_cap: int = DEFAULT_DEGREE_CAP,
-                       cross_check: bool = True, seed: int = 0) -> PadicBoundReport:
+                       degree_cap: int = DEFAULT_DEGREE_CAP, seed: int = 0) -> PadicBoundReport:
     """Degree lower bound via the cyclotomic structure at a good prime.
 
     Uses the exact cyclotomic degree of the D^n-th roots of unity over Q_p
     (sharper than the D^(n-m) shape, which is also reported).  Requires a
-    nonarchimedean place with |alpha|_v > delta_v.
+    nonarchimedean place with |alpha|_v > delta_v.  When D^n <= degree_cap
+    the bound is checked against the largest factor degree of
+    ``snap_degree_multiset``; above the cap no check runs and
+    ``snap_max_degree`` is None.
     """
     from .boettcher import good_place
     from .heights import height_rational
@@ -184,7 +186,7 @@ def padic_degree_bound(P: PolyMap, alpha, n: int, prec: int = 64,
     h_log = height_rational(alpha, prec).log
     cap = (D - 1) * h_log / ball_log(RealBall.exact(2), prec)
     snap_max = None
-    if cross_check and D ** n <= degree_cap:
+    if D ** n <= degree_cap:
         from .dynamics import snap_degree_multiset
 
         snap_max = snap_degree_multiset(P, alpha, n, degree_cap, seed).max_degree

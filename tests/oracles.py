@@ -15,7 +15,9 @@ the fixed-N theta sums and discriminant product (every term up to N, the
 tail majorant at N) as the reference for the precision-driven stopping rule
 of those enclosures, and the telescoped orbit heights h(P^n(alpha))/D^n (exact orbit values of
 about D^n h(alpha) bits) as the reference for the local-height canonical
-heights of ``dynamics``, the per-link Capelli screen (each h(P^j(X))
+heights of ``dynamics``, the two cofactor systems of the one-step height
+constant solved by Gauss-Jordan elimination as the reference for the series
+reciprocal of ``dynamics.height_gap_constant``, the per-link Capelli screen (each h(P^j(X))
 formed and factored mod p, link by link) as the reference for both kernels
 of ``factorint.capelli.chain``, and the expanded P^n(X) - P^n(alpha) as the
 reference for the factorization ``dynamics.snap_degree_multiset`` proves
@@ -468,6 +470,51 @@ def telescoped_height_stats(P: PolyMap, alpha, eps, prec: int = 0,
     tail = gc.tail_bound(n)
     canonical = RealBall(log_ball.mid / D ** n, log_ball.rad / D ** n + tail)
     return OrbitStats(alpha, n, tuple(heights), canonical, gc.gap(max(prec, 64)))
+
+
+
+def _solve_by_elimination(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """The solution of a square nonsingular system, by Gauss-Jordan elimination."""
+    n = len(mat)
+    m = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
+    for c in range(n):
+        pivot = next(i for i in range(c, n) if m[i][c] != 0)
+        m[c], m[pivot] = m[pivot], m[c]
+        pv = m[c][c]
+        m[c] = [x / pv if x else x for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[c])]
+    return [row[n] for row in m]
+
+
+def gap_constant_by_elimination(P: PolyMap) -> tuple[int, int, int]:
+    """(one_step_arg, X length, Y length) of the one-step height constant,
+    from the cofactor identities A N + B M = X^(2D-1) and A' N + B' M =
+    Y^(2D-1) solved as two full 2D x 2D linear systems.  N and M = delta Y^D
+    are the forms of P on P^1, and a length is the sum of the absolute values
+    of the cofactor coefficients over their least common denominator."""
+    D = P.degree
+    a = P.lower_coefficients()
+    delta = math.lcm(*(c.denominator for c in a))
+    A = [c * delta for c in a]
+    upper_arg = delta + sum(abs(x.numerator) for x in A)
+    N = [int(A[D - 1 - j]) if j < D else delta for j in range(D + 1)]
+    lengths = []
+    for rhs_row in (2 * D - 1, 0):
+        # row k is the monomial X^k Y^(2D-1-k); columns are A_0..A_(D-1), B_0..B_(D-1)
+        mat = [[Fraction(0)] * (2 * D) for _ in range(2 * D)]
+        for i in range(D):
+            for j in range(D + 1):
+                mat[i + j][i] += N[j]
+            mat[i][D + i] += delta
+        w = _solve_by_elimination(mat, [Fraction(int(k == rhs_row)) for k in range(2 * D)])
+        lcm = math.lcm(*(x.denominator for x in w))
+        ints = [int(x * lcm) for x in w]
+        g = math.gcd(lcm, *(abs(v) for v in ints)) or 1
+        lengths.append(sum(abs(v) for v in ints) // g)
+    return max(upper_arg, *lengths), lengths[0], lengths[1]
 
 
 # --- the per-link Capelli screen ---------------------------------------------

@@ -483,6 +483,25 @@ def test_a_cover_past_the_grid_guard_exits_3_at_once(capsys):
     assert "resource guard" in capsys.readouterr().err
 
 
+def test_a_census_past_the_pair_guard_exits_3_at_once(capsys):
+    t0 = time.perf_counter()
+    assert main(["census", "--function", "square", "--height", "100000"]) == 3
+    assert time.perf_counter() - t0 < 1
+    assert "resource guard" in capsys.readouterr().err
+
+
+def test_padic_bound_checks_against_snap_only_within_the_degree_cap(capsys):
+    argv = ["padic-bound", "--map", "X^2", "--alpha", "1/8", "--n", "3"]
+    rc, out = run_cli(argv, capsys)
+    checked = json.loads(out)["result"]
+    rc_capped, out = run_cli(argv + ["--degree-cap", "4"], capsys)
+    capped = json.loads(out)["result"]
+    assert rc == rc_capped == 0
+    assert checked["snap_max_degree"] == 4 and capped["snap_max_degree"] is None
+    assert capped | {"snap_max_degree": 4} == checked
+    assert main(argv + ["--no-cross-check"]) == 1
+
+
 def test_census_refuses_negative_escalations(capsys):
     argv = ["census", "--function", "lambda", "--height", "3", "--escalations"]
     assert main(argv + ["-1"]) == 2

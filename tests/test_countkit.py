@@ -293,6 +293,13 @@ def test_enumerate_examples():
     assert nine[0] == F(1, 2) and nine[-1] == F(4, 5)
 
 
+def test_enumeration_refuses_more_than_its_pair_cap():
+    # H = 447 scans 447 * 446 / 2 = 99681 pairs; H = 448 would scan 100128
+    assert len(enumerate_rationals(F(895, 2))) == 60873
+    with pytest.raises(ResourceGuardError):
+        enumerate_rationals(448)
+
+
 def test_census_square():
     res = census(make_evaluator("square"), 4)
     assert res.count == 1

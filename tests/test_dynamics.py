@@ -22,7 +22,13 @@ from arithdyn.heights import height_rational
 from arithdyn.ntheory import PROVEN_PRIME_BOUND
 from arithdyn.polymap import PolyMap
 from conftest import random_monic_map
-from oracles import per_link_chain, telescoped_height_stats, tower_chains, tower_identity
+from oracles import (
+    gap_constant_by_elimination,
+    per_link_chain,
+    telescoped_height_stats,
+    tower_chains,
+    tower_identity,
+)
 
 P2 = PolyMap.from_text("X^2")
 P21 = PolyMap.from_text("X^2+1")
@@ -66,6 +72,22 @@ def test_gap_constant_grows_with_coefficient_length():
     a = height_gap_constant(P21).one_step_arg
     b = height_gap_constant(PolyMap.from_text("X^2+1/3")).one_step_arg
     assert b > a  # regression, not a theorem
+
+
+def test_gap_constant_matches_the_cofactor_elimination():
+    # the series reciprocal gives the X^(2D-1) cofactor that the full 2D x 2D
+    # elimination gives, and the Y^(2D-1) cofactor, which it drops, always
+    # has length 1, so it never sets the maximum
+    rng = random.Random(20261020)
+    maps = [PolyMap.from_text(t) for t in ("X^2", "X^3", "X^4")]
+    for _ in range(500):
+        D = rng.randint(2, 7)
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(D)]
+        maps.append(PolyMap(RatPoly(coeffs + [F(1)])))
+    for P in maps:
+        one_step_arg, _, y_length = gap_constant_by_elimination(P)
+        assert height_gap_constant(P).one_step_arg == one_step_arg, str(P)
+        assert y_length == 1, str(P)
 
 
 def test_gap_constant_bounds_one_step_heights(rng):
