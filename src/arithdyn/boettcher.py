@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ResourceGuardError
 from .exactnum import (
     ComplexBall,
     RealBall,
@@ -34,6 +34,7 @@ from .exactnum import (
     ball_log,
     ball_pi,
     ball_root,
+    rad_up,
     series_compose_poly,
     series_inverse,
     series_power,
@@ -46,6 +47,9 @@ from .polymap import PolyMap
 _ONE = Fraction(1)
 _DISTORTION_TERMS = 8  # terms of the telescoping product in distortion_bound
 _MAX_DISTORTION = Fraction(1, 8)  # boettcher_frame doubles rho until E(rho) is this small
+# the largest series order: the solve's cost grows about elevenfold per
+# doubling of N (X^2+1 at N = 400 took 15.5 s, X^3+X+1 at N = 256 10.4 s)
+_MAX_ORDER = 256
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,8 @@ def boettcher_series(P: PolyMap, N: int) -> BoettcherSeries:
     fixed point phi <- (phi o P)^(1/D), starting from phi = z."""
     if N < 1:
         raise DomainError("series order must be >= 1")
+    if N > _MAX_ORDER:
+        raise ResourceGuardError(f"series order {N} exceeds cap {_MAX_ORDER}")
     D = P.degree
     # the largest c with (c - 2) D + 2 <= -N: one step from phi exact down
     # to z^need reaches z^-N, so deeper terms are dropped before the last step
@@ -208,7 +214,7 @@ def psi_eval(frame: BoettcherFrame, w: ComplexBall, prec: int = 128) -> ComplexB
 class FStarResult:
     value: ComplexBall
     phi_tail: Fraction
-    psi_tail: Fraction
+    psi_tail: Fraction  # rounded up to a short dyadic, as radii are
     rho: Fraction
     distortion: Fraction
 
@@ -244,7 +250,7 @@ def fstar_eval(P: PolyMap, alpha, tau: ComplexBall, N: int = 16,
     factor = ball_cexp(ComplexBall.from_real_pair(re_part, im_part), prec)
     w = (phi_a * factor).round_to(prec + 32)
     psi_w = psi_eval(frame, w, prec)
-    psi_tail = _psi_tail(frame, w.abs_lower()) if frame.distortion != 0 else Fraction(0)
+    psi_tail = rad_up(_psi_tail(frame, w.abs_lower()))
     return FStarResult(psi_w.inverse(), phi_tail, psi_tail, frame.rho, frame.distortion)
 
 

@@ -5,7 +5,9 @@ Every run embeds its full job specification (verb, parameters, precision,
 seed) and the artifact version in the output, and identical job specs
 produce byte-identical outputs.  Numeric cells are exact rational strings
 "p/q" or certified enclosures rendered as mid/rad decimal pairs; bare
-floats never appear.
+floats never appear.  This module alone renders: the library returns
+numbers, and the helpers below, ``_fr`` to ``_factors_json``, give them
+their printed form.
 
 Exit codes: 0 success, 1 unknown verb or malformed parameters, 2 domain
 errors, 3 resource-guard trips.  A rational or polynomial input, or a
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -203,10 +206,18 @@ def _fr(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _coeffs(poly) -> list[str]:
+    return [_fr(c) for c in poly.coeffs]
+
+
+def _mid_rad(b: RealBall) -> dict:
+    mid, rad = ball_decimal(b.mid, b.rad, _DIGITS)
+    return {"mid": mid, "rad": rad}
+
+
 def _ball_json(b, prec: int) -> dict:
     if isinstance(b, RealBall):
-        mid, rad = ball_decimal(b.mid, b.rad, _DIGITS)
-        return {"mid": mid, "rad": rad, "precision": prec}
+        return _mid_rad(b) | {"precision": prec}
     mid_re, rad = ball_decimal(b.re, b.rad, _DIGITS)
     mid_im, _ = ball_decimal(b.im, Fraction(0), _DIGITS)
     return {"mid": f"{mid_re}{'+' if not mid_im.startswith('-') else ''}{mid_im}i",
@@ -215,6 +226,16 @@ def _ball_json(b, prec: int) -> dict:
 
 def _ball_cell(b, prec: int) -> str:
     return "{mid}+/-{rad}".format(**_ball_json(b, prec))
+
+
+def _height_json(hv) -> dict:
+    out = {"height_mult": _mid_rad(hv.mult), "height_log": _mid_rad(hv.log)}
+    return out if hv.exact is None else out | {"exact": _fr(hv.exact)}
+
+
+def _factors_json(rep) -> dict:
+    return {"content": rep.content, "unit": rep.unit,
+            "factors": [{"coeffs": _coeffs(f), "mult": m} for f, m in rep.factors]}
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +257,7 @@ def _run_height(a):
         source = a.min_poly
     else:
         raise _CliError("height needs --rational or --min-poly")
-    res = hv.to_json(_DIGITS)
+    res = _height_json(hv)
     return res, [res | {"input": source}]
 
 
@@ -245,14 +266,14 @@ def _run_weil_height(a):
     from .heights import weil_height_tuple
 
     ts = [_rational(t, "--tuple") for t in a.tuple.split(",") if t.strip()]
-    res = weil_height_tuple(ts, a.precision).to_json(_DIGITS)
+    res = _height_json(weil_height_tuple(ts, a.precision))
     return res, [res]
 
 
 @_verb("iterate", "exact expanded n-th iterate", _MAP, _N)
 def _run_iterate(a):
     out = PolyMap.from_text(a.map).iterate_poly(a.n, a.degree_cap)
-    res = {"degree": out.degree, "coeffs": out.to_json()}
+    res = {"degree": out.degree, "coeffs": _coeffs(out)}
     return res, [{"degree": out.degree, "coeffs": " ".join(res["coeffs"])}]
 
 
@@ -293,7 +314,7 @@ def _run_snap(a):
         "squarefree": rep.squarefree,
     }
     res = {"multiset": list(rep.multiset), "squarefree": rep.squarefree,
-           "value": _fr(rep.value), "factors": rep.factor_report.to_json()}
+           "value": _fr(rep.value), "factors": _factors_json(rep.factor_report)}
     return res | {k: row[k] for k in ("alpha", "n", "D", "r", "max_degree")}, [row]
 
 
@@ -323,7 +344,7 @@ def _run_factor(a):
     from .factorint import factor_over_Q
 
     scale, rep = factor_over_Q(parse_poly(a.poly), a.seed)
-    rj = rep.to_json()
+    rj = _factors_json(rep)
     return {"scale": _fr(scale)} | rj, [
         {"degree": len(f["coeffs"]) - 1, "mult": f["mult"], "coeffs": " ".join(f["coeffs"])}
         for f in rj["factors"]]
@@ -500,8 +521,8 @@ def _run_vanish(a):
                 raise _CliError(f"--points: need x,y pairs separated by ';', got {_shown(pair)}")
             points.append((_rational(xy[0], "--points"), _rational(xy[1], "--points")))
     poly = vanishing_polynomial(points, a.t_max)
-    res = poly.to_json() | {"total_degree": poly.total_degree, "text": str(poly)}
-    return res, [{"i": i, "j": j, "c": str(c)} for (i, j), c in poly.terms]
+    terms = [{"i": i, "j": j, "c": str(c)} for (i, j), c in poly.terms]
+    return {"terms": terms, "total_degree": poly.total_degree, "text": str(poly)}, terms
 
 
 @_verb("power-lemma", "extremal partition combinatorics (construction or oracle)",
@@ -537,12 +558,15 @@ def _run_bound_shape(a):
 
 
 def _map_jobs(fn, payloads: list, jobs: int) -> list:
-    """``fn`` over ``payloads``, in a process pool when more than one job is asked for."""
-    if jobs <= 1 or len(payloads) <= 1:
+    """``fn`` over ``payloads``, in a process pool of at most one worker per
+    payload and per CPU when more than one job is asked for.  The pool starts
+    all its workers at once, so ``--jobs`` alone never sizes it."""
+    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(p) for p in payloads]
     from concurrent.futures import ProcessPoolExecutor  # lazy: only --jobs > 1 needs it
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads))
 
 
@@ -573,12 +597,9 @@ def _run_census(a):
                  a.escalations) for i in range(min(jobs, len(qs)) or 1)]
     by_q = {rec.q: rec for part in _map_jobs(_census_chunk, payloads, jobs) for rec in part}
     result = CensusResult(a.height, a.precision, tuple(by_q[q] for q in qs))
-    cells = []
-    for r in result.records:
-        mid, rad = ball_decimal(r.value.mid, r.value.rad, _DIGITS)
-        cells.append({"q": _fr(r.q), "mid": mid, "rad": rad, "verdict": r.verdict,
-                      "candidate": _fr(r.candidate) if r.candidate is not None else None,
-                      "excluded_zero": r.excluded_zero})
+    cells = [{"q": _fr(r.q), **_mid_rad(r.value), "verdict": r.verdict,
+              "candidate": _fr(r.candidate) if r.candidate is not None else None,
+              "excluded_zero": r.excluded_zero} for r in result.records]
     res = {"count": result.count, "verdicts": result.verdict_counts(), "records": cells}
     return res, [{k: v for k, v in c.items() if k != "excluded_zero"} for c in cells]
 

@@ -6,12 +6,11 @@ from .census import (
     CENSUS_FUNCTIONS,
     CensusRecord,
     CensusResult,
-    census,
     census_records,
     enumerate_rationals,
     make_evaluator,
 )
-from .cover import cover_count_bound_holds, covers_sample, disk_cover
+from .cover import cover_count_bound_holds, disk_cover
 from .jensen import jensen_zero_bound
 from .masser import BivarIntPoly, masser_T_threshold, vanishing_polynomial
 from .modular import ModularValue, delta_eval, lambda_eval, modular_eval
@@ -19,7 +18,6 @@ from .powerlemma import (
     ExtremalConstruction,
     OracleResult,
     admissible,
-    construction_coefficient_power,
     power_lemma_min_X,
     power_lemma_oracle,
 )
@@ -36,11 +34,8 @@ __all__ = [
     "SHAPE_TAGS",
     "admissible",
     "bound_shape",
-    "census",
     "census_records",
-    "construction_coefficient_power",
     "cover_count_bound_holds",
-    "covers_sample",
     "delta_eval",
     "disk_cover",
     "enumerate_rationals",

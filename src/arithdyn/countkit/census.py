@@ -117,22 +117,6 @@ def census_records(evaluator: Evaluator, qs, H, precision: int = 128,
     return records
 
 
-def census(evaluator: Evaluator, H, precision: int = 128,
-           escalations: int = 1) -> CensusResult:
-    """Classify f(q) for every height-bounded rational q in (0,1).
-
-    Per-point undecided verdicts escalate the working precision (x4 each
-    time, up to ``escalations`` retries) and are reported as
-    undecided-at-precision, with the last ball and the precision it was
-    taken at, if still unresolved, never dropped.  An evaluator
-    built by ``make_evaluator(..., precision=precision)`` raises its lambda or
-    delta term cap with each escalation.
-    """
-    H = Fraction(H)
-    records = census_records(evaluator, enumerate_rationals(H), H, precision, escalations)
-    return CensusResult(H, precision, tuple(records))
-
-
 CENSUS_FUNCTIONS = ("square", "const", "lambda", "delta", "fstar")
 
 

@@ -54,14 +54,3 @@ def cover_count_bound_holds(count: int, R, r) -> bool:
     if lhs <= 0:
         return True
     return lhs * lhs <= 32 * rho * rho
-
-
-def covers_sample(centers, r, points) -> bool:
-    """Exact verification that every sample point lies in some disk."""
-    r = Fraction(r)
-    r2 = r * r
-    for x, y in points:
-        x, y = Fraction(x), Fraction(y)
-        if not any((x - cx) ** 2 + (y - cy) ** 2 <= r2 for cx, cy in centers):
-            return False
-    return True

@@ -104,9 +104,6 @@ class BivarIntPoly:
         x, y = Fraction(x), Fraction(y)
         return sum((c * x ** i * y ** j for (i, j), c in self.terms), Fraction(0))
 
-    def to_json(self) -> dict:
-        return {"terms": [{"i": i, "j": j, "c": str(c)} for (i, j), c in self.terms]}
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -20,6 +20,9 @@ from fractions import Fraction
 from ..errors import DomainError, ResourceGuardError
 
 ORACLE_CAP = 40
+# the most parts of a construction: its cost and its printed witness grow
+# linearly in M (M = 10^6 took 36 s and printed 18 MB)
+CONSTRUCTION_CAP = 100_000
 
 
 def _le_c_pow(s: Fraction, c: Fraction, k: int, theta: Fraction) -> bool:
@@ -42,6 +45,8 @@ def power_lemma_min_X(M: int, c, theta) -> ExtremalConstruction:
     c, theta = Fraction(c), Fraction(theta)
     if M < 1:
         raise DomainError("M must be >= 1")
+    if M > CONSTRUCTION_CAP:
+        raise ResourceGuardError(f"construction capped at M <= {CONSTRUCTION_CAP}")
     if c < 1 or theta < 2:
         raise DomainError("need c >= 1 and theta >= 2")
     counts: list[int] = []
@@ -123,18 +128,3 @@ def power_lemma_oracle(X: int, c, theta) -> OracleResult:
     if best is None:
         raise DomainError("no admissible partition (c too small?)")
     return OracleResult(best[0], best[1])
-
-
-def construction_coefficient_power(c, M_max: int, theta: int = 2) -> Fraction:
-    """max over M <= M_max of M^theta / X_min(M)^(theta-1), exact.
-
-    For integer theta this is the theta-th power of the constant c_theta
-    extracted from the construction: M <= c_theta * X^(1 - 1/theta) holds
-    for every admissible configuration iff M^theta <= c_theta^theta X^(theta-1).
-    """
-    theta = int(theta)
-    best = Fraction(0)
-    for M in range(1, M_max + 1):
-        X = power_lemma_min_X(M, c, theta).X_min
-        best = max(best, Fraction(M ** theta, X ** (theta - 1)))
-    return best

@@ -143,10 +143,6 @@ class GapConstant:
     def gap(self, prec: int = 64) -> RealBall:
         return self.one_step(prec) / (self.degree - 1)
 
-    def tail_bound(self, n: int, prec: int = 64) -> Fraction:
-        """Upper bound for |hhat - h(P^n . )/D^n| (exact rational)."""
-        return self.one_step(prec).hi / (self.degree ** n * (self.degree - 1))
-
 
 def height_gap_constant(P: PolyMap) -> GapConstant:
     D = P.degree
@@ -187,10 +183,6 @@ class HeightStats:
 
 # the archimedean orbit's grid 2^-w may be refined up to this many bits
 _MAX_GRID_BITS = 1 << 16
-
-
-def canonical_height(P: PolyMap, alpha, eps, prec: int = 0) -> RealBall:
-    return canonical_height_stats(P, alpha, eps, prec).canonical
 
 
 def canonical_height_stats(P: PolyMap, alpha, eps, prec: int = 0) -> HeightStats:

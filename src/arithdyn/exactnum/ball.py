@@ -242,11 +242,6 @@ def sqrt_up(x: Fraction, bits: int = 64) -> Fraction:
     return Fraction(*_sqrt_up(x.numerator, x.denominator, bits))
 
 
-def _round_fraction(q: Fraction, prec: int) -> Fraction:
-    """Nearest dyadic with at most prec + 1 significant bits (ties to even)."""
-    return Fraction(*_scaled_pair(*_round_sig(q.numerator, q.denominator, prec)))
-
-
 def rad_up(r: Fraction) -> Fraction:
     """Round a radius up to a dyadic of at most _RAD_BITS + 1 significant bits
     (sound compaction)."""
@@ -321,9 +316,6 @@ class RealBall:
     @property
     def hi(self) -> Fraction:
         return Fraction(*_add(self._mn, self._md, self._rn, self._rd))
-
-    def is_exact(self) -> bool:
-        return self._rn == 0
 
     def abs_upper(self) -> Fraction:
         return Fraction(*_add(abs(self._mn), self._md, self._rn, self._rd))
@@ -432,10 +424,6 @@ class RealBall:
     def le(self, other) -> bool:
         other = as_real_ball(other)
         return self.hi <= other.lo
-
-    def ge(self, other) -> bool:
-        other = as_real_ball(other)
-        return self.lo >= other.hi
 
 
 def as_real_ball(x) -> RealBall:
@@ -549,9 +537,6 @@ class ComplexBall:
     def __repr__(self):
         return f"ComplexBall({self.re}, {self.im}, {self.rad})"
 
-    def is_exact(self) -> bool:
-        return self._rn == 0
-
     @property
     def real(self) -> RealBall:
         """The interval of the real parts of the disk's points."""
@@ -561,9 +546,6 @@ class ComplexBall:
     def imag(self) -> RealBall:
         """The interval of the imaginary parts of the disk's points."""
         return _real(self._yn, self._yd, self._rn, self._rd)
-
-    def conjugate(self) -> "ComplexBall":
-        return _complex(self._xn, self._xd, -self._yn, self._yd, self._rn, self._rd)
 
     def abs_sq_mid(self) -> Fraction:
         re, im = self.re, self.im

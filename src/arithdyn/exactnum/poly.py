@@ -304,9 +304,6 @@ class IntPoly(_BasePoly):
     def max_norm(self) -> int:
         return max((abs(c) for c in self.coeffs), default=0)
 
-    def l2_norm_sq(self) -> int:
-        return sum(c * c for c in self.coeffs)
-
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """self / other over Z; DomainError unless the quotient is integral and
         the remainder zero (long division in integers, stopping at the first
@@ -327,9 +324,6 @@ class IntPoly(_BasePoly):
         if any(rem[:d]):
             raise DomainError("exact_div: not divisible over Z")
         return IntPoly(q)
-
-    def to_json(self) -> list[str]:
-        return [f"{c}/1" for c in self.coeffs]
 
 
 class RatPoly(_BasePoly):
@@ -376,13 +370,6 @@ class RatPoly(_BasePoly):
         scale = math.lcm(*(c.denominator for c in self.coeffs))
         cont, prim = IntPoly(c * scale for c in self.coeffs).primitive()
         return Fraction(cont, scale), prim
-
-    def to_json(self) -> list[str]:
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-
-def poly_from_json(arr) -> RatPoly:
-    return RatPoly(Fraction(s) for s in arr)
 
 
 _TERM_RE = re.compile(

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from ..errors import CertificationError, DomainError
-from .ball import ComplexBall, _fraction_from_mpf_tuple, _round_fraction, sqrt_up
+from .ball import ComplexBall, _fraction_from_mpf_tuple, sqrt_up
 from .poly import IntPoly, RatPoly, horner
 
 if TYPE_CHECKING:
@@ -114,12 +114,6 @@ def _mp_polish(p: IntPoly, z0: complex | mpmath.mpc, prec: int) -> mpmath.mpc:
         return +z
 
 
-def _mpc_to_exact(z: mpmath.mpc, prec: int) -> tuple[Fraction, Fraction]:
-    re_t, im_t = z._mpc_
-    return (_round_fraction(_fraction_from_mpf_tuple(re_t), prec + 16),
-            _round_fraction(_fraction_from_mpf_tuple(im_t), prec + 16))
-
-
 def _residual_radius(p: IntPoly, re: Fraction, im: Fraction) -> Fraction:
     """Exact upper bound for deg(p) * |p(z)/p'(z)| at the exact point z."""
     z = ComplexBall.exact(re, im)
@@ -166,7 +160,8 @@ def complex_roots_with_radii(p: IntPoly, precision: int = 64) -> list[ComplexBal
         ok = len(seeds) == n
         balls = []
         for z in seeds if ok else ():
-            re, im = _mpc_to_exact(_mp_polish(p, z, work), work)
+            # the polished parts are mpfs of at most ``work`` bits, taken exactly
+            re, im = map(_fraction_from_mpf_tuple, _mp_polish(p, z, work)._mpc_)
             try:
                 rad = _residual_radius(p, re, im)
             except CertificationError:

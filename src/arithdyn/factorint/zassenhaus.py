@@ -70,25 +70,8 @@ class FactorReport:
             out = out * f ** m
         return out
 
-    def degree_multiset(self) -> list[tuple[int, int]]:
-        """Sorted (degree, multiplicity) pairs, multiplicities aggregated."""
-        agg: dict[int, int] = {}
-        for f, m in self.factors:
-            agg[f.degree] = agg.get(f.degree, 0) + m
-        return sorted(agg.items())
-
     def is_squarefree(self) -> bool:
         return all(m == 1 for _, m in self.factors)
-
-    def to_json(self) -> dict:
-        return {
-            "content": self.content,
-            "unit": self.unit,
-            "factors": [
-                {"coeffs": [f"{c}/1" for c in f.coeffs], "mult": m}
-                for f, m in self.factors
-            ],
-        }
 
 
 def _int_gcd_poly(a: IntPoly, b: IntPoly) -> IntPoly:

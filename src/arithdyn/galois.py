@@ -145,9 +145,6 @@ class PadicBoundReport:
     count_coefficient: int  # D^(2 m_uniform): low-degree count bound d -> d^2 * this
     snap_max_degree: int | None  # cross-check when factorization is affordable
 
-    def low_degree_count_bound(self, d: int) -> int:
-        return d * d * self.count_coefficient
-
 
 # bits of D^n above which padic_degree_bound stops: its report prints D^n's
 # cyclotomic degree and D^(n - m) in decimal, far below Python's 4300-digit

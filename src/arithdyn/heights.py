@@ -19,16 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactnum import (
-    ComplexBall,
-    IntPoly,
-    RealBall,
-    as_real_ball,
-    ball_e,
-    ball_log,
-    ball_root,
-    complex_roots_with_radii,
-)
+from .exactnum import IntPoly, RealBall, ball_log, ball_root, complex_roots_with_radii
 from .factorint import factor_over_Z
 
 
@@ -38,14 +29,13 @@ class AlgebraicNumber:
 
     min_poly must be primitive with positive leading coefficient and
     irreducible over Q; ``create`` verifies irreducibility via the integer
-    factorizer.  root_selector optionally isolates one particular root.
+    factorizer.
     """
 
     min_poly: IntPoly
-    root_selector: ComplexBall | None = None
 
     @classmethod
-    def create(cls, min_poly: IntPoly, root_selector: ComplexBall | None = None) -> "AlgebraicNumber":
+    def create(cls, min_poly: IntPoly) -> "AlgebraicNumber":
         if min_poly.is_zero() or min_poly.degree < 1:
             raise DomainError("minimal polynomial must be nonconstant")
         cont, prim = min_poly.primitive()
@@ -54,14 +44,11 @@ class AlgebraicNumber:
         rep = factor_over_Z(min_poly)
         if len(rep.factors) != 1 or rep.factors[0][1] != 1:
             raise DomainError("minimal polynomial is reducible")
-        return cls(min_poly, root_selector)
+        return cls(min_poly)
 
     @property
     def degree(self) -> int:
         return self.min_poly.degree
-
-    def is_zero(self) -> bool:
-        return self.min_poly.coeffs == (0, 1)
 
 
 @dataclass(frozen=True)
@@ -71,19 +58,6 @@ class HeightValue:
     mult: RealBall
     log: RealBall
     exact: Fraction | None = None
-
-    def to_json(self, digits: int = 30) -> dict:
-        from .exactnum import ball_decimal
-
-        m, mr = ball_decimal(self.mult.mid, self.mult.rad, digits)
-        l, lr = ball_decimal(self.log.mid, self.log.rad, digits)
-        out = {
-            "height_mult": {"mid": m, "rad": mr},
-            "height_log": {"mid": l, "rad": lr},
-        }
-        if self.exact is not None:
-            out["exact"] = f"{self.exact.numerator}/{self.exact.denominator}"
-        return out
 
 
 def height_rational(q, prec: int = 64) -> HeightValue:
@@ -125,57 +99,3 @@ def weil_height_tuple(ts, prec: int = 64) -> HeightValue:
     total = max([Fraction(1)] + [abs(t) for t in ts]) * math.lcm(*(t.denominator for t in ts))
     return HeightValue(RealBall.exact(total), ball_log(RealBall.exact(total), prec), total)
 
-
-@dataclass(frozen=True)
-class ModulusBound:
-    """Certified lower bound H(alpha)^(-d) on |alpha| for nonzero alpha."""
-
-    lower: RealBall
-    exact: Fraction | None
-    selector_consistent: bool | None
-
-
-def modulus_lower_bound(alpha: AlgebraicNumber, d: int, prec: int = 64) -> ModulusBound:
-    if alpha.is_zero():
-        raise DomainError("alpha must be nonzero")
-    if alpha.degree > d:
-        raise DomainError(f"degree {alpha.degree} exceeds stated bound {d}")
-    h = height_algebraic(alpha, prec)
-    if h.exact is not None:
-        exact = Fraction(1) / h.exact ** d
-        ball = RealBall.exact(exact)
-    else:
-        exact = None
-        ball = (h.mult ** d).inverse()
-    consistent = None
-    if alpha.root_selector is not None:
-        consistent = bool(ball.hi <= alpha.root_selector.abs_upper())
-    return ModulusBound(ball, exact, consistent)
-
-
-def alpha_radius_cap(a, b, d: int, H, prec: int = 96) -> RealBall:
-    """The modulus cap 1 - 1/(2 * l * d * log H) with l = log(a)/log(b).
-
-    Requires a >= b^e > 1, a >= e, d >= 2, H >= e; the parameter checks are
-    certified in ball arithmetic and rejected when provably violated or not
-    decidable at the working precision.
-    """
-    if d < 2:
-        raise DomainError("d must be at least 2")
-    a, b, H = as_real_ball(a), as_real_ball(b), as_real_ball(H)
-    e = ball_e(prec)
-    # inclusive hypotheses: reject only when provably violated
-    if a.lt(e):
-        raise DomainError("parameter domain violated: a < e")
-    if H.lt(e):
-        raise DomainError("parameter domain violated: H < e")
-    log_b = ball_log(b, prec)
-    if not log_b.gt(RealBall.exact(0)):
-        raise DomainError("parameter domain violated: b <= 1 (or not certifiable)")
-    log_a = ball_log(a, prec)
-    if log_a.lt(e * log_b):
-        raise DomainError("parameter domain violated: a < b^e")
-    l = log_a / log_b
-    log_H = ball_log(H, prec)
-    denom = 2 * l * d * log_H
-    return RealBall.exact(1) - denom.inverse()

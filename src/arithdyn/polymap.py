@@ -21,26 +21,11 @@ class PolyMap:
         if self.poly.is_zero() or self.poly.degree < 2:
             raise DomainError("map must have degree at least 2")
         if not self.poly.is_monic():
-            raise DomainError(
-                "map must be monic; conjugate by a suitable gamma first (PolyMap.conjugated)"
-            )
+            raise DomainError("map must be monic; conjugate by a suitable gamma first")
 
     @classmethod
     def from_text(cls, text: str) -> "PolyMap":
         return cls(parse_poly(text))
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "PolyMap":
-        return cls(RatPoly(coeffs))
-
-    @staticmethod
-    def conjugated(poly: RatPoly, gamma) -> "PolyMap":
-        """gamma^(-1) * poly(gamma X): makes lead 1 when gamma^(D-1) = lead."""
-        gamma = Fraction(gamma)
-        if gamma == 0:
-            raise DomainError("gamma must be nonzero")
-        scaled = RatPoly(c * gamma ** i for i, c in enumerate(poly.coeffs))
-        return PolyMap(RatPoly(c / gamma for c in scaled.coeffs))
 
     @property
     def degree(self) -> int:

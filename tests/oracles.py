@@ -22,6 +22,11 @@ formed and factored mod p, link by link) as the reference for both kernels
 of ``factorint.capelli.chain``, and the expanded P^n(X) - P^n(alpha) as the
 reference for the factorization ``dynamics.snap_degree_multiset`` proves
 level by level.
+
+The last section holds the small wrappers over the library that only the
+tests use: a whole-census driver, the canonical-height ball alone, the
+telescoped tail of the gap constant, a factor report's degree multiset, the
+squared l2 norm, a sampled cover check and the power-lemma constant.
 """
 
 from __future__ import annotations
@@ -34,8 +39,9 @@ from itertools import islice, product
 
 import mpmath
 
+from arithdyn.countkit import CensusResult, census_records, enumerate_rationals, power_lemma_min_X
 from arithdyn.countkit.modular import ModularValue, _check_domain, _nome, _pow4
-from arithdyn.dynamics import height_gap_constant
+from arithdyn.dynamics import GapConstant, canonical_height_stats, height_gap_constant
 from arithdyn.errors import DomainError, ResourceGuardError
 from arithdyn.exactnum import (
     ComplexBall,
@@ -49,7 +55,7 @@ from arithdyn.exactnum import (
     ball_pi,
     rad_up,
 )
-from arithdyn.factorint import factor_over_Q, modp
+from arithdyn.factorint import FactorReport, factor_over_Q, modp
 from arithdyn.factorint.capelli import _MAX_FACTOR_DEGREE, _PRIMES_PER_LINK
 from arithdyn.ntheory import primes_from, residue
 from arithdyn.polymap import DEFAULT_DEGREE_CAP, PolyMap
@@ -71,7 +77,7 @@ def _divisors(n: int) -> list[int]:
 
 
 def _mignotte_box(f: IntPoly, deg_g: int) -> int:
-    l2 = math.isqrt(f.l2_norm_sq()) + 1
+    l2 = math.isqrt(l2_norm_sq(f)) + 1
     return (1 << deg_g) * l2
 
 
@@ -446,7 +452,7 @@ def telescoped_height_stats(P: PolyMap, alpha, eps, prec: int = 0,
     gc = height_gap_constant(P)
     half = eps / 2
     n = 0
-    while gc.tail_bound(n) > half:
+    while gap_tail_bound(gc, n) > half:
         n += 1
         if n > max_n:
             raise ResourceGuardError(f"needed more than {max_n} iterations for eps={eps}")
@@ -467,7 +473,7 @@ def telescoped_height_stats(P: PolyMap, alpha, eps, prec: int = 0,
             if log_ball.rad / D ** n <= half:
                 break
             p *= 2
-    tail = gc.tail_bound(n)
+    tail = gap_tail_bound(gc, n)
     canonical = RealBall(log_ball.mid / D ** n, log_ball.rad / D ** n + tail)
     return OrbitStats(alpha, n, tuple(heights), canonical, gc.gap(max(prec, 64)))
 
@@ -601,3 +607,68 @@ def tower_identity(P: PolyMap, alpha, n: int, report,
     if report.factor_report.reconstruct() != (top - value).to_int_primitive()[1]:
         raise AssertionError(f"snap's factors of P^{n}(X) - P^{n}({alpha}) do not rebuild it "
                              f"(P = {P})")
+
+
+# --- test-only wrappers over the library -------------------------------------
+
+
+def census(evaluator, H, precision: int = 128, escalations: int = 1) -> CensusResult:
+    """Classify f(q) for every height-bounded rational q in (0,1).
+
+    Per-point undecided verdicts escalate the working precision (x4 each
+    time, up to ``escalations`` retries) and are reported as
+    undecided-at-precision, with the last ball and the precision it was
+    taken at, if still unresolved, never dropped.  An evaluator
+    built by ``make_evaluator(..., precision=precision)`` raises its lambda or
+    delta term cap with each escalation.
+    """
+    H = Fraction(H)
+    records = census_records(evaluator, enumerate_rationals(H), H, precision, escalations)
+    return CensusResult(H, precision, tuple(records))
+
+
+def canonical_height(P: PolyMap, alpha, eps, prec: int = 0) -> RealBall:
+    return canonical_height_stats(P, alpha, eps, prec).canonical
+
+
+def gap_tail_bound(gc: GapConstant, n: int, prec: int = 64) -> Fraction:
+    """Upper bound for |hhat - h(P^n . )/D^n| (exact rational)."""
+    return gc.one_step(prec).hi / (gc.degree ** n * (gc.degree - 1))
+
+
+def degree_multiset(rep: FactorReport) -> list[tuple[int, int]]:
+    """Sorted (degree, multiplicity) pairs, multiplicities aggregated."""
+    agg: dict[int, int] = {}
+    for f, m in rep.factors:
+        agg[f.degree] = agg.get(f.degree, 0) + m
+    return sorted(agg.items())
+
+
+def l2_norm_sq(f: IntPoly) -> int:
+    return sum(c * c for c in f.coeffs)
+
+
+def covers_sample(centers, r, points) -> bool:
+    """Exact verification that every sample point lies in some disk."""
+    r = Fraction(r)
+    r2 = r * r
+    for x, y in points:
+        x, y = Fraction(x), Fraction(y)
+        if not any((x - cx) ** 2 + (y - cy) ** 2 <= r2 for cx, cy in centers):
+            return False
+    return True
+
+
+def construction_coefficient_power(c, M_max: int, theta: int = 2) -> Fraction:
+    """max over M <= M_max of M^theta / X_min(M)^(theta-1), exact.
+
+    For integer theta this is the theta-th power of the constant c_theta
+    extracted from the construction: M <= c_theta * X^(1 - 1/theta) holds
+    for every admissible configuration iff M^theta <= c_theta^theta X^(theta-1).
+    """
+    theta = int(theta)
+    best = Fraction(0)
+    for M in range(1, M_max + 1):
+        X = power_lemma_min_X(M, c, theta).X_min
+        best = max(best, Fraction(M ** theta, X ** (theta - 1)))
+    return best

@@ -248,6 +248,50 @@ def test_two_workers_print_what_one_does(argv, capsys, monkeypatch):
     assert outs[0][1:] == outs[1][1:]
 
 
+@pytest.mark.parametrize("cpus, sizes", [(4, [4, 3]), (None, [])])
+def test_the_pool_has_at_most_one_worker_per_payload_and_cpu(cpus, sizes, capsys, monkeypatch):
+    # a stand-in pool that runs inline: the test starts no process
+    import concurrent.futures
+    import os
+
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    for argv in (["census", "--function", "square", "--height", "10"],
+                 ["sweep", "--verb", "factor", "--vary", "poly=X^2-1,X^3-8,X^4+4"]):
+        outs = [run_cli(argv + ["--format", "csv", "--jobs", jobs], capsys)
+                for jobs in ("1", "100000")]
+        assert outs[0][0] == outs[1][0] == 0
+        assert outs[0][1].splitlines()[1:] == outs[1][1].splitlines()[1:]
+    assert pools == sizes
+
+
+@pytest.mark.parametrize("argv", [
+    ["power-lemma", "--M", "1000000000"],
+    ["boettcher-series", "--map", "X^2+1", "--order", "100000"],
+    ["fstar", "--map", "X^2+1", "--alpha", "64", "--order", "257"],
+], ids=["power-lemma", "boettcher-series", "fstar"])
+def test_unbounded_sizes_are_resource_guard_trips(argv, capsys):
+    t0 = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - t0 < 1
+    assert "resource guard" in capsys.readouterr().err
+
+
 def test_weil_height_with_a_large_prime_denominator(capsys):
     rc, out = run_cli(["weil-height", "--tuple", "1/2305843009213693951"], capsys)
     assert rc == 0

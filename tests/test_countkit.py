@@ -10,11 +10,8 @@ from arithdyn.countkit import (
     CENSUS_FUNCTIONS,
     admissible,
     bound_shape,
-    census,
     census_records,
-    construction_coefficient_power,
     cover_count_bound_holds,
-    covers_sample,
     disk_cover,
     enumerate_rationals,
     jensen_zero_bound,
@@ -27,6 +24,7 @@ from arithdyn.countkit import (
 from arithdyn.countkit.masser import _threshold_gap
 from arithdyn.errors import DomainError, ResourceGuardError
 from arithdyn.exactnum import IntPoly, RealBall, ball_e
+from oracles import census, construction_coefficient_power, covers_sample
 
 
 # --- covering ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arithdyn.cli import main
 from arithdyn.dynamics import snap_degree_multiset
 from arithdyn.errors import DomainError
 from arithdyn.exactnum import IntPoly, RatPoly, TruncSeries
@@ -20,6 +22,7 @@ from conftest import random_monic_map
 from oracles import (
     _some_factor_certifies,
     compose_irreducible,
+    degree_multiset,
     dict_series_mul,
     exhaustive_factorization,
     per_link_chain,
@@ -59,14 +62,14 @@ def test_quartic_plus_16_irreducible():
 
 def test_x8_minus_256():
     rep = factor_over_Z(IntPoly([-256] + [0] * 7 + [1]))
-    assert rep.degree_multiset() == [(1, 2), (2, 1), (4, 1)]
+    assert degree_multiset(rep) == [(1, 2), (2, 1), (4, 1)]
     got = sorted(list(f.coeffs) for f, _ in rep.factors)
     assert [-2, 1] in got and [2, 1] in got and [4, 0, 1] in got and [16, 0, 0, 0, 1] in got
 
 
 def test_degree_multiset_examples():
-    assert factor_over_Z(IntPoly([-16, 0, 0, 0, 1])).degree_multiset() == [(1, 2), (2, 1)]
-    assert factor_over_Z(IntPoly([0, 0, 0, 1])).degree_multiset() == [(1, 3)]
+    assert degree_multiset(factor_over_Z(IntPoly([-16, 0, 0, 0, 1]))) == [(1, 2), (2, 1)]
+    assert degree_multiset(factor_over_Z(IntPoly([0, 0, 0, 1]))) == [(1, 3)]
 
 
 def test_content_unit_and_multiplicity():
@@ -123,7 +126,7 @@ def test_reconstruction_random_products(data):
         f = f * IRREDUCIBLES[i]
     rep = factor_over_Z(f)
     assert rep.reconstruct() == f
-    assert sum(d * m for d, m in rep.degree_multiset()) == f.degree
+    assert sum(d * m for d, m in degree_multiset(rep)) == f.degree
 
 
 def test_degree_64_performance():
@@ -134,7 +137,7 @@ def test_degree_64_performance():
     rep = factor_over_Z(IntPoly(c))
     assert time.time() - t0 < 30
     assert len(rep.factors) == 7
-    assert rep.degree_multiset() == [(1, 2), (2, 1), (4, 1), (8, 1), (16, 1), (32, 1)]
+    assert degree_multiset(rep) == [(1, 2), (2, 1), (4, 1), (8, 1), (16, 1), (32, 1)]
 
 
 def test_determinism_across_seeds_is_consistent():
@@ -144,10 +147,10 @@ def test_determinism_across_seeds_is_consistent():
     assert a == b  # seed changes the splitting path, never the sorted output
 
 
-def test_json_schema():
-    rep = factor_over_Z(IntPoly([-4, 0, 1]))
-    j = rep.to_json()
-    assert set(j) == {"content", "unit", "factors"}
+def test_json_schema(capsys):
+    assert main(["factor", "--poly", "X^2-4"]) == 0
+    j = json.loads(capsys.readouterr().out)["result"]
+    assert set(j) == {"scale", "content", "unit", "factors"}
     assert j["factors"][0] == {"coeffs": ["-2/1", "1/1"], "mult": 1}
 
 
@@ -353,7 +356,7 @@ def test_cubic_tower_degree_243_matches_sympy():
     _, prim = diff.to_int_primitive()
     _, factors = sympy.factor_list(sum(int(c) * x ** i for i, c in enumerate(prim.coeffs)), x)
     expected = sorted((sympy.degree(g, x), m) for g, m in factors)
-    assert rep.factor_report.degree_multiset() == expected
+    assert degree_multiset(rep.factor_report) == expected
     assert expected == [(1, 1), (2, 1), (6, 1), (18, 1), (54, 1), (162, 1)]
 
 
@@ -362,7 +365,7 @@ def test_quadratic_tower_degree_256():
     rep = snap_degree_multiset(PolyMap.from_text("X^2+1"), 1, 8)
     assert time.time() - t0 < 5
     # computed by sympy factor_list (16 s there, so not re-run here)
-    assert rep.factor_report.degree_multiset() == [
+    assert degree_multiset(rep.factor_report) == [
         (1, 2), (2, 1), (4, 1), (8, 1), (16, 1), (32, 1), (64, 1), (128, 1)]
 
 
@@ -421,7 +424,7 @@ def _assert_tower_matches_whole_factorization(P: PolyMap, alpha, n: int):
     _, whole = factor_over_Q(P.iterate_poly(n) - value)
     assert rep.factor_report.factors == whole.factors
     assert rep.multiset == tuple(sorted(
-        d for d, m in whole.degree_multiset() for _ in range(d * m)))
+        d for d, m in degree_multiset(whole) for _ in range(d * m)))
     assert rep.squarefree == whole.is_squarefree()
     assert rep.value == value
 

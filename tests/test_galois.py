@@ -140,7 +140,7 @@ def test_padic_degree_bound_x2_plus_1():
     rep = padic_degree_bound(PolyMap.from_text("X^2+1"), F(1, 8), 2)
     assert rep.bound == 2
     assert rep.snap_max_degree >= 2
-    assert rep.low_degree_count_bound(1) == 4  # d^2 D^(2m) with m = 1
+    assert rep.count_coefficient == 4  # D^(2m) with m = 1
 
 
 def test_padic_degree_bound_at_a_place_that_is_not_a_prime_of_d():

@@ -6,15 +6,8 @@ import mpmath
 import pytest
 
 from arithdyn.errors import DomainError
-from arithdyn.exactnum import ComplexBall, IntPoly, ball_e
-from arithdyn.heights import (
-    AlgebraicNumber,
-    alpha_radius_cap,
-    height_algebraic,
-    height_rational,
-    modulus_lower_bound,
-    weil_height_tuple,
-)
+from arithdyn.exactnum import IntPoly
+from arithdyn.heights import AlgebraicNumber, height_algebraic, height_rational, weil_height_tuple
 from arithdyn.ntheory import prime_divisors, valuation
 
 
@@ -34,7 +27,7 @@ def test_height_power_multiplicativity():
 def test_height_algebraic_degree_one_matches_rational():
     a = AlgebraicNumber.create(IntPoly([-2, 1]))
     hv = height_algebraic(a)
-    assert hv.exact == 2 and hv.mult.is_exact()
+    assert hv.exact == 2 and hv.mult.rad == 0
     b = AlgebraicNumber.create(IntPoly([-7, 3]))
     assert height_algebraic(b).exact == height_rational(F(7, 3)).exact
 
@@ -88,56 +81,6 @@ def test_weil_single_matches_rational_height():
         assert weil_height_tuple([q]).exact == height_rational(q).exact
     # zeros in a tuple contribute nothing at any place
     assert weil_height_tuple([F(0), F(1, 2)]).exact == 2
-
-
-def test_modulus_lower_bound_rational_tight():
-    a = AlgebraicNumber.create(IntPoly([-1, 2]))  # 1/2
-    mb = modulus_lower_bound(a, 1)
-    assert mb.exact == F(1, 2)  # equality case
-
-
-def test_modulus_lower_bound_sqrt2():
-    # H(sqrt 2) = sqrt 2, so the certified lower bound is H^(-2) = 1/2 <= sqrt 2
-    ball = ComplexBall(F(141421356237, 10 ** 11), 0, F(1, 10 ** 9))
-    a = AlgebraicNumber.create(IntPoly([-2, 0, 1]), root_selector=ball)
-    mb = modulus_lower_bound(a, 2, prec=96)
-    assert mb.lower.contains(F(1, 2))
-    assert mb.lower.rad < F(1, 10 ** 15)
-    assert mb.selector_consistent is True
-
-
-def test_modulus_lower_bound_overshoot_degree():
-    a = AlgebraicNumber.create(IntPoly([-1, 3]))  # 1/3
-    mb = modulus_lower_bound(a, 2)
-    assert mb.exact == F(1, 9)
-    assert mb.exact <= F(1, 3)
-
-
-def test_modulus_lower_bound_rejects_zero():
-    zero = AlgebraicNumber.create(IntPoly([0, 1]))
-    with pytest.raises(DomainError):
-        modulus_lower_bound(zero, 1)
-
-
-def test_alpha_radius_cap_examples():
-    e = ball_e(128)
-    cap = alpha_radius_cap(e ** 3, e, 2, e)
-    assert cap.contains(F(11, 12))
-    assert cap.rad < F(1, 10 ** 20)
-    cap2 = alpha_radius_cap(e ** 3, e, 2, e * e)
-    assert cap2.contains(F(23, 24))
-    with pytest.raises(DomainError):
-        alpha_radius_cap(e, e, 2, e)  # a >= b^e fails
-
-
-def test_alpha_radius_cap_domain_gates():
-    e = ball_e(96)
-    with pytest.raises(DomainError):
-        alpha_radius_cap(F(2), e, 2, e)  # a < e
-    with pytest.raises(DomainError):
-        alpha_radius_cap(e ** 3, e, 1, e)  # d < 2
-    with pytest.raises(DomainError):
-        alpha_radius_cap(e ** 3, e, 2, F(1))  # H < e
 
 
 def test_precision_monotonicity():

@@ -1,16 +1,17 @@
+import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arithdyn.cli import main
 from arithdyn.errors import DomainError
 from arithdyn.exactnum import (
     IntPoly,
     RatPoly,
     TruncSeries,
     parse_poly,
-    poly_from_json,
     series_compose_poly,
     series_inverse,
     series_power,
@@ -39,11 +40,16 @@ def test_parse_rejects_dangling_and_doubled_signs():
             parse_poly(text)
 
 
-def test_json_round_trip():
-    p = RatPoly([F(1, 2), F(-3), F(1)])
-    assert poly_from_json(p.to_json()) == p
-    ip = IntPoly([2, 0, -1])
-    assert ip.to_json() == ["2/1", "0/1", "-1/1"]
+def test_json_round_trip(capsys):
+    # the CLI prints coefficients as exact "p/q" strings that parse back
+    assert main(["iterate", "--map", "X^2-3*X+1/2", "--n", "2"]) == 0
+    coeffs = json.loads(capsys.readouterr().out)["result"]["coeffs"]
+    p = parse_poly("X^2-3*X+1/2")
+    assert RatPoly(F(c) for c in coeffs) == p.compose(p)
+    assert main(["factor", "--poly", "-X^2+2"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["scale"] == "-1/1"
+    assert result["factors"] == [{"coeffs": ["-2/1", "0/1", "1/1"], "mult": 1}]
 
 
 @given(a=st.lists(small, min_size=1, max_size=5), b=st.lists(small, min_size=1, max_size=5))
