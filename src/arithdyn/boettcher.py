@@ -47,9 +47,17 @@ from .polymap import PolyMap
 _ONE = Fraction(1)
 _DISTORTION_TERMS = 8  # terms of the telescoping product in distortion_bound
 _MAX_DISTORTION = Fraction(1, 8)  # boettcher_frame doubles rho until E(rho) is this small
-# the largest series order: the solve's cost grows about elevenfold per
-# doubling of N (X^2+1 at N = 400 took 15.5 s, X^3+X+1 at N = 256 10.4 s)
+# the largest series order: the solve's cost grows about fourfold per
+# doubling of N (X^2+1 at N = 400 took 0.30 s, X^3+X+1 at N = 256 0.25 s,
+# and fstar X^2+1 at N = 256 0.5 s, CPython 3.11 on a 2-core host)
 _MAX_ORDER = 256
+# the largest Im tau of fstar: |w| grows as exp(2 pi Im tau), and the psi
+# tail as its -(N+1)-th power, about 9 (N+1) Im tau bits.  At the default
+# N = 16, Im tau = 2000 prints a 93,000-character psi_tail in 0.4 s; past
+# about 2200 that tail passes the 100,000-digit print guard, and the work
+# before it grows without bound (Im tau = 10^4 took 5 s, 3 * 10^4 43 s).
+# The census pullback i(1+q)/(1-q) stays below 2H - 1 <= 893.
+_MAX_TAU_IM = 2000
 
 
 @dataclass(frozen=True)
@@ -231,6 +239,8 @@ def fstar_eval(P: PolyMap, alpha, tau: ComplexBall, N: int = 16,
     caller that evaluates many points.
     """
     alpha = Fraction(alpha)
+    if tau.im + tau.rad > _MAX_TAU_IM:
+        raise ResourceGuardError(f"fstar: Im tau above {_MAX_TAU_IM}")
     if not (tau.im - tau.rad >= Fraction(1, 24)):
         raise DomainError("tau must satisfy Im tau >= 1/24 (certified)")
     if not (abs(tau.re) + tau.rad <= Fraction(1, 2)):
@@ -296,13 +306,6 @@ class DeltaV:
             return RealBall.exact(self.exact)
         return ball_root(RealBall.exact(self.power), self.power_exponent, prec)
 
-    def describe(self) -> str:
-        if self.prime is None:
-            return f"arch:{self.exact}"
-        if self.exact is not None:
-            return f"p={self.prime}:{self.exact}"
-        return f"p={self.prime}:({self.power})^(1/{self.power_exponent})"
-
 
 def delta_v(P: PolyMap, p: int) -> DeltaV:
     """Exact escape threshold at the prime p (both divisibility branches)."""
@@ -336,10 +339,6 @@ class PlaceReport:
     abs_value: Fraction
     delta: DeltaV
     margin: RealBall  # |alpha|_v / delta_v, > 1
-
-    def describe(self) -> str:
-        where = "arch" if self.prime is None else f"p={self.prime}"
-        return f"{where} |alpha|_v={self.abs_value} > {self.delta.describe()}"
 
 
 def good_place(P: PolyMap, alpha) -> PlaceReport | None:

@@ -206,6 +206,37 @@ def _fr(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _q(x) -> str:
+    """``_fr`` without a "/1": "4", "3/2"; the form of rationals inside text fields."""
+    return _fr(x).removesuffix("/1")
+
+
+def _threshold(dv) -> str:
+    """An escape threshold delta_v: "arch:R", "p=2:4" or "p=3:(243)^(1/2)"."""
+    if dv.prime is None:
+        return f"arch:{_q(dv.exact)}"
+    if dv.exact is not None:
+        return f"p={dv.prime}:{_q(dv.exact)}"
+    return f"p={dv.prime}:({_q(dv.power)})^(1/{dv.power_exponent})"
+
+
+def _place(rep) -> str:
+    """A place where |alpha|_v exceeds its threshold."""
+    where = "arch" if rep.prime is None else f"p={rep.prime}"
+    return f"{where} |alpha|_v={_q(rep.abs_value)} > {_threshold(rep.delta)}"
+
+
+def _bivar_text(poly) -> str:
+    """An integer polynomial in X and Y as "c*X^i*Y^j" terms, in the order of
+    ``poly.terms``."""
+    parts = []
+    for (i, j), c in poly.terms:
+        mono = (("X" if i == 1 else f"X^{i}" if i else "")
+                + ("Y" if j == 1 else f"Y^{j}" if j else ""))
+        parts.append(f"{c}*{mono}" if mono else f"{c}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
 def _coeffs(poly) -> list[str]:
     return [_fr(c) for c in poly.coeffs]
 
@@ -383,7 +414,7 @@ def _run_good_place(a):
         res = {"found": False}
     else:
         res = {"found": True, "place": "arch" if rep.prime is None else rep.prime,
-               "abs_value": _fr(rep.abs_value), "threshold": rep.delta.describe(),
+               "abs_value": _fr(rep.abs_value), "threshold": _threshold(rep.delta),
                "margin": _ball_cell(rep.margin, a.precision)}
     return res, [res]
 
@@ -456,7 +487,7 @@ def _run_padic_bound(a):
 
     rep = padic_degree_bound(PolyMap.from_text(a.map), a.alpha, a.n, a.precision,
                              a.degree_cap, a.seed)
-    res = {"place": rep.place.describe(), "bound": rep.bound, "cap_form": _fr(rep.cap_form),
+    res = {"place": _place(rep.place), "bound": rep.bound, "cap_form": _fr(rep.cap_form),
            "m_uniform": rep.m_uniform, "m_height_cap": _ball_cell(rep.m_height_cap, a.precision),
            "count_coefficient": rep.count_coefficient, "snap_max_degree": rep.snap_max_degree}
     return res, [res]
@@ -471,8 +502,8 @@ def _run_bounded_region(a):
     row = {"height": _fr(rep.height),
            "threshold_product": _ball_cell(rep.threshold_product, a.precision),
            "exceeds": rep.exceeds,
-           "witness": rep.witness_place.describe() if rep.witness_place else None}
-    return row | {"places": [dv.describe() for dv in rep.nontrivial_places]}, [row]
+           "witness": _place(rep.witness_place) if rep.witness_place else None}
+    return row | {"places": [_threshold(dv) for dv in rep.nontrivial_places]}, [row]
 
 
 @_verb("cover", "grid cover of a disk by smaller disks",
@@ -522,7 +553,7 @@ def _run_vanish(a):
             points.append((_rational(xy[0], "--points"), _rational(xy[1], "--points")))
     poly = vanishing_polynomial(points, a.t_max)
     terms = [{"i": i, "j": j, "c": str(c)} for (i, j), c in poly.terms]
-    return {"terms": terms, "total_degree": poly.total_degree, "text": str(poly)}, terms
+    return {"terms": terms, "total_degree": poly.total_degree, "text": _bivar_text(poly)}, terms
 
 
 @_verb("power-lemma", "extremal partition combinatorics (construction or oracle)",

@@ -104,18 +104,6 @@ class BivarIntPoly:
         x, y = Fraction(x), Fraction(y)
         return sum((c * x ** i * y ** j for (i, j), c in self.terms), Fraction(0))
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j), c in self.terms:
-            mono = "".join(
-                [f"X^{i}" if i > 1 else ("X" if i == 1 else ""),
-                 f"Y^{j}" if j > 1 else ("Y" if j == 1 else "")]
-            ) or "1"
-            parts.append(f"{c}*{mono}" if mono != "1" else f"{c}")
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 def _monomials(t_max: int) -> list[tuple[int, int]]:
     """Graded-lex order: by total degree, then by x-exponent."""

@@ -33,9 +33,9 @@ that falls into a superattracting cycle needs the absolute grid: relative
 rounding would let the exponents of its midpoint and radius double at
 every step.
 Transcendental functions (log, exp, sqrt, sin, cos, pi) are delegated to
-mpmath's directed-rounding interval context (imported on first use) and
-converted back to midpoint-radius form, so every enclosure produced here
-is rigorous.
+mpmath's directed-rounding interval context (imported on first use), with
+each rational endpoint rounded outward once, and converted back to
+midpoint-radius form, so every enclosure produced here is rigorous.
 
 ``ComplexBall.real``/``.imag`` (disk to interval) and ``as_complex_ball``
 (interval to disk) are the one crossing between the two ball types.
@@ -93,19 +93,12 @@ def _mpf_pair(t) -> tuple[int, int]:
     return (man << exp, 1) if exp >= 0 else _reduce(man, 1 << -exp)
 
 
-def _iv_from_fraction(q: Fraction, ctx):
-    if q.denominator == 1:
-        return ctx.mpf(q.numerator)
-    return ctx.mpf(q.numerator) / ctx.mpf(q.denominator)
-
-
 def _iv_from_endpoints(lo: Fraction, hi: Fraction, ctx):
-    a = _iv_from_fraction(lo, ctx)
-    b = _iv_from_fraction(hi, ctx)
-    from mpmath import mp
+    """The interval [lo, hi] with each endpoint rounded outward once."""
+    from mpmath.libmp import from_rational, round_ceiling, round_floor
 
-    mk = mp.make_mpf
-    return ctx.mpf([mk(a._mpi_[0]), mk(b._mpi_[1])])
+    return ctx.make_mpf((from_rational(lo.numerator, lo.denominator, ctx.prec, round_floor),
+                         from_rational(hi.numerator, hi.denominator, ctx.prec, round_ceiling)))
 
 
 # -- the integer kernel: a rational is a pair (n, d) with d > 0 -------------

@@ -12,8 +12,9 @@ part is packed into one integer with one coefficient per k-byte slot, the
 two signed integers are multiplied once, a bias of 2^(8k-1) per slot makes
 every slot of the product nonnegative, and the slots are unpacked and
 unbiased.  ``rat_mul`` scales each Fraction operand to integers over the lcm
-of its denominators and calls ``int_mul``; IntPoly and RatPoly products and
-``TruncSeries`` products use these two.  The packer (``pack_slots``,
+of its denominators and calls ``int_mul``; IntPoly and RatPoly products use
+these two, and a ``TruncSeries``, which keeps integer numerators over one
+denominator, calls ``int_mul`` on its numerators.  The packer (``pack_slots``,
 ``unpack_slots``) also serves the products mod m of ``factorint.modp``.
 
 Every evaluation of a coefficient list at a point goes through ``horner``

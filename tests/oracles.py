@@ -2,26 +2,28 @@
 
 These deliberately avoid the library's own algorithms: factor search by
 exhaustive coefficient boxes with Mignotte-style bounds, naive multiplicative
-orders by repeated multiplication, naive series multiplication on full
-coefficient dicts, series composition on coefficient dicts by geometric
-series (the reference for the Horner composition and the Lagrange inversion
-of ``exactnum.series``), schoolbook polynomial arithmetic over Z/m as the
-reference for the Kronecker and Newton kernels of ``factorint.modp``, the
-schoolbook product over Z and Q as the reference for the signed Kronecker
-kernel of ``exactnum.poly`` (and so for every polynomial and series
-product), and mpmath's theta functions and q-Pochhammer symbol at 200
-digits as the reference for the lambda and discriminant enclosures of ``countkit.modular``,
-the fixed-N theta sums and discriminant product (every term up to N, the
-tail majorant at N) as the reference for the precision-driven stopping rule
-of those enclosures, and the telescoped orbit heights h(P^n(alpha))/D^n (exact orbit values of
-about D^n h(alpha) bits) as the reference for the local-height canonical
-heights of ``dynamics``, the two cofactor systems of the one-step height
-constant solved by Gauss-Jordan elimination as the reference for the series
-reciprocal of ``dynamics.height_gap_constant``, the per-link Capelli screen (each h(P^j(X))
-formed and factored mod p, link by link) as the reference for both kernels
-of ``factorint.capelli.chain``, and the expanded P^n(X) - P^n(alpha) as the
-reference for the factorization ``dynamics.snap_degree_multiset`` proves
-level by level.
+orders by repeated multiplication, naive series arithmetic on full coefficient
+dicts of Fractions (sum, product, reciprocal and root one coefficient at a
+time, Lagrange inversion on untruncated powers: the reference for the integer
+kernels of ``exactnum.series``), series composition on coefficient dicts by
+geometric series (the reference for the Horner composition and the Lagrange
+inversion of ``exactnum.series``), schoolbook polynomial arithmetic over Z/m
+as the reference for the Kronecker and Newton kernels of ``factorint.modp``,
+the schoolbook product over Z and Q as the reference for the signed Kronecker
+kernel of ``exactnum.poly`` (and so for every polynomial and series product),
+and mpmath's theta functions and q-Pochhammer symbol at 200 digits as the
+reference for the lambda and discriminant enclosures of ``countkit.modular``,
+the fixed-N theta sums and discriminant product (every term up to N, the tail
+majorant at N) as the reference for the precision-driven stopping rule of
+those enclosures, and the telescoped orbit heights h(P^n(alpha))/D^n (exact
+orbit values of about D^n h(alpha) bits) as the reference for the local-height
+canonical heights of ``dynamics``, the two cofactor systems of the one-step
+height constant solved by Gauss-Jordan elimination as the reference for the
+series reciprocal of ``dynamics.height_gap_constant``, the per-link Capelli
+screen (each h(P^j(X)) formed and factored mod p, link by link) as the
+reference for both kernels of ``factorint.capelli.chain``, and the expanded
+P^n(X) - P^n(alpha) as the reference for the factorization
+``dynamics.snap_degree_multiset`` proves level by level.
 
 The last section holds the small wrappers over the library that only the
 tests use: a whole-census driver, the canonical-height ball alone, the
@@ -173,6 +175,49 @@ def dict_series_pow(d: dict[int, Fraction], k: int) -> dict[int, Fraction]:
     for _ in range(k):
         out = dict_series_mul(out, d)
     return out
+
+
+def dict_series_add(a: dict[int, Fraction], b: dict[int, Fraction],
+                    floor: int) -> dict[int, Fraction]:
+    """a + b on coefficient dicts, the exponents below ``floor`` dropped."""
+    out = {e: a.get(e, _ZERO) + b.get(e, _ZERO) for e in set(a) | set(b) if e >= floor}
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def dict_series_reciprocal(d: dict[int, Fraction], floor: int) -> dict[int, Fraction]:
+    """1/s down to z^floor, one Fraction coefficient at a time from s * r = 1:
+    the coefficient of z^(e + lead) of s * r is d[lead] r_e plus terms in the
+    r_e' already known (e' > e)."""
+    lead = max(d)
+    r: dict[int, Fraction] = {}
+    for e in range(-lead, floor - 1, -1):
+        known = sum((c * r.get(e + lead - j, _ZERO) for j, c in d.items() if j < lead), _ZERO)
+        r[e] = (int(e == -lead) - known) / d[lead]
+    return {e: c for e, c in r.items() if c != 0}
+
+
+def dict_series_root(d: dict[int, Fraction], D: int, floor: int) -> dict[int, Fraction]:
+    """h = z + h_0 + h_-1/z + ... with h^D = s (s = z^D + ...) down to z^floor:
+    h_e enters the coefficient of z^(D-1+e) of h^D as D h_e, beside full dict
+    powers of the coefficients found before it."""
+    h = {1: Fraction(1)}
+    for e in range(0, floor - 1, -1):
+        m = D - 1 + e
+        h[e] = (d.get(m, _ZERO) - dict_series_pow(h, D).get(m, _ZERO)) / D
+    return {e: c for e, c in h.items() if c != 0}
+
+
+def dict_series_inverse(d: dict[int, Fraction], N: int) -> dict[int, Fraction]:
+    """The compositional inverse of s = z + b_0 + ... certified down to z^-N,
+    by Lagrange inversion on full (untruncated) dict powers: d_0 = -b_0 and
+    d_k = -[z^-1](s^k) / k.  The coefficients of s below z^-N do not reach
+    [z^-1](s^k) for k <= N."""
+    out = {1: Fraction(1), 0: -d.get(0, _ZERO)}
+    power = {0: Fraction(1)}
+    for k in range(1, N + 1):
+        power = dict_series_mul(power, d)
+        out[-k] = -power.get(-1, _ZERO) / k
+    return {e: c for e, c in out.items() if c != 0}
 
 
 def _dict_mul(a: dict[int, Fraction], b: dict[int, Fraction], floor: int) -> dict[int, Fraction]:

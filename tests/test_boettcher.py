@@ -103,14 +103,15 @@ def test_cubic_series_and_inverse_within_time_budget():
     t0 = time.perf_counter()
     B = boettcher_series(PolyMap.from_text("X^3+X+1"), 24)
     series_inverse(B.phi)
-    assert time.perf_counter() - t0 < 1.5
+    assert time.perf_counter() - t0 < 0.04  # 3-5 ms on integer numerators
 
 
 def test_cubic_series_order_48_within_budget(capsys):
-    # stdout pinned from the output of the schoolbook series products (0.9 s there)
+    # stdout pinned from the output of the schoolbook series products (0.9 s
+    # there); 7-13 ms on integer numerators
     t0 = time.perf_counter()
     assert main(["boettcher-series", "--map", "X^3+X+1", "--order", "48"]) == 0
-    assert time.perf_counter() - t0 < 0.5
+    assert time.perf_counter() - t0 < 0.1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "9ded23e7297f23719f9b1e9826902e37e298ab65d35e18ad57c840f5bf1970c7")

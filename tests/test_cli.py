@@ -534,6 +534,21 @@ def test_a_census_past_the_pair_guard_exits_3_at_once(capsys):
     assert "resource guard" in capsys.readouterr().err
 
 
+def test_vanish_text_renders_the_terms(capsys):
+    rc, out = run_cli(["vanish", "--t-max", "1"], capsys)
+    assert rc == 0 and json.loads(out)["result"]["text"] == "1"
+    rc, out = run_cli(["vanish", "--points", "1,1;2,4;3,9", "--t-max", "2"], capsys)
+    assert json.loads(out)["result"]["text"] == "-36 - 25*Y + 60*X + 1*Y^2"
+
+
+def test_an_fstar_past_the_tau_guard_exits_3_at_once(capsys):
+    # unguarded, Im tau = 10^5 ran for minutes before failing to print
+    t0 = time.perf_counter()
+    assert main(["fstar", "--map", "X^2+1", "--alpha", "64", "--tau-im", "100000"]) == 3
+    assert time.perf_counter() - t0 < 1
+    assert "Im tau above" in capsys.readouterr().err
+
+
 def test_padic_bound_checks_against_snap_only_within_the_degree_cap(capsys):
     argv = ["padic-bound", "--map", "X^2", "--alpha", "1/8", "--n", "3"]
     rc, out = run_cli(argv, capsys)

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,16 @@ from arithdyn.exactnum import (
     series_reciprocal,
     series_root,
 )
-from oracles import dict_series_pow, series_compose_series
+import oracles
+from oracles import (
+    dict_series_add,
+    dict_series_inverse,
+    dict_series_mul,
+    dict_series_pow,
+    dict_series_reciprocal,
+    dict_series_root,
+    series_compose_series,
+)
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -266,3 +276,92 @@ def test_scalar_add_equals_the_full_series_sum(lead, coeffs, c):
     for got in (s + c, c + s, s - (-c)):
         assert (got.lead_exp, got.cert_exp, got.coeffs) == (want.lead_exp, want.cert_exp,
                                                             want.coeffs)
+
+
+# --- the integer kernel against naive Fraction dicts -------------------------
+
+# denominators with odd primes; leading coefficients of either sign, not 1
+_rats = st.builds(F, st.integers(-30, 30), st.sampled_from([1, 1, 2, 3, 5, 7, 9, 15, 49]))
+_leads = _rats.filter(bool)
+
+
+@st.composite
+def _series(draw, max_terms=9):
+    lead = draw(st.integers(-4, 4))
+    return TruncSeries(lead, [draw(_leads)] + draw(st.lists(_rats, max_size=max_terms)))
+
+
+@st.composite
+def _lead_series(draw, lead=1, max_depth=8):
+    """z^lead + ... with a rational tail: the input of root, compose and inverse."""
+    return TruncSeries(lead, [1] + draw(st.lists(_rats, min_size=1, max_size=max_depth)))
+
+
+def _canonical(s: TruncSeries) -> TruncSeries:
+    """s after checking the stored form: one numerator per certified slot,
+    a nonzero leading one, a positive denominator, lowest terms; and a
+    rebuild from its Fractions over a larger denominator is equal, hash too."""
+    assert len(s.nums) == s.lead_exp - s.cert_exp + 1
+    assert s.den > 0 and math.gcd(s.den, *s.nums) == 1
+    assert not s.nums or s.nums[0] != 0
+    rebuilt = TruncSeries(s.lead_exp + 1, [0] + [c * F(6, 6) for c in s.coeffs])
+    assert rebuilt == s and hash(rebuilt) == hash(s)
+    return s
+
+
+def _agrees(s: TruncSeries, want: dict, cert: int):
+    assert _canonical(s).cert_exp == cert
+    want = {e: c for e, c in want.items() if e >= cert and c}
+    assert s.as_dict() == want
+    assert s.lead_exp == max(want, default=cert - 1)
+
+
+@given(s=_series(), t=_series(), c=st.one_of(_rats, st.integers(-3, 3)),
+       cut=st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_ring_operations_match_the_dict_oracle(s, t, c, cut):
+    ds, dt = s.as_dict(), t.as_dict()
+    cert = max(s.cert_exp + t.lead_exp, t.cert_exp + s.lead_exp)
+    _agrees(s * t, dict_series_mul(ds, dt), cert)
+    _agrees(s * s, dict_series_mul(ds, ds), s.cert_exp + s.lead_exp)
+    _agrees(s + t, dict_series_add(ds, dt, max(s.cert_exp, t.cert_exp)),
+            max(s.cert_exp, t.cert_exp))
+    _agrees(s - t, dict_series_add(ds, {e: -x for e, x in dt.items()}, -10 ** 9),
+            max(s.cert_exp, t.cert_exp))
+    _agrees(s + c, dict_series_add(ds, {0: F(c)}, s.cert_exp), s.cert_exp)
+    _agrees(-s, {e: -x for e, x in ds.items()}, s.cert_exp)
+    _agrees(s.truncate(s.cert_exp + cut), ds, s.cert_exp + cut)
+
+
+@given(s=_series())
+@settings(max_examples=100, deadline=None)
+def test_reciprocal_matches_the_dict_oracle(s):
+    cert = s.cert_exp - 2 * s.lead_exp
+    _agrees(series_reciprocal(s), dict_series_reciprocal(s.as_dict(), cert), cert)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_root_matches_the_dict_oracle(data):
+    D = data.draw(st.integers(1, 4))
+    s = data.draw(_lead_series(lead=D))
+    cert = s.cert_exp - D + 1
+    _agrees(series_root(s, D), dict_series_root(s.as_dict(), D, cert), cert)
+
+
+@given(s=_lead_series(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_compose_poly_matches_the_geometric_series_oracle(s, data):
+    D = data.draw(st.integers(2, 4))
+    p = RatPoly([data.draw(_rats) for _ in range(D)] + [1])
+    got, want = series_compose_poly(s, p), oracles.series_compose_poly(s, p)
+    _agrees(got, want.as_dict(), want.cert_exp)
+
+
+@given(s=_lead_series())
+@settings(max_examples=80, deadline=None)
+def test_inverse_matches_lagrange_on_dicts_and_undoes_the_series(s):
+    inv = series_inverse(s)
+    _agrees(inv, dict_series_inverse(s.as_dict(), -s.cert_exp), s.cert_exp)
+    rt = series_compose_series(inv, s)
+    assert rt.as_dict() == {1: 1}
