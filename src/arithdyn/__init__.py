@@ -1,24 +1,8 @@
-"""arithdyn: exact heights, iteration statistics and counting toolkits."""
+"""arithdyn: exact heights, iteration statistics and counting toolkits.
+
+Import each name from the module that defines it (``arithdyn.polymap``,
+``arithdyn.exactnum.series``, ``arithdyn.countkit.census``, ...): the package
+loads nothing itself, so a CLI verb compiles only the modules it runs.
+"""
 
 __version__ = "0.1.0"
-
-from .polymap import PolyMap  # noqa: E402  (convenience re-exports)
-from .exactnum import (  # noqa: F401
-    ComplexBall,
-    IntPoly,
-    RatPoly,
-    RealBall,
-    TruncSeries,
-    parse_poly,
-)
-
-__all__ = [
-    "ComplexBall",
-    "IntPoly",
-    "PolyMap",
-    "RatPoly",
-    "RealBall",
-    "TruncSeries",
-    "__version__",
-    "parse_poly",
-]

@@ -21,26 +21,19 @@ power maps have E = 0 and everything is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceGuardError
-from .exactnum import (
-    ComplexBall,
-    RealBall,
+from .exactnum import ComplexBall, RealBall, ball_cexp, ball_exp, ball_log, ball_pi, ball_root, rad_up
+from .exactnum.poly import horner
+from .exactnum.series import (
     TruncSeries,
-    ball_cexp,
-    ball_exp,
-    ball_log,
-    ball_pi,
-    ball_root,
-    rad_up,
     series_compose_poly,
     series_inverse,
     series_power,
     series_root,
 )
-from .exactnum.poly import horner
 from .ntheory import is_prime, prime_divisors, valuation
 from .polymap import PolyMap
 
@@ -60,8 +53,7 @@ _MAX_ORDER = 256
 _MAX_TAU_IM = 2000
 
 
-@dataclass(frozen=True)
-class BoettcherSeries:
+class BoettcherSeries(NamedTuple):
     """Exact truncated conjugacy series phi for a monic map."""
 
     map: PolyMap
@@ -97,27 +89,13 @@ def boettcher_series(P: PolyMap, N: int) -> BoettcherSeries:
     return BoettcherSeries(P, phi, N)
 
 
-@dataclass(frozen=True)
-class EscapeRadius:
-    """R = 1 + sum |a_i|: |z| > R implies |P(z)| > |z|; safe = 2R is the
-    certified series-convergence radius used by the evaluation bounds."""
-
-    radius: Fraction
-    safe: Fraction
-
-
-def escape_domain_radius(P: PolyMap) -> EscapeRadius:
-    r = _ONE + sum(abs(c) for c in P.lower_coefficients())
-    return EscapeRadius(r, 2 * r)
-
-
 def is_power_map(P: PolyMap) -> bool:
     return all(c == 0 for c in P.lower_coefficients())
 
 
 def distortion_bound(P: PolyMap, rho: Fraction, prec: int = 96) -> Fraction:
     """Upper bound E with |phi(z)/z - 1| <= E for all |z| >= rho (rho >= 2R)."""
-    R = escape_domain_radius(P).radius
+    R = P.escape_radius
     if rho < 2 * R:
         raise DomainError("distortion bound requires rho >= 2R")
     if R == 1:
@@ -141,22 +119,21 @@ def distortion_bound(P: PolyMap, rho: Fraction, prec: int = 96) -> Fraction:
     return max(Fraction(0), e_ball.hi)
 
 
-@dataclass(frozen=True)
-class BoettcherFrame:
+class BoettcherFrame(NamedTuple):
     """Everything needed to evaluate phi and psi with certified tails."""
 
     map: PolyMap
     series: BoettcherSeries
-    psi: TruncSeries
+    psi: tuple[ComplexBall, ...]  # d_0 .. d_N, the coefficient of w^-k as an exact ball
     rho: Fraction  # working radius, >= 2R
     distortion: Fraction  # E(rho) upper bound; 0 for pure power maps
 
 
 def boettcher_frame(P: PolyMap, N: int, prec: int = 96) -> BoettcherFrame:
     B = boettcher_series(P, N)
-    psi = series_inverse(B.phi)
-    R = escape_domain_radius(P).radius
-    rho = 2 * R
+    inverse = series_inverse(B.phi)
+    psi = tuple(ComplexBall.exact(inverse.coefficient(-k)) for k in range(N + 1))
+    rho = 2 * P.escape_radius
     if is_power_map(P):
         return BoettcherFrame(P, B, psi, rho, Fraction(0))
     while True:
@@ -213,13 +190,12 @@ def psi_eval(frame: BoettcherFrame, w: ComplexBall, prec: int = 128) -> ComplexB
     work = prec + 32
     inv = w.inverse().round_to(work)
     acc = ComplexBall.exact(0)
-    for k in range(frame.series.order, -1, -1):
-        acc = (acc * inv + ComplexBall.exact(frame.psi.coefficient(-k))).round_to(work)
+    for d in reversed(frame.psi):
+        acc = (acc * inv + d).round_to(work)
     return (w + acc).widen(_psi_tail(frame, lo))
 
 
-@dataclass(frozen=True)
-class FStarResult:
+class FStarResult(NamedTuple):
     value: ComplexBall
     phi_tail: Fraction
     psi_tail: Fraction  # rounded up to a short dyadic, as radii are
@@ -272,8 +248,7 @@ def padic_abs(x: Fraction, p: int) -> Fraction:
     return Fraction(p) ** -valuation(x, p)
 
 
-@dataclass(frozen=True)
-class DeltaV:
+class DeltaV(NamedTuple):
     """Escape threshold at one place.
 
     For p not dividing D the threshold is rational and stored in ``exact``.
@@ -331,8 +306,7 @@ def delta_exception_set(P: PolyMap) -> list[int]:
     return sorted(primes)
 
 
-@dataclass(frozen=True)
-class PlaceReport:
+class PlaceReport(NamedTuple):
     """A place where |alpha|_v certifiably exceeds the escape threshold."""
 
     prime: int | None  # None = archimedean
@@ -353,7 +327,7 @@ def good_place(P: PolyMap, alpha) -> PlaceReport | None:
             av = padic_abs(alpha, p)
             margin = RealBall.exact(av) / dv.value_ball()
             return PlaceReport(p, av, dv, margin)
-    arch = escape_domain_radius(P).radius
+    arch = P.escape_radius
     if abs(alpha) > arch:
         dv = DeltaV(None, exact=arch)
         return PlaceReport(None, abs(alpha), dv, RealBall.exact(abs(alpha) / arch))

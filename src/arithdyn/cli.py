@@ -327,7 +327,7 @@ def _run_canonical_height(a):
 @_verb("snap", "root-degree multiset of the n-th iterate difference",
        _MAP, _ALPHA, _N, Param("delta", "rational", "1/2"), Param("eps-shape", "rational", "1/8"))
 def _run_snap(a):
-    from .countkit import bound_shape
+    from .countkit.shapes import bound_shape
     from .dynamics import snap_degree_multiset
 
     P = PolyMap.from_text(a.map)
@@ -421,10 +421,8 @@ def _run_good_place(a):
 
 @_verb("escape-radius", "archimedean escape radius 1 + sum|a_i|", _MAP)
 def _run_escape_radius(a):
-    from .boettcher import escape_domain_radius
-
-    er = escape_domain_radius(PolyMap.from_text(a.map))
-    res = {"radius": _fr(er.radius), "safe": _fr(er.safe)}
+    R = PolyMap.from_text(a.map).escape_radius
+    res = {"radius": _fr(R), "safe": _fr(2 * R)}
     return res, [res]
 
 
@@ -509,7 +507,7 @@ def _run_bounded_region(a):
 @_verb("cover", "grid cover of a disk by smaller disks",
        _req("R", "rational"), _req("r", "rational"))
 def _run_cover(a):
-    from .countkit import cover_count_bound_holds, disk_cover
+    from .countkit.cover import cover_count_bound_holds, disk_cover
 
     centers = disk_cover(a.R, a.r)
     res = {"count": len(centers),
@@ -521,7 +519,7 @@ def _run_cover(a):
 @_verb("jensen", "zero-count bound on nested disks", _req("M", "rational"),
        _req("g0", "rational"), _req("r", "rational"), _req("R", "rational"))
 def _run_jensen(a):
-    from .countkit import jensen_zero_bound
+    from .countkit.jensen import jensen_zero_bound
 
     res = {"zero_bound": jensen_zero_bound(a.M, a.g0, a.r, a.R, a.precision)}
     return res, [res]
@@ -531,7 +529,7 @@ def _run_jensen(a):
        _req("AZ", "number"), Param("M", "number", "1"), Param("H", "number", "1"),
        _req("d", "int"))
 def _run_masser_t(a):
-    from .countkit import masser_T_threshold
+    from .countkit.masser import masser_T_threshold
 
     T = masser_T_threshold(a.AZ, a.M, a.H, a.d, a.precision)
     mid, rad = ball_decimal(T, Fraction(0), 12)
@@ -542,7 +540,7 @@ def _run_masser_t(a):
 @_verb("vanish", "integer polynomial vanishing at given rational points",
        Param("points", default=""), _req("t-max", "int"))
 def _run_vanish(a):
-    from .countkit import vanishing_polynomial
+    from .countkit.masser import vanishing_polynomial
 
     points = []
     if a.points.strip():
@@ -560,7 +558,7 @@ def _run_vanish(a):
        Param("theta", "rational", "2"), Param("c", "rational", "1"),
        Param("oracle", "flag", False), Param("X", "int"), Param("M", "int"))
 def _run_power_lemma(a):
-    from .countkit import power_lemma_min_X, power_lemma_oracle
+    from .countkit.powerlemma import power_lemma_min_X, power_lemma_oracle
 
     if a.oracle:
         if a.X is None:
@@ -579,7 +577,7 @@ def _run_power_lemma(a):
        _req("tag"), Param("c", "number", "1"), Param("d", "int"), Param("H", "number"),
        Param("l", "number"), Param("D", "int"), Param("n", "int"), Param("eps", "rational"))
 def _run_bound_shape(a):
-    from .countkit import bound_shape
+    from .countkit.shapes import bound_shape
 
     kwargs = {k: getattr(a, k) for k in ("d", "H", "l", "D", "n", "eps")
               if getattr(a, k) is not None}
@@ -603,7 +601,7 @@ def _map_jobs(fn, payloads: list, jobs: int) -> list:
 
 def _census_chunk(payload):
     fname, params, qs, H, precision, escalations = payload
-    from .countkit import census_records, make_evaluator
+    from .countkit.census import census_records, make_evaluator
 
     evaluator = make_evaluator(fname, precision=precision, **params)
     return census_records(evaluator, [Fraction(q) for q in qs], Fraction(H),
@@ -615,7 +613,7 @@ def _census_chunk(payload):
        Param("order", "int", 16), Param("map"), Param("alpha", "rational"),
        Param("escalations", "int", 1))
 def _run_census(a):
-    from .countkit import CENSUS_FUNCTIONS, CensusResult, enumerate_rationals
+    from .countkit.census import CENSUS_FUNCTIONS, CensusResult, enumerate_rationals
 
     if a.function not in CENSUS_FUNCTIONS:
         raise _CliError(f"unknown census function {_shown(a.function)}")
@@ -639,7 +637,7 @@ def _run_census(a):
        _req("which"), Param("tau-re", "rational", "0"), _req("tau-im", "rational"),
        Param("order", "int"))
 def _run_modular(a):
-    from .countkit import modular_eval
+    from .countkit.modular import modular_eval
 
     mv = modular_eval(a.which, ComplexBall(a.tau_re, a.tau_im), a.order, a.precision)
     res = {"which": a.which, "value": _ball_json(mv.value, a.precision), "terms": mv.terms,

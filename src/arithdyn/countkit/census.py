@@ -19,9 +19,8 @@ and the discriminant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..errors import DomainError, ResourceGuardError
 from ..exactnum import ComplexBall, RealBall
@@ -50,8 +49,7 @@ def enumerate_rationals(H) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     q: Fraction
     value: RealBall
     verdict: str  # certified-no-rational | candidate-rational | undecided-at-precision
@@ -60,8 +58,7 @@ class CensusRecord:
     excluded_zero: bool = False
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     height: Fraction
     precision: int
     records: tuple[CensusRecord, ...]
@@ -143,7 +140,7 @@ def make_evaluator(function: str, *, value=Fraction(1, 2), N: int = 16, map_text
             cap = N * max(1, prec // precision) if precision else N
             return evaluate(ComplexBall(0, 2 / (1 - q)), cap, prec).value
     elif function == "fstar":
-        from ..boettcher import boettcher_frame, fstar_eval  # lazy: other verbs import countkit
+        from ..boettcher import boettcher_frame, fstar_eval  # lazy: only this function needs it
 
         P, alpha, frames = PolyMap.from_text(map_text), Fraction(alpha), {}
 

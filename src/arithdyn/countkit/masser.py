@@ -13,8 +13,8 @@ is a single crossing; we bracket it by doubling and bisect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..errors import DomainError
 from ..exactnum import RatPoly, RealBall, as_real_ball, ball_log, sqrt_up
@@ -87,8 +87,7 @@ def masser_T_threshold(AZ, M, H, d: int, prec: int = 128) -> Fraction:
     return hi
 
 
-@dataclass(frozen=True)
-class BivarIntPoly:
+class BivarIntPoly(NamedTuple):
     """Integer polynomial in two variables: sorted ((i, j), c) terms."""
 
     terms: tuple[tuple[tuple[int, int], int], ...]

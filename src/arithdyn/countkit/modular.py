@@ -25,8 +25,8 @@ over ComplexBall.  Either way the result is returned as a ComplexBall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..errors import DomainError
 from ..exactnum import (
@@ -69,8 +69,7 @@ def _shift(qa: Fraction) -> int:
     return qa.denominator.bit_length() - qa.numerator.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class ModularValue:
+class ModularValue(NamedTuple):
     value: ComplexBall
     terms: int  # series terms summed (lambda: in each of its two sums), at most N
     tail_bound: Fraction  # majorant added to the radius, rounded up

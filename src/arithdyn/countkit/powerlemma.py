@@ -14,8 +14,8 @@ off once M parts are reached (leftover parts get value m+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..errors import DomainError, ResourceGuardError
 
@@ -33,8 +33,7 @@ def _le_c_pow(s: Fraction, c: Fraction, k: int, theta: Fraction) -> bool:
     return (s / c) ** q <= Fraction(k) ** p
 
 
-@dataclass(frozen=True)
-class ExtremalConstruction:
+class ExtremalConstruction(NamedTuple):
     X_min: int
     counts: tuple[int, ...]  # a_1 .. a_m (last level possibly clipped at M parts)
     witness: tuple[int, ...]  # the multiset itself
@@ -106,8 +105,7 @@ def _partitions(n: int, cap: int):
             yield [first] + rest
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     max_M: int
     witness: tuple[int, ...]
 

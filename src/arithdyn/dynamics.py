@@ -114,20 +114,20 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceGuardError
-from .exactnum import IntPoly, RatPoly, RealBall, TruncSeries, ball_log, series_reciprocal
+from .exactnum import IntPoly, RatPoly, RealBall, ball_log
 from .exactnum.poly import horner, rat_mul
+from .exactnum.series import TruncSeries, series_reciprocal
 from .factorint import FactorReport, chain, factor_over_Q, factor_over_Z
 from .heights import height_rational
 from .ntheory import prime_divisors, residue, valuation
 from .polymap import DEFAULT_DEGREE_CAP, PolyMap
 
 
-@dataclass(frozen=True)
-class GapConstant:
+class GapConstant(NamedTuple):
     """Certified one-step and telescoped height-comparison constants.
 
     one_step_arg is an integer M with |h(P(x)) - D h(x)| <= log M for all
@@ -159,8 +159,7 @@ def height_gap_constant(P: PolyMap) -> GapConstant:
     return GapConstant(max(upper_arg, int(sum(abs(x) for x in A + B) * lcm)), D)
 
 
-@dataclass(frozen=True)
-class LocalHeight:
+class LocalHeight(NamedTuple):
     """One term of hhat(alpha): ``place`` is "inf", a prime p dividing delta,
     or "good" (every prime outside delta, in closed form); ``steps`` orbit
     steps were taken and ``escaped`` says whether the orbit provably entered
@@ -172,8 +171,7 @@ class LocalHeight:
     value: RealBall
 
 
-@dataclass(frozen=True)
-class HeightStats:
+class HeightStats(NamedTuple):
     alpha: Fraction
     n: int  # the most orbit steps any place used
     canonical: RealBall
@@ -226,10 +224,8 @@ def _arch_local_height(P: PolyMap, alpha: Fraction, share: Fraction) -> LocalHei
     ball's radius, rather than the tail, keeps the enclosure above its share,
     the grid is refined and the orbit restarted.
     """
-    from .boettcher import escape_domain_radius
-
     D = P.degree
-    R = escape_domain_radius(P).radius
+    R = P.escape_radius
 
     def tail(r: Fraction) -> Fraction:
         t = (R - 1) / r
@@ -301,8 +297,7 @@ def _padic_local_height(P: PolyMap, alpha: Fraction, p: int, e: int,
     return LocalHeight(str(p), K, False, RealBall.from_endpoints(0, top / DK))
 
 
-@dataclass(frozen=True)
-class SnapReport:
+class SnapReport(NamedTuple):
     """Factor-degree data of P^n(X) - P^n(alpha)."""
 
     alpha: Fraction
@@ -432,8 +427,7 @@ def low_degree_proportion(P: PolyMap, alpha, n: int, delta,
     return snap_degree_multiset(P, alpha, n, degree_cap, seed).low_degree_share(delta)
 
 
-@dataclass(frozen=True)
-class BoundedRegionReport:
+class BoundedRegionReport(NamedTuple):
     """Comparison of H(alpha) against the product of escape thresholds."""
 
     height: Fraction
@@ -451,7 +445,7 @@ def bounded_height_region_check(P: PolyMap, alpha, prec: int = 96) -> BoundedReg
     reports whether H(alpha) provably exceeds the product, together with a
     witness place where |alpha|_v > delta_v if one exists.
     """
-    from .boettcher import delta_exception_set, delta_v, escape_domain_radius, good_place
+    from .boettcher import delta_exception_set, delta_v, good_place
 
     alpha = Fraction(alpha)
     H = height_rational(alpha).exact
@@ -463,8 +457,7 @@ def bounded_height_region_check(P: PolyMap, alpha, prec: int = 96) -> BoundedReg
             continue
         nontrivial.append(dv)
         prod = prod * dv.value_ball(prec)
-    arch = escape_domain_radius(P)
-    prod = prod * RealBall.exact(arch.radius)
+    prod = prod * RealBall.exact(P.escape_radius)
     hb = RealBall.exact(H)
     if hb.gt(prod):
         exceeds = True

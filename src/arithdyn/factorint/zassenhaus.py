@@ -25,10 +25,10 @@ are sorted by (degree, coefficient tuple).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from math import isqrt
+from typing import NamedTuple
 
 from ..errors import DomainError, ResourceGuardError
 from ..exactnum import IntPoly, RatPoly
@@ -50,8 +50,7 @@ _CERTIFICATE_PRIMES = 16
 _SUBSET_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class FactorReport:
+class FactorReport(NamedTuple):
     """unit * content * prod(factor^mult) == input, factors primitive, lc > 0."""
 
     content: int

@@ -11,8 +11,8 @@ the totally ramified part p^(k-1)(p-1) from the p-power part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceGuardError
 from .exactnum import RealBall, ball_log
@@ -47,8 +47,7 @@ def mult_order(a: int, n: int) -> int:
     return f
 
 
-@dataclass(frozen=True)
-class LiftingExponent:
+class LiftingExponent(NamedTuple):
     """(e, m) data governing orders modulo prime powers.
 
     e is the order of a modulo q (modulo 4 when q = 2); m is maximal with
@@ -107,8 +106,7 @@ def cyclotomic_degree_qp(p: int, b: int) -> int:
     return unram * ram
 
 
-@dataclass(frozen=True)
-class GalcorBound:
+class GalcorBound(NamedTuple):
     """Lower bound b * D^(-m) on the cyclotomic p-adic degree."""
 
     degree: int  # exact cyclotomic degree
@@ -132,8 +130,7 @@ def galcor_lower_bound(p: int, b: int, D: int, prec: int = 64) -> GalcorBound:
     return GalcorBound(deg, m, Fraction(b, D ** m), cap)
 
 
-@dataclass(frozen=True)
-class PadicBoundReport:
+class PadicBoundReport(NamedTuple):
     """Certified degree lower bound for solutions of P^n(X) = P^n(alpha)."""
 
     place: object  # PlaceReport (nonarchimedean)

@@ -15,16 +15,16 @@ the product over all places of the local maxima.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError
-from .exactnum import IntPoly, RealBall, ball_log, ball_root, complex_roots_with_radii
+from .exactnum import IntPoly, RealBall, ball_log, ball_root
+from .exactnum.roots import complex_roots_with_radii
 from .factorint import factor_over_Z
 
 
-@dataclass(frozen=True)
-class AlgebraicNumber:
+class AlgebraicNumber(NamedTuple):
     """A number pinned down by its minimal polynomial over Z.
 
     min_poly must be primitive with positive leading coefficient and
@@ -51,8 +51,7 @@ class AlgebraicNumber:
         return self.min_poly.degree
 
 
-@dataclass(frozen=True)
-class HeightValue:
+class HeightValue(NamedTuple):
     """Multiplicative height enclosure, its log, and an exact value if known."""
 
     mult: RealBall

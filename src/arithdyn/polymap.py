@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceGuardError
@@ -11,17 +10,26 @@ from .exactnum import RatPoly, parse_poly
 DEFAULT_DEGREE_CAP = 4096
 
 
-@dataclass(frozen=True)
 class PolyMap:
     """A monic polynomial of degree D >= 2 viewed as z -> P(z)."""
 
-    poly: RatPoly
+    __slots__ = ("poly",)
 
-    def __post_init__(self):
-        if self.poly.is_zero() or self.poly.degree < 2:
+    def __init__(self, poly: RatPoly):
+        if poly.is_zero() or poly.degree < 2:
             raise DomainError("map must have degree at least 2")
-        if not self.poly.is_monic():
+        if not poly.is_monic():
             raise DomainError("map must be monic; conjugate by a suitable gamma first")
+        self.poly = poly
+
+    def __eq__(self, other):
+        return isinstance(other, PolyMap) and self.poly == other.poly
+
+    def __hash__(self):
+        return hash(self.poly)
+
+    def __repr__(self):
+        return f"PolyMap({self.poly!r})"
 
     @classmethod
     def from_text(cls, text: str) -> "PolyMap":
@@ -40,6 +48,12 @@ class PolyMap:
     def lower_coefficients(self) -> list[Fraction]:
         """[a_1, ..., a_D]."""
         return [self.coefficient(i) for i in range(1, self.degree + 1)]
+
+    @property
+    def escape_radius(self) -> Fraction:
+        """R = 1 + sum |a_i|: |z| > R implies |P(z)| > |z|, and 2R is the
+        radius from which the Boettcher series converge certifiably."""
+        return 1 + sum(abs(c) for c in self.lower_coefficients())
 
     def eval(self, x) -> Fraction:
         return self.poly.eval(Fraction(x))

@@ -41,8 +41,9 @@ from itertools import islice, product
 
 import mpmath
 
-from arithdyn.countkit import CensusResult, census_records, enumerate_rationals, power_lemma_min_X
+from arithdyn.countkit.census import CensusResult, census_records, enumerate_rationals
 from arithdyn.countkit.modular import ModularValue, _check_domain, _nome, _pow4
+from arithdyn.countkit.powerlemma import power_lemma_min_X
 from arithdyn.dynamics import GapConstant, canonical_height_stats, height_gap_constant
 from arithdyn.errors import DomainError, ResourceGuardError
 from arithdyn.exactnum import (
@@ -50,13 +51,13 @@ from arithdyn.exactnum import (
     IntPoly,
     RatPoly,
     RealBall,
-    TruncSeries,
     as_complex_ball,
     ball_exp,
     ball_log,
     ball_pi,
     rad_up,
 )
+from arithdyn.exactnum.series import TruncSeries
 from arithdyn.factorint import FactorReport, factor_over_Q, modp
 from arithdyn.factorint.capelli import _MAX_FACTOR_DEGREE, _PRIMES_PER_LINK
 from arithdyn.ntheory import primes_from, residue

@@ -9,28 +9,15 @@ import time
 from fractions import Fraction as F
 
 from arithdyn.boettcher import boettcher_series
-from arithdyn.countkit import (
-    cover_count_bound_holds,
-    disk_cover,
-    jensen_zero_bound,
-    make_evaluator,
-    masser_T_threshold,
-    power_lemma_min_X,
-    power_lemma_oracle,
-    vanishing_polynomial,
-)
-from arithdyn.countkit.masser import _threshold_gap
+from arithdyn.countkit.census import make_evaluator
+from arithdyn.countkit.cover import cover_count_bound_holds, disk_cover
+from arithdyn.countkit.jensen import jensen_zero_bound
+from arithdyn.countkit.masser import _threshold_gap, masser_T_threshold, vanishing_polynomial
+from arithdyn.countkit.powerlemma import power_lemma_min_X, power_lemma_oracle
 from arithdyn.dynamics import snap_degree_multiset
 from arithdyn.errors import ResourceGuardError
-from arithdyn.exactnum import (
-    IntPoly,
-    RatPoly,
-    RealBall,
-    ball_e,
-    ball_log,
-    series_compose_poly,
-    series_power,
-)
+from arithdyn.exactnum import IntPoly, RatPoly, RealBall, ball_e, ball_log
+from arithdyn.exactnum.series import series_compose_poly, series_power
 from arithdyn.galois import cyclotomic_degree_qp, lifting_exponent, mult_order, padic_degree_bound
 from arithdyn.polymap import PolyMap
 from conftest import random_monic_map

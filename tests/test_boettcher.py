@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import time
@@ -13,7 +14,6 @@ from arithdyn.boettcher import (
     boettcher_series,
     delta_exception_set,
     delta_v,
-    escape_domain_radius,
     fstar_eval,
     good_place,
     is_power_map,
@@ -23,7 +23,8 @@ from arithdyn.boettcher import (
 )
 from arithdyn.cli import main
 from arithdyn.errors import DomainError
-from arithdyn.exactnum import ComplexBall, RatPoly, series_compose_poly, series_inverse, series_power
+from arithdyn.exactnum import ComplexBall, RatPoly
+from arithdyn.exactnum.series import series_compose_poly, series_inverse, series_power
 from arithdyn.polymap import PolyMap
 from conftest import random_monic_map
 import oracles
@@ -62,7 +63,7 @@ def test_functional_equation_residual_random(rng):
 
 
 def test_inverse_of_identity_is_identity():
-    from arithdyn.exactnum import TruncSeries, series_inverse
+    from arithdyn.exactnum.series import TruncSeries, series_inverse
 
     s = TruncSeries.identity(-4)
     inv = series_inverse(s)
@@ -117,11 +118,13 @@ def test_cubic_series_order_48_within_budget(capsys):
         "9ded23e7297f23719f9b1e9826902e37e298ab65d35e18ad57c840f5bf1970c7")
 
 
-def test_escape_radius_examples():
-    assert escape_domain_radius(P2).radius == 1
-    assert escape_domain_radius(P21).radius == 2
-    er = escape_domain_radius(PolyMap.from_text("X^2-3*X+1"))
-    assert er.radius == 5 and er.safe == 10
+def test_escape_radius_examples(capsys):
+    assert P2.escape_radius == 1
+    assert P21.escape_radius == 2
+    assert PolyMap.from_text("X^2-3*X+1").escape_radius == 5
+    assert main(["escape-radius", "--map", "X^2-3*X+1"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res == {"radius": "5/1", "safe": "10/1"}
     assert is_power_map(P2) and not is_power_map(P21)
 
 

@@ -402,17 +402,35 @@ def test_importing_the_cli_leaves_the_process_pool_out():
     assert proc.stdout.strip() == "False"
 
 
-def test_a_cli_run_imports_neither_mpmath_nor_argparse():
-    # mpmath is imported on first use of a transcendental kernel or of root
-    # polishing; the option parser is the CLI's own
+def _loaded_after(argv: list[str]) -> list[list[str]]:
+    """The arithdyn modules a fresh process has loaded after one CLI run, and
+    which of mpmath, argparse and dataclasses it has loaded."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, arithdyn.cli as c; c.main(['escape-radius', '--map', 'X^2+1']); "
-         "print(sorted({'mpmath', 'argparse'} & set(sys.modules)))"],
+         "import contextlib, io, json, sys, arithdyn.cli as c\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         f"    assert c.main({argv!r}) == 0\n"
+         "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'arithdyn'),\n"
+         "                  sorted({'mpmath', 'argparse', 'dataclasses'} & set(sys.modules))]))\n"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_a_cli_run_imports_neither_mpmath_nor_argparse():
+    # mpmath is imported on first use of a transcendental kernel or of root
+    # polishing; the option parser is the CLI's own; and a verb loads only the
+    # modules it runs
+    modules, others = _loaded_after(["escape-radius", "--map", "X^2+1"])
+    assert modules == ["arithdyn", "arithdyn.cli", "arithdyn.errors", "arithdyn.exactnum",
+                       "arithdyn.exactnum.ball", "arithdyn.exactnum.poly", "arithdyn.polymap"]
+    assert others == []
+    modules, others = _loaded_after(["census", "--function", "lambda", "--height", "3"])
+    assert [m for m in modules if m.startswith("arithdyn.countkit.")] == [
+        "arithdyn.countkit.census", "arithdyn.countkit.modular"]
+    assert "arithdyn.boettcher" not in modules and "arithdyn.exactnum.series" not in modules
+    assert others == ["mpmath"]
 
 
 @pytest.mark.parametrize("args, option, value", [

@@ -6,22 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arithdyn.countkit import (
+from arithdyn.countkit.census import (
     CENSUS_FUNCTIONS,
-    admissible,
-    bound_shape,
     census_records,
-    cover_count_bound_holds,
-    disk_cover,
     enumerate_rationals,
-    jensen_zero_bound,
     make_evaluator,
-    masser_T_threshold,
-    power_lemma_min_X,
-    power_lemma_oracle,
-    vanishing_polynomial,
 )
-from arithdyn.countkit.masser import _threshold_gap
+from arithdyn.countkit.cover import cover_count_bound_holds, disk_cover
+from arithdyn.countkit.jensen import jensen_zero_bound
+from arithdyn.countkit.masser import _threshold_gap, masser_T_threshold, vanishing_polynomial
+from arithdyn.countkit.powerlemma import admissible, power_lemma_min_X, power_lemma_oracle
+from arithdyn.countkit.shapes import bound_shape
 from arithdyn.errors import DomainError, ResourceGuardError
 from arithdyn.exactnum import IntPoly, RealBall, ball_e
 from oracles import census, construction_coefficient_power, covers_sample

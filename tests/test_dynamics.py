@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 from fractions import Fraction as F
@@ -49,6 +48,17 @@ def test_iterate_degree_cap():
 def test_nonmonic_rejected_with_conjugation_helper():
     with pytest.raises(DomainError):
         PolyMap.from_text("2*X^2")
+
+
+def test_a_map_is_checked_on_construction_and_compared_by_its_polynomial():
+    with pytest.raises(DomainError, match="degree at least 2"):
+        PolyMap(RatPoly([1, 1]))
+    with pytest.raises(DomainError, match="degree at least 2"):
+        PolyMap(RatPoly([]))
+    same = PolyMap(RatPoly([1, 0, 1]))
+    assert same == P21 and hash(same) == hash(P21)
+    assert same != P2 and same != P21.poly
+    assert len({same, P21, P2}) == 2
 
 
 def test_gap_constant_power_map_is_zero():
@@ -355,9 +365,9 @@ def test_tower_identity_rejects_a_tampered_report():
     tower_identity(P, 3, 3, rep)
     (f, m), *rest = rep.factor_report.factors
     for factors in (((f, m + 1), *rest), tuple(rest)):
-        bad = dataclasses.replace(rep.factor_report, factors=factors)
+        bad = rep.factor_report._replace(factors=factors)
         with pytest.raises(AssertionError, match="do not rebuild"):
-            tower_identity(P, 3, 3, dataclasses.replace(rep, factor_report=bad))
+            tower_identity(P, 3, 3, rep._replace(factor_report=bad))
 
 
 def test_a_broken_chain_is_factored_whole():
@@ -390,7 +400,7 @@ def test_low_degree_share_matches_the_exact_powers():
     # the bit-length screen against d^q <= (D^n)^p, for every degree d <= D^n
     rep = snap_degree_multiset(P2, 2, 3)
     for degree in (8, 27, 64, 81, 125, 1024):
-        every = dataclasses.replace(rep, degree=degree, multiset=tuple(range(1, degree + 1)))
+        every = rep._replace(degree=degree, multiset=tuple(range(1, degree + 1)))
         for p in range(1, 13):
             for q in range(1, 13):
                 exact = sum(1 for d in every.multiset if d ** q <= degree ** p)
@@ -405,7 +415,7 @@ def test_proportion_monotone_in_delta():
 
 def test_theorem_shape_regression():
     # max degree 2^(n-1) dominates the degree_lower shape at c = 1
-    from arithdyn.countkit import bound_shape
+    from arithdyn.countkit.shapes import bound_shape
 
     for n in range(2, 7):
         max_deg = snap_degree_multiset(P2, 2, n).max_degree
@@ -420,7 +430,7 @@ def test_factor_count_shape_regression():
     # calibrated at n = 3 (the shape undershoots the counts for n < 3,
     # so the regression window is 3 <= n <= 6); pure bookkeeping, not a
     # verification of any effective constant
-    from arithdyn.countkit import bound_shape
+    from arithdyn.countkit.shapes import bound_shape
 
     eps = F(1, 8)
     r3 = irreducible_count(P2, 2, 3)[0]

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from arithdyn.cli import main
 from arithdyn.dynamics import snap_degree_multiset
 from arithdyn.errors import DomainError
-from arithdyn.exactnum import IntPoly, RatPoly, TruncSeries
+from arithdyn.exactnum import IntPoly, RatPoly
+from arithdyn.exactnum.series import TruncSeries
 from arithdyn.exactnum.poly import int_mul, rat_mul
 from arithdyn.factorint import capelli, factor_over_Q, factor_over_Z, modp, zassenhaus
 from arithdyn.ntheory import is_prime, legendre, primes_from, residue, sqrt_mod

@@ -3,14 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from arithdyn.countkit import (
-    delta_eval,
-    enumerate_rationals,
-    lambda_eval,
-    make_evaluator,
-    modular_eval,
-)
-from arithdyn.countkit.modular import _nome
+from arithdyn.countkit.census import enumerate_rationals, make_evaluator
+from arithdyn.countkit.modular import _nome, delta_eval, lambda_eval, modular_eval
 from arithdyn.errors import DomainError
 from arithdyn.exactnum import ComplexBall, ball_exp, ball_pi
 from oracles import (

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from arithdyn.cli import main
 from arithdyn.errors import DomainError
-from arithdyn.exactnum import (
-    IntPoly,
-    RatPoly,
+from arithdyn.exactnum import IntPoly, RatPoly, parse_poly
+from arithdyn.exactnum.series import (
     TruncSeries,
-    parse_poly,
     series_compose_poly,
     series_inverse,
     series_power,

@@ -4,7 +4,8 @@ import mpmath
 import pytest
 
 from arithdyn.errors import DomainError
-from arithdyn.exactnum import IntPoly, complex_roots_with_radii
+from arithdyn.exactnum import IntPoly
+from arithdyn.exactnum.roots import complex_roots_with_radii
 
 
 def test_rational_roots_exact():
