@@ -17,6 +17,24 @@ give |b_k| <= E rho^(k+1), and on |w| >= 3 rho the compositional inverse is
 analytic with |psi(w) - w| <= E/(1-E) |w|, giving |d_k| <= E/(1-E) (3rho)^(k+1).
 These explicit constants drive all truncation-error bookkeeping below; pure
 power maps have E = 0 and everything is exact.
+
+``boettcher_frame`` doubles rho from 2R until E(rho) <= 1/8.  Every term of
+the telescoping bound is >= 0, so E(rho) >= -log(1 - eps_1)/D >=
+(eps_1 + eps_1^2/2)/D with eps_1 = (R - 1)/rho: a rho at which that lower
+bound already exceeds 1/8 is skipped without computing E(rho), and the rho
+and E returned are the ones the full search finds.
+
+f*(tau) = 1/psi(phi(alpha) exp(-2 pi i (tau - i/24))) takes phi(alpha) and
+pi once per (map, alpha, order, precision) (``fstar_constants``), so a
+census of many tau computes them once per precision.  Each point then takes
+|w|'s lower bound and the psi tail once.  On the real axis of w (tau
+exactly on the imaginary axis, as for the census pullback i(1+q)/(1-q)),
+the exponential is exp of a real ball, with no cosine or sine, and the
+psi coefficients d_k are rational, so ``psi_eval`` runs its Horner loop
+over RealBall whenever 1/w, rounded, is exactly real.  For a real point
+the ComplexBall product's and rounding's moduli are exact, so both loops
+give the same midpoint and radius bit for bit; any other w takes the loop
+over ComplexBall.
 """
 
 from __future__ import annotations
@@ -45,11 +63,12 @@ _MAX_DISTORTION = Fraction(1, 8)  # boettcher_frame doubles rho until E(rho) is 
 # and fstar X^2+1 at N = 256 0.5 s, CPython 3.11 on a 2-core host)
 _MAX_ORDER = 256
 # the largest Im tau of fstar: |w| grows as exp(2 pi Im tau), and the psi
-# tail as its -(N+1)-th power, about 9 (N+1) Im tau bits.  At the default
-# N = 16, Im tau = 2000 prints a 93,000-character psi_tail in 0.4 s; past
-# about 2200 that tail passes the 100,000-digit print guard, and the work
-# before it grows without bound (Im tau = 10^4 took 5 s, 3 * 10^4 43 s).
-# The census pullback i(1+q)/(1-q) stays below 2H - 1 <= 893.
+# tail as its -(N+1)-th power, about 9.06 (N+1) Im tau bits.  At the default
+# N = 16, Im tau = 2000 prints a 93,000-character psi_tail in 0.4 s, and the
+# work grows without bound past it (Im tau = 10^4 took 5 s, 3 * 10^4 43 s).
+# A higher N reaches a given tail size at a lower Im tau: ``fstar_eval``'s
+# ``tail_bits_cap`` refuses such a point before the psi sum.  The census
+# pullback i(1+q)/(1-q) stays below 2H - 1 <= 893.
 _MAX_TAU_IM = 2000
 
 
@@ -124,7 +143,7 @@ class BoettcherFrame(NamedTuple):
 
     map: PolyMap
     series: BoettcherSeries
-    psi: tuple[ComplexBall, ...]  # d_0 .. d_N, the coefficient of w^-k as an exact ball
+    psi: tuple[RealBall, ...]  # d_0 .. d_N, the coefficient of w^-k as an exact ball
     rho: Fraction  # working radius, >= 2R
     distortion: Fraction  # E(rho) upper bound; 0 for pure power maps
 
@@ -132,14 +151,18 @@ class BoettcherFrame(NamedTuple):
 def boettcher_frame(P: PolyMap, N: int, prec: int = 96) -> BoettcherFrame:
     B = boettcher_series(P, N)
     inverse = series_inverse(B.phi)
-    psi = tuple(ComplexBall.exact(inverse.coefficient(-k)) for k in range(N + 1))
+    psi = tuple(RealBall.exact(inverse.coefficient(-k)) for k in range(N + 1))
     rho = 2 * P.escape_radius
     if is_power_map(P):
         return BoettcherFrame(P, B, psi, rho, Fraction(0))
+    D = P.degree
     while True:
-        E = distortion_bound(P, rho, prec)
-        if E <= _MAX_DISTORTION:
-            return BoettcherFrame(P, B, psi, rho, E)
+        eps = (P.escape_radius - 1) / rho
+        # E(rho) >= (eps + eps^2/2)/D (module docstring): past 1/8, skip this rho
+        if (eps + eps * eps / 2) / D <= _MAX_DISTORTION:
+            E = distortion_bound(P, rho, prec)
+            if E <= _MAX_DISTORTION:
+                return BoettcherFrame(P, B, psi, rho, E)
         rho *= 2
 
 
@@ -152,14 +175,33 @@ def _phi_tail(frame: BoettcherFrame, mod_lower: Fraction) -> Fraction:
     return E * rho * ratio ** (N + 1) / (1 - ratio)
 
 
-def _psi_tail(frame: BoettcherFrame, mod_lower: Fraction) -> Fraction:
-    """Tail bound for psi evaluation truncated after d_N, |w| >= mod_lower >= 6 rho."""
+def _psi_tail(frame: BoettcherFrame, w: ComplexBall, tail_bits_cap: int | None = None) -> Fraction:
+    """Tail bound for psi(w) truncated after d_N; w must have |w| >= 6 rho.
+
+    With ``tail_bits_cap``, a tail t whose rounding ``rad_up(t)`` certainly
+    has a denominator above 2^tail_bits_cap raises ResourceGuardError before
+    the exact power is formed.  That denominator is 2^e with e >= log2(1/t) - 2
+    (``rad_up`` keeps at most 33 significant bits), and
+    log2(1/t) > (N + 1) * (bits of 1/ratio, rounded down) - (bits of scale,
+    rounded up), read off bit lengths.
+    """
     E, N = frame.distortion, frame.series.order
     if E == 0:
         return Fraction(0)
+    lo = w.abs_lower()
+    if lo < 6 * frame.rho:
+        raise DomainError(f"psi evaluation requires |w| >= {6 * frame.rho}")
     three_rho = 3 * frame.rho
-    ratio = three_rho / mod_lower
-    return (E / (1 - E)) * three_rho * ratio ** (N + 1) / (1 - ratio)
+    ratio = three_rho / lo
+    scale = (E / (1 - E)) * three_rho / (1 - ratio)
+    if tail_bits_cap is not None:
+        inv_bits = ratio.denominator.bit_length() - ratio.numerator.bit_length() - 1
+        scale_bits = scale.numerator.bit_length() - scale.denominator.bit_length() + 1
+        if (N + 1) * inv_bits - scale_bits - 2 > tail_bits_cap:
+            raise ResourceGuardError(
+                f"fstar: the psi tail at order {N} needs a denominator above 2^{tail_bits_cap}"
+            )
+    return scale * ratio ** (N + 1)
 
 
 def phi_eval(frame: BoettcherFrame, alpha) -> ComplexBall:
@@ -179,20 +221,23 @@ def phi_eval(frame: BoettcherFrame, alpha) -> ComplexBall:
     return ComplexBall(val, 0, _phi_tail(frame, abs(alpha)))
 
 
-def psi_eval(frame: BoettcherFrame, w: ComplexBall, prec: int = 128) -> ComplexBall:
+def psi_eval(frame: BoettcherFrame, w: ComplexBall, prec: int = 128,
+             tail: Fraction | None = None) -> ComplexBall:
     """Certified psi(w) for a complex ball with |w| >= 6 rho (any w != 0 for
-    pure power maps, where psi is the identity)."""
+    pure power maps, where psi is the identity).  ``tail``, if given, is
+    ``_psi_tail(frame, w)``, taken once by a caller that also reports it.
+    The Horner loop runs over RealBall when 1/w, rounded, is exactly real."""
     if frame.distortion == 0:
         return w
-    lo = w.abs_lower()
-    if lo < 6 * frame.rho:
-        raise DomainError(f"psi evaluation requires |w| >= {6 * frame.rho}")
+    if tail is None:
+        tail = _psi_tail(frame, w)
     work = prec + 32
     inv = w.inverse().round_to(work)
-    acc = ComplexBall.exact(0)
+    u = inv.real if inv.im == 0 else inv
+    acc = type(u).exact(0)
     for d in reversed(frame.psi):
-        acc = (acc * inv + d).round_to(work)
-    return (w + acc).widen(_psi_tail(frame, lo))
+        acc = (acc * u + d).round_to(work)
+    return (w + acc).widen(tail)
 
 
 class FStarResult(NamedTuple):
@@ -203,41 +248,56 @@ class FStarResult(NamedTuple):
     distortion: Fraction
 
 
-def fstar_eval(P: PolyMap, alpha, tau: ComplexBall, N: int = 16,
-               prec: int = 128, frame: BoettcherFrame | None = None) -> FStarResult:
+class FStarConstants(NamedTuple):
+    """What f* takes once per (map, alpha, order, precision), for any tau."""
+
+    frame: BoettcherFrame
+    phi_alpha: ComplexBall  # phi(alpha), rounded to prec + 32 bits
+    pi: RealBall
+
+
+def fstar_constants(P: PolyMap, alpha, N: int = 16, prec: int = 128) -> FStarConstants:
+    """The Boettcher frame, phi(alpha) and pi of ``fstar_eval``; a caller
+    that evaluates many points builds them once."""
+    frame = boettcher_frame(P, N, prec)
+    alpha = Fraction(alpha)
+    if frame.distortion != 0 and abs(alpha) < 7 * frame.rho:
+        raise DomainError(
+            f"evaluation domain requires |alpha| >= {7 * frame.rho} for this map"
+        )
+    return FStarConstants(frame, phi_eval(frame, alpha).round_to(prec + 32), ball_pi(prec))
+
+
+def fstar_eval(P: PolyMap, alpha, tau: ComplexBall, N: int = 16, prec: int = 128,
+               constants: FStarConstants | None = None,
+               tail_bits_cap: int | None = None) -> FStarResult:
     """Certified value of the escape-parametrized root function
 
         f(tau) = 1 / psi( phi(alpha) * exp(-2 pi i (tau - i/24)) )
 
     on the strip Im tau >= 1/24, |Re tau| <= 1/2.  The reciprocal of f at
     tau = k/D^n + i/24 runs through the solutions of P^n(X) = P^n(alpha).
-    ``frame``, if given, is ``boettcher_frame(P, N, prec)`` built once by a
-    caller that evaluates many points.
+    ``constants``, if given, is ``fstar_constants(P, alpha, N, prec)``, built
+    once by a caller that evaluates many points.  ``tail_bits_cap`` is
+    ``_psi_tail``'s: a caller that prints the psi tail in full passes it.
     """
-    alpha = Fraction(alpha)
     if tau.im + tau.rad > _MAX_TAU_IM:
         raise ResourceGuardError(f"fstar: Im tau above {_MAX_TAU_IM}")
     if not (tau.im - tau.rad >= Fraction(1, 24)):
         raise DomainError("tau must satisfy Im tau >= 1/24 (certified)")
     if not (abs(tau.re) + tau.rad <= Fraction(1, 2)):
         raise DomainError("tau must satisfy |Re tau| <= 1/2 (certified)")
-    if frame is None:
-        frame = boettcher_frame(P, N, prec)
-    if frame.distortion != 0 and abs(alpha) < 7 * frame.rho:
-        raise DomainError(
-            f"evaluation domain requires |alpha| >= {7 * frame.rho} for this map"
-        )
-    phi_a = phi_eval(frame, alpha).round_to(prec + 32)
-    phi_tail = phi_a.rad
+    if constants is None:
+        constants = fstar_constants(P, alpha, N, prec)
+    frame, phi_a, pi_b = constants
     # exp(-2 pi i (tau - i/24)) = exp( (2 pi (Im tau - 1/24)) - 2 pi i Re tau )
-    pi_b = ball_pi(prec)
     re_part = pi_b * (tau.imag * 2 - Fraction(1, 12))
     im_part = pi_b * tau.real * (-2)
     factor = ball_cexp(ComplexBall.from_real_pair(re_part, im_part), prec)
     w = (phi_a * factor).round_to(prec + 32)
-    psi_w = psi_eval(frame, w, prec)
-    psi_tail = rad_up(_psi_tail(frame, w.abs_lower()))
-    return FStarResult(psi_w.inverse(), phi_tail, psi_tail, frame.rho, frame.distortion)
+    tail = _psi_tail(frame, w, tail_bits_cap)
+    psi_w = psi_eval(frame, w, prec, tail)
+    return FStarResult(psi_w.inverse(), phi_a.rad, rad_up(tail), frame.rho, frame.distortion)
 
 
 def padic_abs(x: Fraction, p: int) -> Fraction:

@@ -372,7 +372,7 @@ def _run_proportion(a):
 
 @_verb("factor", "complete factorization over Z", _req("poly"))
 def _run_factor(a):
-    from .factorint import factor_over_Q
+    from .factorint.zassenhaus import factor_over_Q
 
     scale, rep = factor_over_Q(parse_poly(a.poly), a.seed)
     rj = _factors_json(rep)
@@ -432,8 +432,10 @@ def _run_escape_radius(a):
 def _run_fstar(a):
     from .boettcher import fstar_eval
 
+    # psi_tail prints in full: a tail denominator 2^e with e above this has more
+    # than _MAX_INT_DIGITS digits (log2 10 < 10/3), so it is refused up front
     out = fstar_eval(PolyMap.from_text(a.map), a.alpha, ComplexBall(a.tau_re, a.tau_im),
-                     N=a.order, prec=a.precision)
+                     N=a.order, prec=a.precision, tail_bits_cap=_MAX_INT_DIGITS * 10 // 3)
     res = {"value": _ball_json(out.value, a.precision), "rho": _fr(out.rho),
            "distortion": _fr(out.distortion), "phi_tail": _fr(out.phi_tail),
            "psi_tail": _fr(out.psi_tail)}

@@ -122,8 +122,9 @@ def make_evaluator(function: str, *, value=Fraction(1, 2), N: int = 16, map_text
     """The census evaluator (q, prec) -> ball around f(q) for one of CENSUS_FUNCTIONS.
 
     square and const (``value``) are exact; lambda and delta (at most N terms) are taken
-    at tau = 2i/(1-q), fstar (``map_text`` at ``alpha``, order N, one Boettcher
-    frame per precision) at tau = i(1+q)/(1-q).  These three reject q outside (0,1).
+    at tau = 2i/(1-q), fstar (``map_text`` at ``alpha``, order N, with one Boettcher
+    frame, phi(alpha) and pi per precision) at tau = i(1+q)/(1-q).  These three reject
+    q outside (0,1).
     ``precision`` is the census's first-round precision: lambda and delta then sum
     at most N * (prec // precision) terms at an escalated prec (x4 terms per x4 bits),
     so that an escalation narrows the ball rather than stopping at the same N-term tail.
@@ -140,15 +141,15 @@ def make_evaluator(function: str, *, value=Fraction(1, 2), N: int = 16, map_text
             cap = N * max(1, prec // precision) if precision else N
             return evaluate(ComplexBall(0, 2 / (1 - q)), cap, prec).value
     elif function == "fstar":
-        from ..boettcher import boettcher_frame, fstar_eval  # lazy: only this function needs it
+        from ..boettcher import fstar_constants, fstar_eval  # lazy: only this function needs it
 
-        P, alpha, frames = PolyMap.from_text(map_text), Fraction(alpha), {}
+        P, alpha, constants = PolyMap.from_text(map_text), Fraction(alpha), {}
 
         def on_axis(q: Fraction, prec: int) -> ComplexBall:
-            if prec not in frames:
-                frames[prec] = boettcher_frame(P, N, prec)
+            if prec not in constants:
+                constants[prec] = fstar_constants(P, alpha, N, prec)
             tau = ComplexBall(0, (1 + q) / (1 - q))
-            return fstar_eval(P, alpha, tau, N=N, prec=prec, frame=frames[prec]).value
+            return fstar_eval(P, alpha, tau, N=N, prec=prec, constants=constants[prec]).value
     else:
         raise DomainError(f"unknown census function {function!r}")
 

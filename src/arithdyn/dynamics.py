@@ -11,9 +11,9 @@ exactly, by induction on n: P^{k+1}(X) - beta_{k+1} = P(P^k X) - P(beta_k)
 = (P^k(X) - beta_k) * Q_{beta_k}(P^k(X)).  Each Q_{beta_k} is factored over
 Q by Zassenhaus, and each of its irreducible factors h starts a chain
 f_0 = h, f_(j+1) = f_j(P(X)), ending in the piece f_k = h(P^k(X)).  Each
-link is proven irreducible in turn by Capelli descent (``factorint.chain``):
-f_(j+1) is irreducible when an odd prime p and a factor g of f_j mod p
-satisfy
+link is proven irreducible in turn by Capelli descent
+(``factorint.capelli.chain``): f_(j+1) is irreducible when an odd prime p
+and a factor g of f_j mod p satisfy
 
 1. p does not divide lc(f_j) * den(P);
 2. f_j mod p is squarefree;
@@ -115,16 +115,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, ResourceGuardError
 from .exactnum import IntPoly, RatPoly, RealBall, ball_log
 from .exactnum.poly import horner, rat_mul
 from .exactnum.series import TruncSeries, series_reciprocal
-from .factorint import FactorReport, chain, factor_over_Q, factor_over_Z
-from .heights import height_rational
 from .ntheory import prime_divisors, residue, valuation
 from .polymap import DEFAULT_DEGREE_CAP, PolyMap
+
+if TYPE_CHECKING:
+    from .factorint.zassenhaus import FactorReport
 
 
 class GapConstant(NamedTuple):
@@ -240,11 +241,14 @@ def _arch_local_height(P: PolyMap, alpha: Fraction, share: Fraction) -> LocalHei
             size = abs(x)
             lo, hi = size.lo, size.hi
             tol = share * Dk / 4
-            top = inside_top if hi <= R else _log_within(hi, tol).hi + tail(hi)
-            best = RealBall.from_endpoints(0, top / Dk)
             escaped = lo >= R
+            # one log of hi serves both bounds, and of lo too when lo = hi
+            log_hi = _log_within(hi, tol) if escaped or hi > R else None
+            top = inside_top if hi <= R else log_hi.hi + tail(hi)
+            best = RealBall.from_endpoints(0, top / Dk)
             if escaped:
-                log_x = RealBall.from_endpoints(_log_within(lo, tol).lo, _log_within(hi, tol).hi)
+                log_lo = log_hi if lo == hi else _log_within(lo, tol)
+                log_x = RealBall.from_endpoints(log_lo.lo, log_hi.hi)
                 near = log_x.widen(tail(lo)) / Dk
                 if near.rad < best.rad:
                     best = near
@@ -358,6 +362,8 @@ def snap_degree_multiset(P: PolyMap, alpha, n: int,
                          degree_cap: int = DEFAULT_DEGREE_CAP, seed: int = 0) -> SnapReport:
     """Degrees of the solutions of P^n(X) = P^n(alpha), one entry per root,
     factored piece by piece along the tower (see the module docstring)."""
+    from .factorint.zassenhaus import FactorReport, factor_over_Q  # only snap factors
+
     if n < 1:
         raise DomainError("n must be >= 1")
     P.check_iterate_degree(n, degree_cap)
@@ -407,6 +413,9 @@ def _tower_piece(h: IntPoly, P, k: int, top, seed: int):
     """The irreducible factors of h(P^k(X)), top = P^k(X), with their
     certificate (see ``SnapReport.certificates``): the Capelli chain of its
     k links, or the piece factored whole when the chain breaks."""
+    from .factorint.capelli import chain
+    from .factorint.zassenhaus import factor_over_Z
+
     links = chain(h, P, k)
     piece = h.compose(top).to_int_primitive()[1]
     if len(links) == k:
@@ -446,6 +455,7 @@ def bounded_height_region_check(P: PolyMap, alpha, prec: int = 96) -> BoundedReg
     witness place where |alpha|_v > delta_v if one exists.
     """
     from .boettcher import delta_exception_set, delta_v, good_place
+    from .heights import height_rational
 
     alpha = Fraction(alpha)
     H = height_rational(alpha).exact

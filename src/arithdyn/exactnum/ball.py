@@ -641,11 +641,16 @@ def as_complex_ball(x) -> ComplexBall:
 
 
 def ball_cexp(z: ComplexBall, prec: int = DEFAULT_PREC) -> ComplexBall:
-    """exp of a complex ball: exp(x)(cos y + i sin y) with escape term e^r - 1."""
+    """exp of a complex ball: exp(x)(cos y + i sin y) with escape term e^r - 1.
+    At y = 0 exactly, cos y = 1 and sin y = 0 (mpmath returns exactly these),
+    so the centre is the disk of exp(x), with no cosine or sine taken."""
     ex = ball_exp(RealBall.exact(z.re), prec)
-    cy = ball_cos(RealBall.exact(z.im), prec)
-    sy = ball_sin(RealBall.exact(z.im), prec)
-    centre = ComplexBall.from_real_pair(ex * cy, ex * sy)
+    if z.im == 0:
+        centre = as_complex_ball(ex)
+    else:
+        cy = ball_cos(RealBall.exact(z.im), prec)
+        sy = ball_sin(RealBall.exact(z.im), prec)
+        centre = ComplexBall.from_real_pair(ex * cy, ex * sy)
     if z.rad == 0:
         return centre
     # |exp(w) - exp(m)| <= |exp(m)| (e^r - 1)

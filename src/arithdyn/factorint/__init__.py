@@ -1,6 +1,8 @@
-"""Univariate integer polynomial factorization into irreducibles."""
+"""Univariate integer polynomial factorization into irreducibles.
 
-from .capelli import chain
-from .zassenhaus import FactorReport, factor_over_Q, factor_over_Z
-
-__all__ = ["FactorReport", "chain", "factor_over_Q", "factor_over_Z"]
+Import each name from its module (``factorint.zassenhaus`` for
+``factor_over_Z``, ``factor_over_Q`` and ``FactorReport``,
+``factorint.capelli`` for ``chain``, ``factorint.modp`` for the F_p[x]
+kernels): the package loads nothing itself, so ``factor`` and
+``height --min-poly`` do not load the Capelli chains that only ``snap`` runs.
+"""

@@ -20,8 +20,6 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .exactnum import IntPoly, RealBall, ball_log, ball_root
-from .exactnum.roots import complex_roots_with_radii
-from .factorint import factor_over_Z
 
 
 class AlgebraicNumber(NamedTuple):
@@ -41,6 +39,8 @@ class AlgebraicNumber(NamedTuple):
         cont, prim = min_poly.primitive()
         if abs(cont) != 1 or min_poly.lead < 0:
             raise DomainError("minimal polynomial must be primitive with positive leading coefficient")
+        from .factorint.zassenhaus import factor_over_Z  # only a minimal polynomial needs it
+
         rep = factor_over_Z(min_poly)
         if len(rep.factors) != 1 or rep.factors[0][1] != 1:
             raise DomainError("minimal polynomial is reducible")
@@ -73,6 +73,8 @@ def height_algebraic(alpha: AlgebraicNumber, prec: int = 64) -> HeightValue:
     if deg == 1:
         q = Fraction(-p[0], p[1])
         return height_rational(q, prec)
+    from .exactnum.roots import complex_roots_with_radii  # only degree >= 2 needs it
+
     roots = complex_roots_with_radii(p, prec)
     prod = RealBall.exact(p.lead)
     one = Fraction(1)

@@ -23,7 +23,13 @@ series reciprocal of ``dynamics.height_gap_constant``, the per-link Capelli
 screen (each h(P^j(X)) formed and factored mod p, link by link) as the
 reference for both kernels of ``factorint.capelli.chain``, and the expanded
 P^n(X) - P^n(alpha) as the reference for the factorization
-``dynamics.snap_degree_multiset`` proves level by level.
+``dynamics.snap_degree_multiset`` proves level by level.  The slow paths of
+the f* kernels are kept here as the references for their fast ones: the
+psi Horner loop over ComplexBall for every w (the reference for the
+real-axis loop of ``boettcher.psi_eval``), exp(x)(cos y + i sin y) with the
+cosine and sine always taken (the reference for ``ball_cexp`` on the real
+axis), and the search that computes E(rho) at every doubling of rho (the
+reference for the radii ``boettcher_frame`` skips).
 
 The last section holds the small wrappers over the library that only the
 tests use: a whole-census driver, the canonical-height ball alone, the
@@ -46,6 +52,7 @@ from arithdyn.countkit.modular import ModularValue, _check_domain, _nome, _pow4
 from arithdyn.countkit.powerlemma import power_lemma_min_X
 from arithdyn.dynamics import GapConstant, canonical_height_stats, height_gap_constant
 from arithdyn.errors import DomainError, ResourceGuardError
+from arithdyn.boettcher import _MAX_DISTORTION, BoettcherFrame, _psi_tail, distortion_bound
 from arithdyn.exactnum import (
     ComplexBall,
     IntPoly,
@@ -57,8 +64,10 @@ from arithdyn.exactnum import (
     ball_pi,
     rad_up,
 )
+from arithdyn.exactnum.ball import ball_cos, ball_sin
 from arithdyn.exactnum.series import TruncSeries
-from arithdyn.factorint import FactorReport, factor_over_Q, modp
+from arithdyn.factorint import modp
+from arithdyn.factorint.zassenhaus import FactorReport, factor_over_Q
 from arithdyn.factorint.capelli import _MAX_FACTOR_DEGREE, _PRIMES_PER_LINK
 from arithdyn.ntheory import primes_from, residue
 from arithdyn.polymap import DEFAULT_DEGREE_CAP, PolyMap
@@ -461,6 +470,38 @@ def delta_fixed_terms(tau: ComplexBall, N: int, prec: int) -> ModularValue:
     factor = (ball_pi(prec) * 2) ** 12
     value = (prod * q * factor).round_to(work)
     return ModularValue(as_complex_ball(value), N, tail)
+
+
+def psi_complex_loop(frame: BoettcherFrame, w: ComplexBall, prec: int = 128) -> ComplexBall:
+    """psi(w) (|w| >= 6 rho) by the Horner loop over ComplexBall, whatever w is."""
+    tail = _psi_tail(frame, w)
+    work = prec + 32
+    inv = w.inverse().round_to(work)
+    acc = ComplexBall.exact(0)
+    for d in reversed(frame.psi):
+        acc = (acc * inv + as_complex_ball(d)).round_to(work)
+    return (w + acc).widen(tail)
+
+
+def cexp_by_cos_sin(z: ComplexBall, prec: int) -> ComplexBall:
+    """exp(z) as exp(x)(cos y + i sin y), with the growth term e^r - 1, the
+    cosine and sine taken at every y."""
+    ex = ball_exp(RealBall.exact(z.re), prec)
+    cy = ball_cos(RealBall.exact(z.im), prec)
+    sy = ball_sin(RealBall.exact(z.im), prec)
+    centre = ComplexBall.from_real_pair(ex * cy, ex * sy)
+    if z.rad == 0:
+        return centre
+    return centre.widen(ex.hi * (ball_exp(RealBall.exact(z.rad), prec).hi - 1))
+
+
+def frame_radius_by_full_search(P: PolyMap, prec: int = 96) -> tuple[Fraction, Fraction]:
+    """(rho, E(rho)) for a map that is not a power map: the first rho = 2^j 2R
+    with E(rho) <= 1/8, computing E at every rho."""
+    rho = 2 * P.escape_radius
+    while (E := distortion_bound(P, rho, prec)) > _MAX_DISTORTION:
+        rho *= 2
+    return rho, E
 
 
 def mpf_fraction(x: mpmath.mpf) -> Fraction:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arithdyn.boettcher as boettcher
 from arithdyn.boettcher import (
     boettcher_frame,
     boettcher_series,
@@ -22,8 +23,9 @@ from arithdyn.boettcher import (
     psi_eval,
 )
 from arithdyn.cli import main
-from arithdyn.errors import DomainError
-from arithdyn.exactnum import ComplexBall, RatPoly
+from arithdyn.countkit.census import enumerate_rationals, make_evaluator
+from arithdyn.errors import DomainError, ResourceGuardError
+from arithdyn.exactnum import ComplexBall, RatPoly, RealBall, ball_cexp, ball_pi
 from arithdyn.exactnum.series import series_compose_poly, series_inverse, series_power
 from arithdyn.polymap import PolyMap
 from conftest import random_monic_map
@@ -208,6 +210,116 @@ def test_fstar_generic_cubic_round_trip():
     res = fstar_eval(P, alpha, ComplexBall(0, F(1, 24)), N=14, prec=192)
     inv = res.value.inverse()
     assert inv.contains(alpha, 0)
+
+
+def _fields(b: ComplexBall):
+    return b.re, b.im, b.rad
+
+
+def _record_psi_calls(monkeypatch) -> list:
+    """Make every psi_eval call through the module append its (frame, w, prec)."""
+    seen, psi = [], boettcher.psi_eval
+
+    def record(frame, w, prec=128, tail=None):
+        seen.append((frame, w, prec))
+        return psi(frame, w, prec, tail)
+
+    monkeypatch.setattr(boettcher, "psi_eval", record)
+    return seen
+
+
+@pytest.mark.parametrize("map_text, alpha, N", [
+    ("X^2+1", 64, 16), ("X^3+X+1", 100, 12), ("X^2-1/3", 40, 10)])
+def test_real_axis_psi_equals_the_complex_loop_at_every_census_point(monkeypatch, map_text,
+                                                                     alpha, N):
+    seen = _record_psi_calls(monkeypatch)
+    oracles.census(make_evaluator("fstar", N=N, map_text=map_text, alpha=alpha), 6)
+    assert len(seen) >= len(enumerate_rationals(6))
+    for frame, w, prec in seen:
+        assert w.im == 0  # the pullback i(1+q)/(1-q) keeps w on the real axis
+        slow = oracles.psi_complex_loop(frame, w, prec)
+        assert _fields(psi_eval(frame, w, prec)) == _fields(slow)
+
+
+def test_real_axis_psi_equals_the_complex_loop_at_random_real_balls(rng):
+    maps = [P21, PolyMap.from_text("X^3+X+1"), PolyMap.from_text("X^2-2")]
+    maps += [P for P in (random_monic_map(rng) for _ in range(6)) if not is_power_map(P)]
+    for P in maps:
+        frame = boettcher_frame(P, rng.choice((6, 12, 20)))
+        for _ in range(8):
+            mid = 6 * frame.rho + 1 + F(rng.getrandbits(150), 2 ** rng.randint(100, 150))
+            rad = F(rng.randint(0, 1000), 2 ** rng.randint(10, 200))
+            w = ComplexBall(rng.choice((1, -1)) * mid, 0, rad)
+            for prec in (64, 128):
+                fast, slow = psi_eval(frame, w, prec), oracles.psi_complex_loop(frame, w, prec)
+                assert _fields(fast) == _fields(slow), (P, w, prec)
+
+
+def test_an_off_axis_tau_takes_the_complex_loop(monkeypatch):
+    seen = _record_psi_calls(monkeypatch)
+    fstar_eval(P21, 64, ComplexBall(F(1, 5), F(1, 3)), N=16)
+    (frame, w, prec), = seen
+    assert w.inverse().round_to(prec + 32).im != 0  # so psi_eval sums over ComplexBall
+    assert _fields(psi_eval(frame, w, prec)) == _fields(oracles.psi_complex_loop(frame, w, prec))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 300])
+def test_cexp_on_the_real_axis_equals_the_cos_sin_formula(prec):
+    pi = ball_pi(prec)
+    zs = [ComplexBall(0), ComplexBall(F(1, 3)), ComplexBall(F(-5, 2), 0, F(1, 2 ** 90)),
+          ComplexBall(100, 0, F(1, 7)),
+          # the exponent of f* at tau = i, with the radius of pi
+          ComplexBall.from_real_pair(pi * F(23, 12), RealBall.exact(0)),
+          ComplexBall(F(1, 3), F(1, 5), F(1, 2 ** 40))]  # off the axis: cos and sin as before
+    for z in zs:
+        assert _fields(ball_cexp(z, prec)) == _fields(oracles.cexp_by_cos_sin(z, prec)), z
+
+
+def test_frame_radius_equals_the_full_search(rng, monkeypatch):
+    cs = ("1", "-1", "1/2", "-3/4", "2", "-2/3", "5/4", "3")
+    maps = [PolyMap.from_text(f"X^2+{c}") for c in cs]
+    maps += [PolyMap.from_text("X^2-2"), PolyMap.from_text("X^3+X+1")]
+    maps += [P for P in (random_monic_map(rng) for _ in range(12)) if not is_power_map(P)]
+    for P in maps:
+        frame = boettcher_frame(P, 4)
+        assert (frame.rho, frame.distortion) == oracles.frame_radius_by_full_search(P), P
+    # X^2+1 at rho = 4: (1/4 + 1/32)/2 > 1/8, so only rho = 8 is bounded
+    radii, bound = [], boettcher.distortion_bound
+    monkeypatch.setattr(boettcher, "distortion_bound",
+                        lambda P, rho, prec=96: radii.append(rho) or bound(P, rho, prec))
+    assert boettcher_frame(P21, 4).rho == 8 and radii == [8]
+
+
+def test_fstar_refuses_a_psi_tail_past_the_print_guard_up_front(capsys):
+    # the tail's denominator has about 9.06 (N+1) Im tau bits: at N = 64 and
+    # Im tau = 2000 it has more than 100,000 digits, and printing it failed
+    # after 0.6-0.75 s of work
+    job = ["fstar", "--map", "X^2+1", "--alpha", "64", "--tau-im", "2000"]
+    t0 = time.perf_counter()
+    assert main([*job, "--order", "64"]) == 3
+    assert time.perf_counter() - t0 < 0.3  # 15-40 ms: the frame and phi(alpha)
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard: fstar: the psi tail at order 64")
+    assert main([*job, "--order", "16"]) == 0
+    tail = json.loads(capsys.readouterr().out)["result"]["psi_tail"]
+    assert 90_000 < len(tail) < 100_000
+    # a census prints no tail: its f* at the same N and tau is not refused
+    value = make_evaluator("fstar", N=64, map_text="X^2+1", alpha=64)(F(1999, 2001), 128)
+    assert value.lo > 0
+
+
+def test_the_tail_guard_refuses_only_tails_past_its_cap():
+    for map_text, alpha, tau, N in (("X^2+1", 64, ComplexBall(0, 50), 8),
+                                    ("X^3+X+1", 100, ComplexBall(F(1, 5), 30), 16),
+                                    ("X^2-1/3", 40, ComplexBall(F(-1, 2), F(81, 2)), 12)):
+        P = PolyMap.from_text(map_text)
+        res = fstar_eval(P, alpha, tau, N)
+        e = res.psi_tail.denominator.bit_length() - 1
+        assert e > 4000
+        capped = fstar_eval(P, alpha, tau, N, tail_bits_cap=e)
+        assert _fields(capped.value) == _fields(res.value) and capped[1:] == res[1:]
+        with pytest.raises(ResourceGuardError):
+            fstar_eval(P, alpha, tau, N, tail_bits_cap=e * 9 // 10)
 
 
 def test_delta_v_examples():

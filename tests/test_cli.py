@@ -431,6 +431,16 @@ def test_a_cli_run_imports_neither_mpmath_nor_argparse():
         "arithdyn.countkit.census", "arithdyn.countkit.modular"]
     assert "arithdyn.boettcher" not in modules and "arithdyn.exactnum.series" not in modules
     assert others == ["mpmath"]
+    # the orbit of a canonical height factors nothing and isolates no roots
+    modules, _ = _loaded_after(["canonical-height", "--map", "X^2-2", "--alpha", "1/3"])
+    assert "arithdyn.dynamics" in modules
+    assert not [m for m in modules if m.startswith("arithdyn.factorint")]
+    assert "arithdyn.heights" not in modules and "arithdyn.exactnum.roots" not in modules
+    # factoring loads Zassenhaus, not the Capelli chains that only snap runs
+    for argv in (["factor", "--poly", "X^4-1"], ["height", "--min-poly", "X^2-2"]):
+        modules, _ = _loaded_after(argv)
+        assert "arithdyn.factorint.zassenhaus" in modules, argv
+        assert "arithdyn.factorint.capelli" not in modules, argv
 
 
 @pytest.mark.parametrize("args, option, value", [

@@ -7,7 +7,7 @@ import pytest
 from arithdyn import dynamics
 from arithdyn.errors import DomainError, ResourceGuardError
 from arithdyn.exactnum import IntPoly, RatPoly, RealBall, ball_log, parse_poly
-from arithdyn.factorint import capelli, modp
+from arithdyn.factorint import capelli, modp, zassenhaus
 from arithdyn.dynamics import (
     bounded_height_region_check,
     canonical_height_stats,
@@ -304,11 +304,16 @@ _TOWER_JOBS = [("X^2+1", 1, 7), ("X^2+X", 1, 7), ("X^2-2", 3, 7), ("X^2", 2, 7),
 
 @pytest.mark.parametrize("m, alpha, n", _TOWER_JOBS)
 def test_tower_jobs_certify_every_composed_piece_by_capelli(m, alpha, n, monkeypatch):
-    def no_zassenhaus(*args):
-        raise AssertionError("a composed piece reached factor_over_Z")
+    P, factor = PolyMap.from_text(m), zassenhaus.factor_over_Z
 
-    monkeypatch.setattr(dynamics, "factor_over_Z", no_zassenhaus)
-    rep = snap_degree_multiset(PolyMap.from_text(m), alpha, n)
+    def no_composed_piece(f, *args):
+        # each Q_beta (degree D - 1) is factored; a composed piece has degree >= D
+        if f.degree >= P.degree:
+            raise AssertionError("a composed piece reached factor_over_Z")
+        return factor(f, *args)
+
+    monkeypatch.setattr(zassenhaus, "factor_over_Z", no_composed_piece)
+    rep = snap_degree_multiset(P, alpha, n)
     certs = rep.certificates
     assert certs[0] == ()  # X - alpha
     composed = [c for c in certs if c]

@@ -16,7 +16,8 @@ from arithdyn.errors import DomainError
 from arithdyn.exactnum import IntPoly, RatPoly
 from arithdyn.exactnum.series import TruncSeries
 from arithdyn.exactnum.poly import int_mul, rat_mul
-from arithdyn.factorint import capelli, factor_over_Q, factor_over_Z, modp, zassenhaus
+from arithdyn.factorint import capelli, modp, zassenhaus
+from arithdyn.factorint.zassenhaus import factor_over_Q, factor_over_Z
 from arithdyn.ntheory import is_prime, legendre, primes_from, residue, sqrt_mod
 from arithdyn.polymap import PolyMap
 from conftest import random_monic_map
