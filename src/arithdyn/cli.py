@@ -90,10 +90,6 @@ _MAX_E_POWER = 1000
 
 def parse_number(text, what: str = "number"):
     """Exact rational ("3/4", "2.5", "-7") or e-power ("e", "e^3") values."""
-    if isinstance(text, (int, Fraction)):
-        return Fraction(text)
-    if isinstance(text, RealBall):
-        return text
     text = text.strip()
     if text == "e" or text.startswith("e^"):
         k = _rational(text[2:], f"{what}: exponent of e") if text.startswith("e^") else Fraction(1)
@@ -606,8 +602,7 @@ def _census_chunk(payload):
     from .countkit.census import census_records, make_evaluator
 
     evaluator = make_evaluator(fname, precision=precision, **params)
-    return census_records(evaluator, [Fraction(q) for q in qs], Fraction(H),
-                          precision, escalations)
+    return census_records(evaluator, qs, H, precision, escalations)
 
 
 @_verb("census", "bounded-height rational census with certified verdicts",
@@ -624,8 +619,8 @@ def _run_census(a):
     qs = enumerate_rationals(a.height)
     jobs = max(1, a.jobs) if len(qs) >= 4 else 1
     # at least one chunk, so the evaluator is built (and checked) even for no q
-    payloads = [(a.function, params, [str(q) for q in qs[i::jobs]], str(a.height), a.precision,
-                 a.escalations) for i in range(min(jobs, len(qs)) or 1)]
+    payloads = [(a.function, params, qs[i::jobs], a.height, a.precision, a.escalations)
+                for i in range(min(jobs, len(qs)) or 1)]
     by_q = {rec.q: rec for part in _map_jobs(_census_chunk, payloads, jobs) for rec in part}
     result = CensusResult(a.height, a.precision, tuple(by_q[q] for q in qs))
     cells = [{"q": _fr(r.q), **_mid_rad(r.value), "verdict": r.verdict,

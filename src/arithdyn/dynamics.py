@@ -287,9 +287,7 @@ def _padic_local_height(P: PolyMap, alpha: Fraction, p: int, e: int,
     y = residue(alpha * p ** e, mod)
     for k in range(K):
         z = horner(q, y) % mod
-        t, rest = 0, z
-        while t < L and rest % p == 0:
-            t, rest = t + 1, rest // p
+        t = valuation(z, p) if z else L  # 0 < z < p^L, so v_p(z) < L
         if t < s:  # v_p(P^(k+1) alpha) = t - eD < -e: escaped, exactly
             m, Dk = e * D - t, D ** (k + 1)
             value = _log_within(Fraction(p), share * Dk / m) * Fraction(m, Dk)
@@ -455,10 +453,9 @@ def bounded_height_region_check(P: PolyMap, alpha, prec: int = 96) -> BoundedReg
     witness place where |alpha|_v > delta_v if one exists.
     """
     from .boettcher import delta_exception_set, delta_v, good_place
-    from .heights import height_rational
 
     alpha = Fraction(alpha)
-    H = height_rational(alpha).exact
+    H = Fraction(max(abs(alpha.numerator), alpha.denominator))
     nontrivial = []
     prod = RealBall.exact(Fraction(1))
     for p in delta_exception_set(P):

@@ -32,10 +32,14 @@ the midpoint-radius design of Arb (Johansson, IEEE TC 2017).  An orbit
 that falls into a superattracting cycle needs the absolute grid: relative
 rounding would let the exponents of its midpoint and radius double at
 every step.
-Transcendental functions (log, exp, sqrt, sin, cos, pi) are delegated to
-mpmath's directed-rounding interval context (imported on first use), with
-each rational endpoint rounded outward once, and converted back to
-midpoint-radius form, so every enclosure produced here is rigorous.
+Transcendental functions (log, exp, sqrt, sin, cos, pi) go through one
+seam, ``_libmp_interval``.  It rounds the ball's two endpoints, as integer
+pairs, outward once to max(8, prec) bits with mpmath's ``from_rational``
+(lo down, hi up), applies the directed-rounding interval function of
+``mpmath.libmp.libmpi`` (``mpi_exp``, ``mpi_log``, ...), and reads the two
+binary floats it returns back exactly as the endpoints of the result, so
+every enclosure produced here is rigorous.  mpmath is imported on first
+use: a verb that takes no transcendental does not load it.
 
 ``ComplexBall.real``/``.imag`` (disk to interval) and ``as_complex_ball``
 (interval to disk) are the one crossing between the two ball types.
@@ -47,41 +51,20 @@ Enlarging an input radius never shrinks an output enclosure.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import TYPE_CHECKING
 
 from ..errors import CertificationError, DomainError
 from .poly import as_fraction, power
 
-if TYPE_CHECKING:
-    from mpmath.ctx_iv import MPIntervalContext
-
-DEFAULT_PREC = 128
 _RAD_BITS = 32  # the prec of rad_up: a radius keeps at most _RAD_BITS + 1 significant bits
 
 _ZERO = Fraction(0)
 
 
-@functools.lru_cache(maxsize=32)
-def _ctx(prec: int) -> MPIntervalContext:
-    # mpmath is imported on first use: only the transcendental kernels need it
-    from mpmath.ctx_iv import MPIntervalContext
-
-    c = MPIntervalContext()
-    c.prec = max(8, int(prec))
-    return c
-
-
-def _fraction_from_mpf_tuple(t) -> Fraction:
-    """The exact value of an mpmath mpf tuple; a non-finite one (inf, nan)
-    cannot be certified."""
-    return Fraction(*_mpf_pair(t))
-
-
 def _mpf_pair(t) -> tuple[int, int]:
-    """``_fraction_from_mpf_tuple`` as a pair (n, d) in lowest terms."""
+    """The exact value of an mpmath mpf tuple as a pair (n, d) in lowest
+    terms; a non-finite one (inf, nan) cannot be certified."""
     sign, man, exp, bc = t
     man, exp = int(man), int(exp)
     if man == 0:
@@ -91,14 +74,6 @@ def _mpf_pair(t) -> tuple[int, int]:
     if sign:
         man = -man
     return (man << exp, 1) if exp >= 0 else _reduce(man, 1 << -exp)
-
-
-def _iv_from_endpoints(lo: Fraction, hi: Fraction, ctx):
-    """The interval [lo, hi] with each endpoint rounded outward once."""
-    from mpmath.libmp import from_rational, round_ceiling, round_floor
-
-    return ctx.make_mpf((from_rational(lo.numerator, lo.denominator, ctx.prec, round_floor),
-                         from_rational(hi.numerator, hi.denominator, ctx.prec, round_ceiling)))
 
 
 # -- the integer kernel: a rational is a pair (n, d) with d > 0 -------------
@@ -208,9 +183,7 @@ def _sqrt_up(n: int, d: int, bits: int = 64) -> tuple[int, int]:
 
 
 def _pair(x) -> tuple[int, int]:
-    """An int or Fraction (or anything ``Fraction`` accepts) as (n, d)."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+    """An int or Fraction as (n, d)."""
     return x.numerator, x.denominator
 
 
@@ -285,11 +258,6 @@ class RealBall:
             raise DomainError("empty interval")
         return _span(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
 
-    @classmethod
-    def _from_iv(cls, x) -> "RealBall":
-        lo, hi = x._mpi_
-        return _span(*_mpf_pair(lo), *_mpf_pair(hi))
-
     # -- views ---------------------------------------------------------
 
     @property
@@ -342,9 +310,6 @@ class RealBall:
     def __sub__(self, other):
         return self + -as_real_ball(other)
 
-    def __rsub__(self, other):
-        return as_real_ball(other) - self
-
     def __mul__(self, other):
         other = as_real_ball(other)
         an, ad, ran, rad = self._mn, self._md, self._rn, self._rd
@@ -367,9 +332,6 @@ class RealBall:
 
     def __truediv__(self, other):
         return self * as_real_ball(other).inverse()
-
-    def __rtruediv__(self, other):
-        return as_real_ball(other) / self
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -431,46 +393,55 @@ def as_real_ball(x) -> RealBall:
 # -- transcendental functions (rigorous via directed rounding) ------------
 
 
-def _lift_unary(fname):
-    def op(x, prec: int = DEFAULT_PREC) -> RealBall:
-        x = as_real_ball(x)
-        ctx = _ctx(prec)
-        u = _iv_from_endpoints(x.lo, x.hi, ctx)
-        return RealBall._from_iv(getattr(ctx, fname)(u))
+def _libmp_interval(fname: str, prec: int, *x: RealBall) -> RealBall:
+    """The ``mpmath.libmp.libmpi`` interval function ``fname`` at max(8, prec)
+    bits, on the ball x with each endpoint rounded outward once (on no ball
+    for a constant), read back exactly."""
+    # imported on first use: only these kernels need mpmath
+    from mpmath.libmp import from_rational, libmpi, round_ceiling, round_floor
 
-    return op
+    prec = max(8, prec)
+    ivs = [(from_rational(*_add(b._mn, b._md, -b._rn, b._rd), prec, round_floor),
+            from_rational(*_add(b._mn, b._md, b._rn, b._rd), prec, round_ceiling)) for b in x]
+    lo, hi = getattr(libmpi, fname)(*ivs, prec)
+    return _span(*_mpf_pair(lo), *_mpf_pair(hi))
 
 
-ball_exp = _lift_unary("exp")
-ball_sin = _lift_unary("sin")
-ball_cos = _lift_unary("cos")
+def ball_exp(x, prec: int) -> RealBall:
+    return _libmp_interval("mpi_exp", prec, as_real_ball(x))
 
 
-def ball_log(x, prec: int = DEFAULT_PREC) -> RealBall:
+def ball_sin(x, prec: int) -> RealBall:
+    return _libmp_interval("mpi_sin", prec, as_real_ball(x))
+
+
+def ball_cos(x, prec: int) -> RealBall:
+    return _libmp_interval("mpi_cos", prec, as_real_ball(x))
+
+
+def ball_log(x, prec: int) -> RealBall:
     x = as_real_ball(x)
     if x.lo <= 0:
         raise DomainError("log of interval touching (-inf, 0]")
-    ctx = _ctx(prec)
-    return RealBall._from_iv(ctx.log(_iv_from_endpoints(x.lo, x.hi, ctx)))
+    return _libmp_interval("mpi_log", prec, x)
 
 
-def ball_sqrt(x, prec: int = DEFAULT_PREC) -> RealBall:
+def ball_sqrt(x, prec: int) -> RealBall:
     x = as_real_ball(x)
     if x.lo < 0:
         raise DomainError("sqrt of interval reaching below 0")
-    ctx = _ctx(prec)
-    return RealBall._from_iv(ctx.sqrt(_iv_from_endpoints(x.lo, x.hi, ctx)))
+    return _libmp_interval("mpi_sqrt", prec, x)
 
 
-def ball_pi(prec: int = DEFAULT_PREC) -> RealBall:
-    return RealBall._from_iv(+_ctx(prec).pi)
+def ball_pi(prec: int) -> RealBall:
+    return _libmp_interval("mpi_pi", prec)
 
 
-def ball_e(prec: int = DEFAULT_PREC) -> RealBall:
+def ball_e(prec: int) -> RealBall:
     return ball_exp(RealBall.exact(1), prec)
 
 
-def ball_root(x, k: int, prec: int = DEFAULT_PREC) -> RealBall:
+def ball_root(x, k: int, prec: int) -> RealBall:
     """Positive k-th root of a positive interval."""
     if k <= 0:
         raise DomainError("root index must be positive")
@@ -513,7 +484,8 @@ class ComplexBall:
     @classmethod
     def from_real_pair(cls, x: RealBall, y: RealBall) -> "ComplexBall":
         """Smallest disk around the box [x.lo,x.hi] x [y.lo,y.hi]."""
-        return cls(x.mid, y.mid, sqrt_up(x.rad * x.rad + y.rad * y.rad) )
+        rn, rd = _reduce(*_abs_up(x._rn, x._rd, y._rn, y._rd))
+        return _complex(x._mn, x._md, y._mn, y._md, rn, rd)
 
     @property
     def re(self) -> Fraction:
@@ -570,9 +542,6 @@ class ComplexBall:
     def __sub__(self, other):
         return self + -as_complex_ball(other)
 
-    def __rsub__(self, other):
-        return as_complex_ball(other) - self
-
     def __mul__(self, other):
         other = as_complex_ball(other)
         an, ad, bn, bd, rz, rzd = self._xn, self._xd, self._yn, self._yd, self._rn, self._rd
@@ -604,9 +573,6 @@ class ComplexBall:
 
     def __truediv__(self, other):
         return self * as_complex_ball(other).inverse()
-
-    def __rtruediv__(self, other):
-        return as_complex_ball(other) / self
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -640,7 +606,7 @@ def as_complex_ball(x) -> ComplexBall:
     raise TypeError(f"cannot coerce {type(x)!r} to ComplexBall")
 
 
-def ball_cexp(z: ComplexBall, prec: int = DEFAULT_PREC) -> ComplexBall:
+def ball_cexp(z: ComplexBall, prec: int) -> ComplexBall:
     """exp of a complex ball: exp(x)(cos y + i sin y) with escape term e^r - 1.
     At y = 0 exactly, cos y = 1 and sin y = 0 (mpmath returns exactly these),
     so the centre is the disk of exp(x), with no cosine or sine taken."""

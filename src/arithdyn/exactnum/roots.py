@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from ..errors import CertificationError, DomainError
-from .ball import ComplexBall, _fraction_from_mpf_tuple, sqrt_up
+from .ball import ComplexBall, _mpf_pair, sqrt_up
 from .poly import IntPoly, RatPoly, horner
 
 if TYPE_CHECKING:
@@ -161,7 +161,7 @@ def complex_roots_with_radii(p: IntPoly, precision: int = 64) -> list[ComplexBal
         balls = []
         for z in seeds if ok else ():
             # the polished parts are mpfs of at most ``work`` bits, taken exactly
-            re, im = map(_fraction_from_mpf_tuple, _mp_polish(p, z, work)._mpc_)
+            re, im = (Fraction(*_mpf_pair(t)) for t in _mp_polish(p, z, work)._mpc_)
             try:
                 rad = _residual_radius(p, re, im)
             except CertificationError:

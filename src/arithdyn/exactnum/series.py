@@ -62,10 +62,6 @@ class TruncSeries:
         return cls(1, [1] + [0] * (1 - cert_exp))
 
     @property
-    def order(self) -> int:
-        return self.lead_exp - self.cert_exp + 1
-
-    @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self.nums)
 

@@ -29,7 +29,12 @@ psi Horner loop over ComplexBall for every w (the reference for the
 real-axis loop of ``boettcher.psi_eval``), exp(x)(cos y + i sin y) with the
 cosine and sine always taken (the reference for ``ball_cexp`` on the real
 axis), and the search that computes E(rho) at every doubling of rho (the
-reference for the radii ``boettcher_frame`` skips).
+reference for the radii ``boettcher_frame`` skips).  mpmath's interval
+context (``MPIntervalContext``: each endpoint taken as a Fraction, rounded
+outward once, and the context's exp, log, sqrt, sin, cos and pi) is the
+reference for the libmp seam of the transcendental balls of ``exactnum.ball``,
+with the box-to-disk radius of ``ComplexBall.from_real_pair`` taken on
+Fractions.
 
 The last section holds the small wrappers over the library that only the
 tests use: a whole-census driver, the canonical-height ball alone, the
@@ -39,6 +44,7 @@ squared l2 norm, a sampled cover check and the power-lemma constant.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -46,6 +52,8 @@ from fractions import Fraction
 from itertools import islice, product
 
 import mpmath
+from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
 
 from arithdyn.countkit.census import CensusResult, census_records, enumerate_rationals
 from arithdyn.countkit.modular import ModularValue, _check_domain, _nome, _pow4
@@ -63,6 +71,7 @@ from arithdyn.exactnum import (
     ball_log,
     ball_pi,
     rad_up,
+    sqrt_up,
 )
 from arithdyn.exactnum.ball import ball_cos, ball_sin
 from arithdyn.exactnum.series import TruncSeries
@@ -694,6 +703,79 @@ def tower_identity(P: PolyMap, alpha, n: int, report,
     if report.factor_report.reconstruct() != (top - value).to_int_primitive()[1]:
         raise AssertionError(f"snap's factors of P^{n}(X) - P^{n}({alpha}) do not rebuild it "
                              f"(P = {P})")
+
+
+# --- the transcendental balls through mpmath's interval context ------------
+
+
+@functools.lru_cache(maxsize=32)
+def _iv_context(prec: int) -> MPIntervalContext:
+    c = MPIntervalContext()
+    c.prec = max(8, int(prec))
+    return c
+
+
+def _iv_ball(x) -> RealBall:
+    """The exact ball [a, b] of an interval-context value."""
+    a, b = (Fraction(*to_rational(t)) for t in x._mpi_)
+    return RealBall.from_endpoints(a, b)
+
+
+def _iv_apply(fname: str, x: RealBall, prec: int) -> RealBall:
+    """The context's function on [x.lo, x.hi], each endpoint rounded outward once."""
+    ctx = _iv_context(prec)
+    lo, hi = x.lo, x.hi
+    u = ctx.make_mpf((from_rational(lo.numerator, lo.denominator, ctx.prec, round_floor),
+                      from_rational(hi.numerator, hi.denominator, ctx.prec, round_ceiling)))
+    return _iv_ball(getattr(ctx, fname)(u))
+
+
+def iv_exp(x: RealBall, prec: int) -> RealBall:
+    return _iv_apply("exp", x, prec)
+
+
+def iv_sin(x: RealBall, prec: int) -> RealBall:
+    return _iv_apply("sin", x, prec)
+
+
+def iv_cos(x: RealBall, prec: int) -> RealBall:
+    return _iv_apply("cos", x, prec)
+
+
+def iv_log(x: RealBall, prec: int) -> RealBall:
+    if x.lo <= 0:
+        raise DomainError("log of interval touching (-inf, 0]")
+    return _iv_apply("log", x, prec)
+
+
+def iv_sqrt(x: RealBall, prec: int) -> RealBall:
+    if x.lo < 0:
+        raise DomainError("sqrt of interval reaching below 0")
+    return _iv_apply("sqrt", x, prec)
+
+
+def iv_pi(prec: int) -> RealBall:
+    return _iv_ball(+_iv_context(prec).pi)
+
+
+def iv_root(x: RealBall, k: int, prec: int) -> RealBall:
+    """The positive k-th root (k >= 2): the square root, or exp(log(x)/k)."""
+    return iv_sqrt(x, prec) if k == 2 else iv_exp(iv_log(x, prec) / k, prec)
+
+
+def iv_cexp(z: ComplexBall, prec: int) -> ComplexBall:
+    """exp(z) as ``ball_cexp`` takes it, with the interval-context kernels and
+    the box-to-disk radius taken on Fractions."""
+    ex = iv_exp(RealBall.exact(z.re), prec)
+    if z.im == 0:
+        centre = as_complex_ball(ex)
+    else:
+        x = ex * iv_cos(RealBall.exact(z.im), prec)
+        y = ex * iv_sin(RealBall.exact(z.im), prec)
+        centre = ComplexBall(x.mid, y.mid, sqrt_up(x.rad * x.rad + y.rad * y.rad))
+    if z.rad == 0:
+        return centre
+    return centre.widen(ex.hi * (iv_exp(RealBall.exact(z.rad), prec).hi - 1))
 
 
 # --- test-only wrappers over the library -------------------------------------

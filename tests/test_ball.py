@@ -1,25 +1,30 @@
 from fractions import Fraction
 from math import gcd, isqrt
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from arithdyn.errors import DomainError
 from arithdyn.exactnum import (
     ComplexBall,
     RealBall,
     as_complex_ball,
+    ball_cexp,
     ball_decimal,
     ball_e,
     ball_exp,
     ball_log,
     ball_pi,
+    ball_root,
     ball_sqrt,
     sqrt_down,
     sqrt_up,
 )
-from arithdyn.exactnum.ball import _RAD_BITS, _rad_up, _round_sig
+from arithdyn.exactnum.ball import _RAD_BITS, _rad_up, _round_sig, ball_cos, ball_sin
 from arithdyn.exactnum.poly import RatPoly, parse_poly
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
@@ -350,3 +355,86 @@ def test_rounding_keeps_at_most_prec_plus_one_bits_and_rad_up_never_rounds_down(
     # the carry: 2^100 - 1 rounds up to 2^33 at 32 bits, nearest or up
     n = (1 << 100) - 1
     assert _round_sig(n, 1, 32) == _round_sig(n, 1, 32, True) == (1 << 33, -67)
+
+
+# -- the libmp seam against mpmath's interval context ------------------------
+
+_SEAM_PRECS = [1, 8, 53, 128, 160, 544, 1000]
+
+
+def _random_exact(rng: random.Random, top: int) -> Fraction:
+    """A rational of size below 2^top: a dyadic, or one over an odd or
+    mixed denominator."""
+    n = rng.randrange(-(1 << (top + 40)), 1 << (top + 40))
+    d = rng.choice([1 << 40, 3 << 38, 10 ** 12, rng.randrange(1, 1 << 50) | 1])
+    return Fraction(n, d)
+
+
+def _random_balls(rng: random.Random, positive: bool, count: int = 24) -> list[RealBall]:
+    """Exact points and intervals of every width: narrow, wide and (unless
+    ``positive``) negative or straddling zero; a positive ball has lo > 0."""
+    out = []
+    for i in range(count):
+        mid = _random_exact(rng, 5)
+        kind = i % 4
+        if kind == 0:
+            rad = Fraction(0)
+        elif kind == 1:
+            rad = abs(_random_exact(rng, 5)) / rng.choice([1 << 60, 10 ** 15])
+        elif kind == 2:
+            rad = abs(_random_exact(rng, 2))
+        else:
+            rad = abs(mid) + abs(_random_exact(rng, 1))  # straddles zero
+        if positive:
+            mid = abs(mid) + Fraction(1, 7)
+            rad = min(rad, mid * Fraction(rng.randrange(1, 1000), 1001))
+        out.append(RealBall(mid, rad))
+    return out
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, ComplexBall):
+        return (a.re, a.im, a.rad) == (b.re, b.im, b.rad)
+    return (a.mid, a.rad) == (b.mid, b.rad)
+
+
+@pytest.mark.parametrize("prec", _SEAM_PRECS)
+def test_transcendentals_equal_the_interval_context(prec):
+    rng = random.Random(prec)
+    anywhere = _random_balls(rng, False) + [RealBall.exact(0), RealBall(0, Fraction(1, 3))]
+    for x in anywhere:
+        for fast, slow in ((ball_exp, oracles.iv_exp), (ball_sin, oracles.iv_sin),
+                           (ball_cos, oracles.iv_cos)):
+            assert _same(fast(x, prec), slow(x, prec)), (fast.__name__, x, prec)
+    for x in _random_balls(rng, True):
+        for fast, slow in ((ball_log, oracles.iv_log), (ball_sqrt, oracles.iv_sqrt)):
+            assert _same(fast(x, prec), slow(x, prec)), (fast.__name__, x, prec)
+        for k in (2, 3, 4):
+            assert _same(ball_root(x, k, prec), oracles.iv_root(x, k, prec)), (k, x, prec)
+    assert _same(ball_pi(prec), oracles.iv_pi(prec))
+    assert _same(ball_e(prec), oracles.iv_exp(RealBall.exact(1), prec))
+
+
+@pytest.mark.parametrize("prec", _SEAM_PRECS)
+def test_complex_exp_equals_the_interval_context(prec):
+    rng = random.Random(-prec)
+    for i in range(16):
+        re, im = _random_exact(rng, 3), _random_exact(rng, 3) if i % 2 else Fraction(0)
+        rad = Fraction(0) if i % 4 < 2 else abs(_random_exact(rng, 0)) / 64
+        z = ComplexBall(re, im, rad)
+        assert _same(ball_cexp(z, prec), oracles.iv_cexp(z, prec)), (z, prec)
+
+
+@pytest.mark.parametrize("fast, slow, x", [
+    (ball_log, oracles.iv_log, RealBall(1, 1)),
+    (ball_log, oracles.iv_log, RealBall.exact(0)),
+    (ball_log, oracles.iv_log, RealBall(Fraction(-1, 3), Fraction(1, 7))),
+    (ball_sqrt, oracles.iv_sqrt, RealBall(Fraction(1, 3), Fraction(1, 2))),
+    (ball_sqrt, oracles.iv_sqrt, RealBall.exact(Fraction(-1, 10 ** 30))),
+], ids=["log-touching-0", "log-of-0", "log-negative", "sqrt-straddling-0", "sqrt-negative"])
+def test_domain_errors_are_those_of_the_interval_context(fast, slow, x):
+    with pytest.raises(DomainError) as new:
+        fast(x, 64)
+    with pytest.raises(DomainError) as old:
+        slow(x, 64)
+    assert str(new.value) == str(old.value)

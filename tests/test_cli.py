@@ -431,6 +431,9 @@ def test_a_cli_run_imports_neither_mpmath_nor_argparse():
         "arithdyn.countkit.census", "arithdyn.countkit.modular"]
     assert "arithdyn.boettcher" not in modules and "arithdyn.exactnum.series" not in modules
     assert others == ["mpmath"]
+    # the height of a rational point is read off its numerator and denominator
+    _, others = _loaded_after(["bounded-region", "--map", "X^2+1", "--alpha", "5/3"])
+    assert others == []
     # the orbit of a canonical height factors nothing and isolates no roots
     modules, _ = _loaded_after(["canonical-height", "--map", "X^2-2", "--alpha", "1/3"])
     assert "arithdyn.dynamics" in modules

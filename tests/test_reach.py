@@ -7,6 +7,10 @@ its own body, is library surface no verb can reach.  Dunders, the
 ``_run_*`` handlers that ``cli._verb`` registers, and the ball containment
 contract the tests assert with (``contains``, ``contains_ball``,
 ``overlaps``) are exempt.
+
+A name shared between classes can hide an unreached method: the check reads
+names, not types, so ``TruncSeries.order`` counted as reached while only
+``BoettcherSeries.order`` was ever read.
 """
 
 from __future__ import annotations
