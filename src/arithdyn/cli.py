@@ -164,8 +164,8 @@ def _verb(name: str, help: str, *params: Param):
 
 
 def _value(p: Param, raw):
-    """The typed value of a parameter, parsed once from its text (typed
-    values pass through unchanged)."""
+    """The typed value of a parameter, parsed once from its text (an int or
+    flag the option parser already typed passes through unchanged)."""
     if raw is None or p.kind == "list":
         return raw
     if p.kind == "int":
@@ -695,7 +695,7 @@ def _run_sweep(a):
         tuples = [t + [(p, v)] for t in tuples for v in values]
     payloads = []
     for t in tuples:
-        values = vars(a) | {p.key: _value(p, v) for p, v in t}
+        values = vars(a) | {p.key: _value(p, str(v)) for p, v in t}  # a range gives ints
         _check_required(verb, values)
         payloads.append((verb.name, values))
     rows = [{p.key: v for p, v in t} | row

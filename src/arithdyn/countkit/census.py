@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple
 
 from ..errors import DomainError, ResourceGuardError
 from ..exactnum import ComplexBall, RealBall
+from ..heights import rational_height
 from ..polymap import PolyMap
 from .modular import delta_eval, lambda_eval
 
@@ -86,7 +87,7 @@ def _classify(q: Fraction, v: RealBall, H: Fraction, prec: int) -> CensusRecord 
         return CensusRecord(q, v, "certified-no-rational", None, prec)
     if 2 * v.rad * top * top < 1:
         # at most one rational of denominator <= H fits in the ball
-        if max(abs(cand.numerator), cand.denominator) <= H:
+        if rational_height(cand) <= H:
             return CensusRecord(q, v, "candidate-rational", cand, prec)
         return CensusRecord(q, v, "certified-no-rational", None, prec)
     return None

@@ -453,9 +453,10 @@ def bounded_height_region_check(P: PolyMap, alpha, prec: int = 96) -> BoundedReg
     witness place where |alpha|_v > delta_v if one exists.
     """
     from .boettcher import delta_exception_set, delta_v, good_place
+    from .heights import rational_height
 
     alpha = Fraction(alpha)
-    H = Fraction(max(abs(alpha.numerator), alpha.denominator))
+    H = Fraction(rational_height(alpha))
     nontrivial = []
     prod = RealBall.exact(Fraction(1))
     for p in delta_exception_set(P):

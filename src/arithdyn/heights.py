@@ -59,10 +59,14 @@ class HeightValue(NamedTuple):
     exact: Fraction | None = None
 
 
+def rational_height(q: Fraction) -> int:
+    """The multiplicative height max(|num|, den) of a rational, exactly."""
+    return max(abs(q.numerator), q.denominator)
+
+
 def height_rational(q, prec: int = 64) -> HeightValue:
-    """Exact multiplicative height max(|num|, den) of a rational."""
-    q = Fraction(q)
-    h = Fraction(max(abs(q.numerator), q.denominator))
+    """Exact multiplicative height max(|num|, den) of a rational, with its log."""
+    h = Fraction(rational_height(Fraction(q)))
     return HeightValue(RealBall.exact(h), ball_log(RealBall.exact(h), prec), h)
 
 

@@ -28,7 +28,7 @@ DIGESTS = Path(__file__).with_name("cli_digests.json")
 # (verb, minimal other args, swept parameter, its value): cheap jobs, one or
 # more per verb.  The fstar census and the delta modular case are chosen so
 # that the series order shows in the rows; the bound-shape case without --eps
-# is a domain error either way.
+# is a domain error either way; the last two sweep a "number" parameter.
 EXAMPLES = [
     ("height", [], "rational", "7/3"),
     ("weil-height", [], "tuple", "1/2"),
@@ -59,6 +59,8 @@ EXAMPLES = [
     ("census", ["--function", "lambda"], "height", "4"),
     ("census", ["--function", "fstar", "--map", "X^2+1", "--alpha", "64"], "height", "3"),
     ("modular", ["--which", "delta"], "tau-im", "1"),
+    ("masser-t", ["--AZ", "e^3", "--d", "2"], "M", "3"),
+    ("bound-shape", ["--tag", "growth_profile", "--d", "4", "--l", "3"], "H", "3"),
 ]
 
 
@@ -81,20 +83,22 @@ def test_examples_cover_every_verb():
 @pytest.mark.parametrize("verb,args,name,value", EXAMPLES)
 def test_sweep_rows_equal_the_direct_verb(verb, args, name, value, capsys):
     rc_d, out_d, _ = run([verb, *args, f"--{name}", value, "--format", "csv"], capsys)
-    rc_s, out_s, _ = run(["sweep", "--verb", verb, *args, "--vary", f"{name}={value}",
-                          "--format", "csv"], capsys)
-    assert rc_s == rc_d
-    if rc_d != 0:
-        return
-    spec = out_s.splitlines()[0][len("# jobspec: "):]
-    declared = {p.key for p in COMMON + VERBS[verb].params + VERBS["sweep"].params}
-    assert {item.split("=", 1)[0] for item in spec.split(" ")} <= declared | {"verb"}
-    direct, swept = csv_rows(out_d), csv_rows(out_s)
-    key = name.replace("-", "_")
-    if direct and key not in direct[0]:
-        for row in swept:
-            assert row.pop(key) == value
-    assert swept == direct
+    # an integer is also swept as a one-point range, whose values are ints
+    for vary in [value] + [f"{value}:{value}"] * value.isdigit():
+        rc_s, out_s, _ = run(["sweep", "--verb", verb, *args, "--vary", f"{name}={vary}",
+                              "--format", "csv"], capsys)
+        assert rc_s == rc_d
+        if rc_d != 0:
+            continue
+        spec = out_s.splitlines()[0][len("# jobspec: "):]
+        declared = {p.key for p in COMMON + VERBS[verb].params + VERBS["sweep"].params}
+        assert {item.split("=", 1)[0] for item in spec.split(" ")} <= declared | {"verb"}
+        direct, swept = csv_rows(out_d), csv_rows(out_s)
+        key = name.replace("-", "_")
+        if direct and key not in direct[0]:
+            for row in swept:
+                assert row.pop(key) == value
+        assert swept == direct
 
 
 # a valid argv per verb, and every typed param it takes (a sweep takes snap's)
