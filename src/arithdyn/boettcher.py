@@ -108,10 +108,6 @@ def boettcher_series(P: PolyMap, N: int) -> BoettcherSeries:
     return BoettcherSeries(P, phi, N)
 
 
-def is_power_map(P: PolyMap) -> bool:
-    return all(c == 0 for c in P.lower_coefficients())
-
-
 def distortion_bound(P: PolyMap, rho: Fraction, prec: int = 96) -> Fraction:
     """Upper bound E with |phi(z)/z - 1| <= E for all |z| >= rho (rho >= 2R)."""
     R = P.escape_radius
@@ -153,8 +149,6 @@ def boettcher_frame(P: PolyMap, N: int, prec: int = 96) -> BoettcherFrame:
     inverse = series_inverse(B.phi)
     psi = tuple(RealBall.exact(inverse.coefficient(-k)) for k in range(N + 1))
     rho = 2 * P.escape_radius
-    if is_power_map(P):
-        return BoettcherFrame(P, B, psi, rho, Fraction(0))
     D = P.degree
     while True:
         eps = (P.escape_radius - 1) / rho

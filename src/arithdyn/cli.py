@@ -572,7 +572,10 @@ def _run_power_lemma(a):
 
 
 @_verb("bound-shape", "evaluate a bound shape with a caller-supplied constant",
-       _req("tag"), Param("c", "number", "1"), Param("d", "int"), Param("H", "number"),
+       _req("tag", choices=("decay_unit_disk", "decay_profile", "growth_rational_count",
+                            "growth_profile", "compact_refinement", "interpolation_degree",
+                            "degree_lower", "factor_count")),
+       Param("c", "number", "1"), Param("d", "int"), Param("H", "number"),
        Param("l", "number"), Param("D", "int"), Param("n", "int"), Param("eps", "rational"))
 def _run_bound_shape(a):
     from .countkit.shapes import bound_shape
@@ -606,14 +609,13 @@ def _census_chunk(payload):
 
 
 @_verb("census", "bounded-height rational census with certified verdicts",
-       _req("function"), _req("height", "rational"), Param("value", "rational", "1/2"),
+       _req("function", choices=("square", "const", "lambda", "delta", "fstar")),
+       _req("height", "rational"), Param("value", "rational", "1/2"),
        Param("order", "int", 16), Param("map"), Param("alpha", "rational"),
        Param("escalations", "int", 1))
 def _run_census(a):
-    from .countkit.census import CENSUS_FUNCTIONS, CensusResult, enumerate_rationals
+    from .countkit.census import CensusResult, enumerate_rationals
 
-    if a.function not in CENSUS_FUNCTIONS:
-        raise _CliError(f"unknown census function {_shown(a.function)}")
     params = {"value": a.value, "N": a.order, "map_text": a.map or "X^2",
               "alpha": a.alpha if a.alpha is not None else Fraction(4)}
     qs = enumerate_rationals(a.height)
@@ -631,8 +633,8 @@ def _run_census(a):
 
 
 @_verb("modular", "rigorous modular value on the upper half-plane",
-       _req("which"), Param("tau-re", "rational", "0"), _req("tau-im", "rational"),
-       Param("order", "int"))
+       _req("which", choices=("lambda", "delta")), Param("tau-re", "rational", "0"),
+       _req("tau-im", "rational"), Param("order", "int"))
 def _run_modular(a):
     from .countkit.modular import modular_eval
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from ..errors import DomainError
 from ..exactnum import RatPoly, RealBall, as_real_ball, ball_log, sqrt_up
-from ..exactnum.linalg import kernel_basis
+from ..exactnum.linalg import kernel_vector
 
 _REL_TOL = Fraction(1, 10 ** 7)  # bisection stops once (hi - lo)/hi is this small
 
@@ -132,8 +132,7 @@ def vanishing_polynomial(points, t_max: int) -> BivarIntPoly:
     if not pts:
         return BivarIntPoly((( (0, 0), 1),))
     matrix = [[x ** i * y ** j for (i, j) in monos] for x, y in pts]
-    basis = kernel_basis(matrix, len(monos))
-    _, prim = RatPoly(basis[0]).to_int_primitive()
+    _, prim = RatPoly(kernel_vector(matrix, len(monos))).to_int_primitive()
     terms = tuple((monos[k], c) for k, c in enumerate(prim.coeffs) if c != 0)
     poly = BivarIntPoly(terms)
     for x, y in pts:

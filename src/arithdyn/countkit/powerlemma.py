@@ -7,17 +7,20 @@ left side is a right-continuous step function jumping only at integer part
 values and the right side is increasing, it suffices to check R at the
 distinct part values.
 
-The extremal construction fixes M and greedily minimizes X: a_1 = floor(c)
-parts equal to 1, then a_k maximal with sum_{i<=k} i a_i <= c k^theta, cut
-off once M parts are reached (leftover parts get value m+1).
+The extremal construction fixes M and greedily minimizes X: level k takes
+a_k maximal with sum_{i<=k} i a_i <= c k^theta (a_1 = floor(c)), cut off once
+M parts are reached.  The construction and the admissibility check both
+compare integer sums with floor(c k^theta), taken exactly by ``_cap``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from ..errors import DomainError, ResourceGuardError
+from ..ntheory import iroot
 
 ORACLE_CAP = 40
 # the most parts of a construction: its cost and its printed witness grow
@@ -25,12 +28,12 @@ ORACLE_CAP = 40
 CONSTRUCTION_CAP = 100_000
 
 
-def _le_c_pow(s: Fraction, c: Fraction, k: int, theta: Fraction) -> bool:
-    """Exact test s <= c * k**theta for rational theta = p/q (s >= 0)."""
+def _cap(c: Fraction, k: int, theta: Fraction) -> int:
+    """floor(c * k**theta) for c > 0 and k >= 1, exactly: with c = u/v and
+    theta = p/q it is floor((u^q k^p)^(1/q)) // v, k^|p| dividing when p < 0."""
     p, q = theta.numerator, theta.denominator
-    if s <= 0:
-        return True
-    return (s / c) ** q <= Fraction(k) ** p
+    num = c.numerator ** q * k ** max(p, 0)
+    return iroot(num // k ** max(-p, 0), q) // c.denominator
 
 
 class ExtremalConstruction(NamedTuple):
@@ -54,21 +57,8 @@ def power_lemma_min_X(M: int, c, theta) -> ExtremalConstruction:
     k = 0
     while total < M:
         k += 1
-        if k == 1:
-            a = int(c)
-        else:
-            # maximal a with weighted + k*a <= c * k^theta
-            lo, hi = 0, 1
-            while _le_c_pow(Fraction(weighted + k * hi), c, k, theta):
-                hi *= 2
-            while lo < hi - 1:
-                mid = (lo + hi) // 2
-                if _le_c_pow(Fraction(weighted + k * mid), c, k, theta):
-                    lo = mid
-                else:
-                    hi = mid
-            a = lo
-        a = min(a, M - total)
+        # c k^theta grows with k, so weighted <= _cap(c, k - 1, theta) <= _cap(c, k, theta)
+        a = min((_cap(c, k, theta) - weighted) // k, M - total)
         counts.append(a)
         weighted += k * a
         total += a
@@ -79,20 +69,12 @@ def power_lemma_min_X(M: int, c, theta) -> ExtremalConstruction:
 
 
 def admissible(parts, c, theta) -> bool:
-    """Exact sub-sum condition check at the distinct part values."""
+    """Exact sub-sum condition check (c > 0).  Checking at every part in
+    increasing order checks the distinct part values, each at the last of its
+    run, and adds nothing: a partial run's sum is below the whole run's."""
     c, theta = Fraction(c), Fraction(theta)
     parts = sorted(parts)
-    prefix = 0
-    i = 0
-    n = len(parts)
-    while i < n:
-        v = parts[i]
-        while i < n and parts[i] == v:
-            prefix += parts[i]
-            i += 1
-        if not _le_c_pow(Fraction(prefix), c, v, theta):
-            return False
-    return True
+    return all(prefix <= _cap(c, v, theta) for v, prefix in zip(parts, accumulate(parts)))
 
 
 def _partitions(n: int, cap: int):
@@ -117,6 +99,8 @@ def power_lemma_oracle(X: int, c, theta) -> OracleResult:
     if X > ORACLE_CAP:
         raise ResourceGuardError(f"exhaustive oracle capped at X <= {ORACLE_CAP}")
     c, theta = Fraction(c), Fraction(theta)
+    if c <= 0:
+        raise DomainError("need c > 0")
     best = None
     for parts in _partitions(X, X):
         if best is not None and len(parts) <= best[0]:

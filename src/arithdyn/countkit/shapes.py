@@ -8,34 +8,31 @@ as regression/reference quantities, not as certified inequalities.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..errors import DomainError
 from ..exactnum import RealBall, as_real_ball, ball_e, ball_exp, ball_log
 
-SHAPE_TAGS = (
-    "decay_unit_disk",
-    "decay_profile",
-    "growth_rational_count",
-    "growth_profile",
-    "compact_refinement",
-    "interpolation_degree",
-    "degree_lower",
-    "factor_count",
-)
+# the (d, H) shapes c * l^a (log l)^b d^e (log d)^f (log H)^g (loglog H)^h,
+# one row (a, b, e, f, g, h) each
+_DH_SHAPES = {
+    "decay_unit_disk": (0, 0, 9, 2, 9, 0),
+    "decay_profile": (6, 3, 9, 2, 9, 0),
+    "growth_rational_count": (0, 0, 0, 0, 18, 0),
+    "growth_profile": (17, 9, 18, 9, 17, 6),
+    "compact_refinement": (1, 1, 4, 2, 4, 0),
+    "interpolation_degree": (3, 1, 4, 1, 3, 1),
+}
+SHAPE_TAGS = (*_DH_SHAPES, "degree_lower", "factor_count")
 
 
 def bound_shape(tag: str, *, c=1, d=None, H=None, l=None, D=None, n=None,
                 eps=None, prec: int = 96) -> RealBall:
     """Evaluate a bound shape with the caller's constant c (default 1).
 
-    Tags and their parameters:
-      decay_unit_disk        c * d^9 (log d)^2 (log H)^9
-      decay_profile          c * l^6 (log l)^3 d^9 (log d)^2 (log H)^9
-      growth_rational_count  c * (log H)^18
-      growth_profile         c * l^17 (log l)^9 d^18 (log d)^9 (log H)^17 (loglog H)^6
-      compact_refinement     c * l log(l) d^4 (log d)^2 (log H)^4
-      interpolation_degree   c * l^3 log(l) d^4 log(d) (log H)^3 loglog(H)
+    The (d, H) tags are the monomials of ``_DH_SHAPES`` (those with a power
+    of l need l > 1); the D tags are
       degree_lower           c * D^(n/4 - eps n)
       factor_count           c * D^(3n/4 + eps n)
     """
@@ -64,28 +61,15 @@ def bound_shape(tag: str, *, c=1, d=None, H=None, l=None, D=None, n=None,
     H = as_real_ball(H)
     if H.lt(ball_e(prec)):
         raise DomainError("need H >= e")
-    log_d = ball_log(RealBall.exact(d), prec)
+    exps = _DH_SHAPES[tag]
     log_H = ball_log(H, prec)
-    if tag == "decay_unit_disk":
-        return c * Fraction(d) ** 9 * log_d ** 2 * log_H ** 9
-    if tag == "growth_rational_count":
-        return c * log_H ** 18
-    # remaining tags need the decay log-ratio l
-    if l is None:
-        raise DomainError(f"{tag} needs the decay log-ratio l")
-    l = as_real_ball(l)
-    if not l.gt(RealBall.exact(1)):
-        raise DomainError("need l > 1 (certified) so that log l > 0")
-    log_l = ball_log(l, prec)
-    if tag == "decay_profile":
-        return c * l ** 6 * log_l ** 3 * Fraction(d) ** 9 * log_d ** 2 * log_H ** 9
-    if tag == "compact_refinement":
-        return c * l * log_l * Fraction(d) ** 4 * log_d ** 2 * log_H ** 4
-    loglog_H = ball_log(log_H, prec)
-    if tag == "interpolation_degree":
-        return c * l ** 3 * log_l * Fraction(d) ** 4 * log_d * log_H ** 3 * loglog_H
-    # growth_profile
-    return (
-        c * l ** 17 * log_l ** 9 * Fraction(d) ** 18 * log_d ** 9
-        * log_H ** 17 * loglog_H ** 6
-    )
+    if exps[0]:
+        if l is None:
+            raise DomainError(f"{tag} needs the decay log-ratio l")
+        l = as_real_ball(l)
+        if not l.gt(RealBall.exact(1)):
+            raise DomainError("need l > 1 (certified) so that log l > 0")
+    bases = (l, ball_log(l, prec) if exps[1] else None, Fraction(d),
+             ball_log(RealBall.exact(d), prec), log_H, ball_log(log_H, prec) if exps[5] else None)
+    # each ball product is exact, so the order of the factors does not change the value
+    return math.prod((base ** e for base, e in zip(bases, exps) if e), start=c)

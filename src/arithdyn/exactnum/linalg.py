@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals: RREF and kernel basis."""
+"""Exact linear algebra over the rationals: RREF and a kernel vector."""
 
 from __future__ import annotations
 
@@ -30,18 +30,14 @@ def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]
     return m, pivots
 
 
-def kernel_basis(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column, in column order."""
-    if not matrix:
-        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
+def kernel_vector(matrix: list[list[Fraction]], ncols: int) -> list[Fraction]:
+    """The right-kernel vector of the reduced echelon form's first free column
+    (1 there, 0 at the other free columns); the matrix has rows and fewer of
+    them than ``ncols``, so that column exists."""
     m, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
-
+    fc = next(c for c in range(ncols) if c not in pivots)
+    v = [Fraction(0)] * ncols
+    v[fc] = Fraction(1)
+    for r, pc in enumerate(pivots):
+        v[pc] = -m[r][fc]
+    return v

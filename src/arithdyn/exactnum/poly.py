@@ -214,9 +214,6 @@ class _BasePoly:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         other = self._coerce(other)
         if not self.coeffs or not other.coeffs:

@@ -145,13 +145,16 @@ def _perfect_power_root(n: int) -> tuple[int, int] | None:
     n has no prime factor below ``_TRIAL_LIMIT``, so k <= log n / log limit.
     """
     for k in range(2, n.bit_length() // (_TRIAL_LIMIT.bit_length() - 1) + 1):
-        if is_prime(k) and (r := _iroot(n, k)) ** k == n:
+        if is_prime(k) and (r := iroot(n, k)) ** k == n:
             return r, k
     return None
 
 
-def _iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 1: Newton's method from a float estimate above."""
+def iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0 and k >= 1: Newton's method from a float
+    estimate above."""
+    if k == 1 or n < 2:
+        return n
     if k == 2:
         return math.isqrt(n)
     e = max(0, n.bit_length() // k - 48)  # n^(1/k) ~ est * 2^e, est < 2^50

@@ -51,6 +51,14 @@ def test_power_lemma_oracle(capsys):
     assert json.loads(out)["result"]["max_M"] == 4
 
 
+@pytest.mark.parametrize("c", ["0", "-1"])
+def test_power_lemma_oracle_needs_a_positive_c(c, capsys):
+    assert main(["power-lemma", "--oracle", "--X", "5", "--c", c]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("domain error: ") and "Traceback" not in err
+
+
 def test_sweep_r_column(capsys):
     rc, out = run_cli(["sweep", "--verb", "snap", "--map", "X^2", "--alpha", "2",
                        "--vary", "n=1:6", "--format", "csv"], capsys)

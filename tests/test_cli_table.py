@@ -28,7 +28,10 @@ DIGESTS = Path(__file__).with_name("cli_digests.json")
 # (verb, minimal other args, swept parameter, its value): cheap jobs, one or
 # more per verb.  The fstar census and the delta modular case are chosen so
 # that the series order shows in the rows; the bound-shape case without --eps
-# is a domain error either way; the last two sweep a "number" parameter.
+# is a domain error either way; the masser-t and growth_profile rows sweep a
+# "number" parameter.  The last six reach, in order: ball_sin and ball_cos
+# (an off-axis tau, twice), the power-lemma construction, good-place with no
+# good place, a threshold in root form, and Yun's squarefree decomposition.
 EXAMPLES = [
     ("height", [], "rational", "7/3"),
     ("weil-height", [], "tuple", "1/2"),
@@ -61,6 +64,12 @@ EXAMPLES = [
     ("modular", ["--which", "delta"], "tau-im", "1"),
     ("masser-t", ["--AZ", "e^3", "--d", "2"], "M", "3"),
     ("bound-shape", ["--tag", "growth_profile", "--d", "4", "--l", "3"], "H", "3"),
+    ("modular", ["--which", "lambda", "--tau-re", "1/3"], "tau-im", "3/2"),
+    ("fstar", ["--map", "X^2+1", "--alpha", "64", "--tau-re", "1/5"], "tau-im", "1/3"),
+    ("power-lemma", [], "M", "6"),
+    ("good-place", ["--map", "X^2+1"], "alpha", "1"),
+    ("bounded-region", ["--map", "X^3+1/2"], "alpha", "7/4"),
+    ("factor", [], "poly", "X^6-2*X^4+X^2"),
 ]
 
 
@@ -150,11 +159,25 @@ def test_malformed_typed_values_are_usage_errors(verb, args, flag, capsys):
     ["snap", "--config", "no-such-file.cfg"],
     ["cover", "--R", "2", "--r", "1", "--format", "xml"],
     ["census", "--function", "zeta", "--height", "3"],
+    ["modular", "--which", "zeta", "--tau-im", "1"],
+    ["bound-shape", "--tag", "zeta", "--d", "2", "--H", "3"],
 ])
 def test_malformed_inputs_exit_1_without_a_traceback(argv, capsys):
     rc, out, err = run(argv, capsys)
     assert rc == 1
     assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+def test_declared_choices_are_the_library_names():
+    """The table spells the allowed values out, so that a CLI run need not
+    import the modules that define them."""
+    from arithdyn.countkit.census import CENSUS_FUNCTIONS
+    from arithdyn.countkit.shapes import SHAPE_TAGS
+
+    choices = {(v.name, p.name): p.choices for v in VERBS.values() for p in v.params}
+    assert choices["census", "function"] == CENSUS_FUNCTIONS
+    assert choices["bound-shape", "tag"] == SHAPE_TAGS
+    assert choices["modular", "which"] == ("lambda", "delta")
 
 
 def test_config_values_are_parsed_by_the_verbs_types(tmp_path, capsys):
@@ -208,17 +231,32 @@ _GOOD = {"int": ["1", "2", "3", "0", "-1"], "rational": ["1/2", "1", "2", "3", "
          "number": ["1/2", "2", "e", "e^-1"], "flag": ["1", "no"],
          "text": ["lambda", "delta", "square", "const", "degree_lower", "json", "csv",
                   "1,1;2,4", "1/2,3", "X^2-1"],
-         "list": ["n=1:2", "order=2,3", "nope=1"],
          # X^2+1/2 sends canonical-height through a prime of the coefficients
          "map": ["X^2", "X^3", "X", "2*X^2", "X^2+1", "X^2+1/2"]}
 _JUNK = ["abc", "1/0", "", "-", "e^x", "--n"]
 _FOREIGN = Param("prime", "int")  # declared by delta-v only
 
 
+def _vary(draw, target: str) -> str:
+    """A ``--vary`` spec over one of the target verb's int, rational or number
+    params: an a:b range (int and number) or a comma list of good values.  A
+    target without such params gets an undeclared name."""
+    typed = [p for p in VERBS[target].params if p.kind in ("int", "rational", "number")]
+    if not typed:
+        return "nope=1"
+    p = draw(st.sampled_from(typed))
+    if p.kind != "rational" and draw(st.booleans()):
+        a = draw(st.integers(0, 3))
+        return f"{p.name}={a}:{a + draw(st.integers(-1, 1))}"
+    return f"{p.name}=" + ",".join(draw(st.lists(st.sampled_from(_GOOD[p.kind]),
+                                                  min_size=1, max_size=2)))
+
+
 @st.composite
 def _argv(draw):
-    """A verb with its required options, then random options, mostly the
-    verb's own; any option may be dropped, and any value may be junk."""
+    """A verb with its required options (and a sweep's ``--vary``), then
+    random options, mostly the verb's own; any option may be dropped, and
+    any value may be junk."""
     verb = draw(st.sampled_from(sorted(VERBS)))
     params = COMMON + VERBS[verb].params
     argv = [verb]
@@ -226,14 +264,15 @@ def _argv(draw):
         target = draw(st.sampled_from(sorted(VERBS)))
         argv += ["--verb", target]
         params += VERBS[target].params
-    chosen = [p for p in params if p.required and p.name != "verb"]
+    chosen = [p for p in params if p.required and p.name != "verb" or p.kind == "list"]
     chosen += draw(st.lists(st.sampled_from(params + (_FOREIGN,)), max_size=4))
     for p in chosen:
         if draw(st.integers(0, 19)) == 0:
             continue
         argv.append(f"--{p.name}")
         if p.kind != "flag" or draw(st.integers(0, 9)) == 0:
-            good = _GOOD["map" if p.name == "map" else p.kind]
+            good = ([_vary(draw, target)] if p.kind == "list"
+                    else _GOOD["map" if p.name == "map" else p.kind])
             argv.append(draw(st.sampled_from(good + _JUNK if draw(st.integers(0, 9)) == 0
                                              else good)))
     return argv

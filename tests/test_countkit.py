@@ -15,10 +15,11 @@ from arithdyn.countkit.census import (
 from arithdyn.countkit.cover import cover_count_bound_holds, disk_cover
 from arithdyn.countkit.jensen import jensen_zero_bound
 from arithdyn.countkit.masser import _threshold_gap, masser_T_threshold, vanishing_polynomial
-from arithdyn.countkit.powerlemma import admissible, power_lemma_min_X, power_lemma_oracle
+from arithdyn.countkit.powerlemma import _cap, admissible, power_lemma_min_X, power_lemma_oracle
 from arithdyn.countkit.shapes import bound_shape
 from arithdyn.errors import DomainError, ResourceGuardError
 from arithdyn.exactnum import IntPoly, RealBall, ball_e
+from arithdyn.ntheory import iroot
 from oracles import census, construction_coefficient_power, covers_sample
 
 
@@ -210,6 +211,25 @@ def test_power_oracle_examples():
     assert power_lemma_oracle(1, 1, 2).max_M == 1
     r = power_lemma_oracle(3, 1, 2)
     assert r.max_M == 2 and r.witness == (1, 2)
+
+
+def test_cap_is_the_floor_of_c_k_to_the_theta():
+    """``_cap`` against the exact comparison s <= c k^(p/q) <=> (s/c)^q <= k^p,
+    at floor(c) = 0, negative, zero and fractional theta."""
+    for c in (F(1, 2), F(1), F(5, 2), F(7, 3), F(1000, 7)):
+        for theta in (F(-3, 2), F(-1), F(0), F(1, 3), F(1), F(3, 2), F(2), F(7, 3), F(5, 2)):
+            p, q = theta.numerator, theta.denominator
+            for k in range(1, 40):
+                f = _cap(c, k, theta)
+                assert f <= 0 or (f / c) ** q <= F(k) ** p
+                assert ((f + 1) / c) ** q > F(k) ** p
+
+
+def test_iroot_is_the_integer_floor_of_the_root():
+    for k in range(1, 8):
+        for n in [*range(0, 300), 2 ** 200 - 1, 2 ** 200, 3 ** 150 + 7]:
+            r = iroot(n, k)
+            assert r ** k <= n < (r + 1) ** k, (n, k)
 
 
 def test_power_oracle_guard():
