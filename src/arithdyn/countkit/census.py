@@ -26,7 +26,7 @@ from ..errors import DomainError, ResourceGuardError
 from ..exactnum import ComplexBall, RealBall
 from ..heights import rational_height
 from ..polymap import PolyMap
-from .modular import delta_eval, lambda_eval
+from .modular import delta_eval, lambda_eval, modular_constants
 
 Evaluator = Callable[[Fraction, int], RealBall]
 
@@ -123,9 +123,9 @@ def make_evaluator(function: str, *, value=Fraction(1, 2), N: int = 16, map_text
     """The census evaluator (q, prec) -> ball around f(q) for one of CENSUS_FUNCTIONS.
 
     square and const (``value``) are exact; lambda and delta (at most N terms) are taken
-    at tau = 2i/(1-q), fstar (``map_text`` at ``alpha``, order N, with one Boettcher
-    frame, phi(alpha) and pi per precision) at tau = i(1+q)/(1-q).  These three reject
-    q outside (0,1).
+    at tau = 2i/(1-q), fstar (``map_text`` at ``alpha``, order N) at tau = i(1+q)/(1-q).
+    These three reject q outside (0,1), and build their constants once per precision:
+    pi and (2 pi)^12, or the Boettcher frame, phi(alpha) and pi.
     ``precision`` is the census's first-round precision: lambda and delta then sum
     at most N * (prec // precision) terms at an escalated prec (x4 terms per x4 bits),
     so that an escalation narrows the ball rather than stopping at the same N-term tail.
@@ -137,26 +137,31 @@ def make_evaluator(function: str, *, value=Fraction(1, 2), N: int = 16, map_text
         return lambda q, prec: RealBall.exact(value)
     if function in ("lambda", "delta"):
         evaluate = lambda_eval if function == "lambda" else delta_eval
+        build = modular_constants
 
-        def on_axis(q: Fraction, prec: int) -> ComplexBall:
+        def on_axis(q: Fraction, prec: int, constants) -> ComplexBall:
             cap = N * max(1, prec // precision) if precision else N
-            return evaluate(ComplexBall(0, 2 / (1 - q)), cap, prec).value
+            return evaluate(ComplexBall(0, 2 / (1 - q)), cap, prec, constants).value
     elif function == "fstar":
         from ..boettcher import fstar_constants, fstar_eval  # lazy: only this function needs it
 
-        P, alpha, constants = PolyMap.from_text(map_text), Fraction(alpha), {}
+        P, alpha = PolyMap.from_text(map_text), Fraction(alpha)
 
-        def on_axis(q: Fraction, prec: int) -> ComplexBall:
-            if prec not in constants:
-                constants[prec] = fstar_constants(P, alpha, N, prec)
+        def build(prec: int):
+            return fstar_constants(P, alpha, N, prec)
+
+        def on_axis(q: Fraction, prec: int, constants) -> ComplexBall:
             tau = ComplexBall(0, (1 + q) / (1 - q))
-            return fstar_eval(P, alpha, tau, N=N, prec=prec, constants=constants[prec]).value
+            return fstar_eval(P, alpha, tau, N=N, prec=prec, constants=constants).value
     else:
         raise DomainError(f"unknown census function {function!r}")
+    by_prec = {}
 
     def pullback(q: Fraction, prec: int) -> RealBall:
         if not 0 < q < 1:
             raise DomainError("q must lie in (0,1)")
-        return on_axis(q, prec).real
+        if prec not in by_prec:
+            by_prec[prec] = build(prec)
+        return on_axis(q, prec, by_prec[prec]).real
 
     return pullback

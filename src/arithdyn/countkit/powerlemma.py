@@ -26,14 +26,22 @@ ORACLE_CAP = 40
 # the most parts of a construction: its cost and its printed witness grow
 # linearly in M (M = 10^6 took 36 s and printed 18 MB)
 CONSTRUCTION_CAP = 100_000
+# the most bits of u^q k^|p| in ``_cap`` (c = u/v, theta = p/q), bounded by
+# q bitlen(u) + |p| bitlen(k): one floor(c k^theta) took 8 us at 2,000 bits,
+# 0.2 ms at 20,000 and 4 ms at 100,000, the root's cost growing with its
+# size and its index q (CPython 3.11, 2-core host)
+ROOT_BITS_CAP = 4096
 
 
 def _cap(c: Fraction, k: int, theta: Fraction) -> int:
     """floor(c * k**theta) for c > 0 and k >= 1, exactly: with c = u/v and
     theta = p/q it is floor((u^q k^p)^(1/q)) // v, k^|p| dividing when p < 0."""
     p, q = theta.numerator, theta.denominator
-    num = c.numerator ** q * k ** max(p, 0)
-    return iroot(num // k ** max(-p, 0), q) // c.denominator
+    u = c.numerator
+    if q * u.bit_length() + abs(p) * k.bit_length() > ROOT_BITS_CAP:
+        raise ResourceGuardError(f"floor(c k^theta) at c = {c}, theta = {theta}, k = {k} "
+                                 f"needs more than {ROOT_BITS_CAP} bits")
+    return iroot(u ** q * k ** max(p, 0) // k ** max(-p, 0), q) // c.denominator
 
 
 class ExtremalConstruction(NamedTuple):

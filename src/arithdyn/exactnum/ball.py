@@ -25,8 +25,9 @@ for a non-dyadic one, whose bit lengths only bracket its binary exponent),
 significant bits, from ``_RAD_BITS`` = 32).  ``widen`` is the one place
 where a rounding error or a truncation majorant enters a radius: the
 rounding errors of ``round_to`` and ``round_to_grid``, the growth term of
-``ball_cexp``, the series tails of ``countkit.modular`` and
-``boettcher.psi_eval``, and the escape tails of the archimedean local
+``ball_cexp``, the discriminant tail of ``countkit.modular`` (whose
+fixed-point series keep their own integer radii), the series tail of
+``boettcher.psi_eval`` and the escape tails of the archimedean local
 height in ``dynamics``.  So radii stay short and stay certified, following
 the midpoint-radius design of Arb (Johansson, IEEE TC 2017).  An orbit
 that falls into a superattracting cycle needs the absolute grid: relative

@@ -169,6 +169,8 @@ def padic_degree_bound(P: PolyMap, alpha, n: int, prec: int = 64,
         raise DomainError("no good nonarchimedean place for this (map, alpha)")
     p = place.prime
     D = P.degree
+    if n < 1:
+        raise DomainError("n must be >= 1")
     if n > _POWER_BIT_CAP or (D ** n).bit_length() > _POWER_BIT_CAP:
         raise ResourceGuardError(f"D^n = {D}^{n} exceeds {_POWER_BIT_CAP} bits")
     bound = cyclotomic_degree_qp(p, D ** n)

@@ -12,7 +12,8 @@ as the reference for the Kronecker and Newton kernels of ``factorint.modp``,
 the schoolbook product over Z and Q as the reference for the signed Kronecker
 kernel of ``exactnum.poly`` (and so for every polynomial and series product),
 and mpmath's theta functions and q-Pochhammer symbol at 200 digits as the
-reference for the lambda and discriminant enclosures of ``countkit.modular``,
+reference for the lambda and discriminant enclosures of ``countkit.modular``
+(and the theta sums, term by term, for its grid sums),
 the fixed-N theta sums and discriminant product (every term up to N, the tail
 majorant at N) as the reference for the precision-driven stopping rule of
 those enclosures, and the telescoped orbit heights h(P^n(alpha))/D^n (exact
@@ -56,7 +57,7 @@ from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
 
 from arithdyn.countkit.census import CensusResult, census_records, enumerate_rationals
-from arithdyn.countkit.modular import ModularValue, _check_domain, _nome, _pow4
+from arithdyn.countkit.modular import ModularValue, _check_domain, _nome
 from arithdyn.countkit.powerlemma import power_lemma_min_X
 from arithdyn.dynamics import GapConstant, canonical_height_stats, height_gap_constant
 from arithdyn.errors import DomainError, ResourceGuardError
@@ -400,6 +401,17 @@ def school_pow_mod(f: list[int], e: int, g: list[int], m: int) -> list[int]:
 ORACLE_DPS = 200
 
 
+def theta_sums_oracle(tau_re: Fraction, tau_im: Fraction) -> tuple[mpmath.mpc, mpmath.mpc]:
+    """lambda's theta sums A = sum_{n>=0} q^(n^2+n) and B = 1 + 2 sum_{n>=1} q^(n^2)
+    at the nome exp(pi i tau), term by term to 200 digits (|q| <= e^-pi)."""
+    with mpmath.workdps(ORACLE_DPS):
+        tau = mpmath.mpc(mpmath.mpf(tau_re.numerator) / tau_re.denominator,
+                         mpmath.mpf(tau_im.numerator) / tau_im.denominator)
+        q = mpmath.exp(mpmath.pi * 1j * tau)
+        return (sum(q ** (n * n + n) for n in range(40)),
+                1 + 2 * sum(q ** (n * n) for n in range(1, 40)))
+
+
 def lambda_oracle(tau_re: Fraction, tau_im: Fraction) -> mpmath.mpc:
     """lambda(tau) = (theta_2 / theta_3)^4 at the nome exp(pi i tau), 200 digits."""
     with mpmath.workdps(ORACLE_DPS):
@@ -416,6 +428,11 @@ def delta_oracle(tau_re: Fraction, tau_im: Fraction) -> mpmath.mpc:
                          mpmath.mpf(tau_im.numerator) / tau_im.denominator)
         q = mpmath.exp(2 * mpmath.pi * 1j * tau)
         return (2 * mpmath.pi) ** 12 * q * mpmath.qp(q) ** 24
+
+
+def _pow4(z, work: int):
+    z2 = (z * z).round_to(work)
+    return (z2 * z2).round_to(work)
 
 
 def lambda_fixed_terms(tau: ComplexBall, N: int, prec: int) -> ModularValue:

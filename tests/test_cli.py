@@ -137,12 +137,25 @@ _HUGE_N = "100000000000000000000"
     ["padic-bound", "--map", "X^2+1", "--alpha", "1/3", "--n", _HUGE_N],
     # D^n would print with more than Python's 4300-digit int-to-str limit
     ["padic-bound", "--map", "X^2+1", "--alpha", "1/3", "--n", "20000"],
+    # Im tau: the nome has about 4.5 Im tau bits, and the tails take powers of it
+    ["modular", "--which", "lambda", "--tau-im", "1000000"],
+    ["modular", "--which", "delta", "--tau-im", "10001"],
+    # theta = p/q: the exact floor(c k^theta) takes a q-th root of u^q k^|p|
+    ["power-lemma", "--oracle", "--X", "12", "--c", "3/2", "--theta", "1/100000"],
+    ["power-lemma", "--M", "20", "--c", "3/2", "--theta", "200001/100000"],
 ])
 def test_a_huge_n_trips_the_resource_guard_at_once(argv, capsys):
     t0 = time.perf_counter()
     assert main(argv) == 3
     assert time.perf_counter() - t0 < 1
     assert capsys.readouterr().err.startswith("resource guard: ")
+
+
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_padic_bound_needs_n_at_least_one(n, capsys):
+    # a negative n made D^n a float, which ended in a traceback
+    assert main(["padic-bound", "--map", "X^2", "--alpha", "-1/3", "--n", n]) == 2
+    assert capsys.readouterr().err.startswith("domain error: n must be >= 1")
 
 
 _C = str(10 ** 300 + 7)  # P^5 of X^2 + C has coefficients of about 4,800 digits

@@ -1,12 +1,25 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from arithdyn.countkit.census import enumerate_rationals, make_evaluator
-from arithdyn.countkit.modular import _nome, delta_eval, lambda_eval, modular_eval
+from arithdyn.countkit.modular import (
+    _GUARD,
+    _abs_up,
+    _ball,
+    _enter,
+    _inv,
+    _mul,
+    _nome,
+    _theta_sums,
+    delta_eval,
+    lambda_eval,
+    modular_eval,
+)
 from arithdyn.errors import DomainError
-from arithdyn.exactnum import ComplexBall, ball_exp, ball_pi
+from arithdyn.exactnum import ComplexBall, RealBall, as_complex_ball, ball_exp, ball_pi
 from oracles import (
     ORACLE_DPS,
     delta_fixed_terms,
@@ -14,6 +27,7 @@ from oracles import (
     lambda_fixed_terms,
     lambda_oracle,
     mpf_fraction,
+    theta_sums_oracle,
 )
 
 # the oracle's own error, far below every enclosure radius tested here
@@ -178,12 +192,14 @@ def test_delta_tail_has_no_exp_rounding_floor(N):
     assert 0 < mv.tail_bound < F(1, 10 ** 52)
 
 
-@pytest.mark.parametrize("prec", [96, 128, 512])
+@pytest.mark.parametrize("prec", [64, 96, 128, 512])
 @pytest.mark.parametrize("evaluate, reference, N", [(lambda_eval, lambda_fixed_terms, 16),
                                                     (delta_eval, delta_fixed_terms, 24)])
 def test_precision_stop_matches_the_fixed_term_sums(evaluate, reference, N, prec):
     taus = [ComplexBall(0, 2 / (1 - z)) for z in enumerate_rationals(8)]
     taus += [ComplexBall(0, 1), ComplexBall(F(1, 3), F(3, 2))]
+    # the domain edge Im tau = 1, where |q| is largest
+    taus += [ComplexBall(re, 1) for re in (F(-1, 2), F(1, 3), F(1, 2))]
     for tau in taus:
         mv = evaluate(tau, N=N, prec=prec)
         v, ref = mv.value, reference(tau, N, prec).value
@@ -191,3 +207,53 @@ def test_precision_stop_matches_the_fixed_term_sums(evaluate, reference, N, prec
         assert d2 <= (v.rad + ref.rad) ** 2, (tau, prec)
         assert v.rad <= ref.rad * (1 + F(1, 2 ** 30)), (tau, prec)
         assert mv.terms <= N
+
+
+def _grid_contains(v, re, im) -> bool:
+    """The grid disk v = (re, im, rad) contains the point re + i im (in ulps)."""
+    return (v[0] - re) ** 2 + (v[1] - im) ** 2 <= v[2] ** 2
+
+
+def test_grid_products_and_inverses_contain_the_exact_values():
+    # on a coarse grid the rounding of the centre is a visible part of each
+    # radius: the product of two exact grid points, the inverse of one, and
+    # the products of points of two disks must lie in the computed disk
+    W, rng = 12, random.Random(7)
+    # the nome enters with its centre rounded to the grid
+    for z in (RealBall(F(1, 3)), ComplexBall(F(1, 3), F(-2, 7)), ComplexBall(F(5, 11), 0, F(1, 9))):
+        z = as_complex_ball(z)
+        re, im, rad = _enter(z, W)
+        assert (re - z.re * 2 ** W) ** 2 + (im - z.im * 2 ** W) ** 2 <= (rad - z.rad * 2 ** W) ** 2
+    for _ in range(300):
+        xr, yr = rng.randrange(-2 ** 14, 2 ** 14), rng.randrange(2 ** 10, 2 ** 14)
+        xi, yi = (rng.randrange(-2 ** 14, 2 ** 14) if rng.random() < 0.7 else 0 for _ in "xy")
+        x, y = (xr, xi, 0), (yr, yi, 0)
+        exact = (F(xr * yr - xi * yi, 2 ** W), F(xr * yi + xi * yr, 2 ** W))
+        assert _grid_contains(_mul(x, y, W), *exact), (x, y)
+        n = yr * yr + yi * yi
+        assert _grid_contains(_inv(y, W), F(yr << 2 * W, n), F(-yi << 2 * W, n)), y
+        # |x| is rounded up: the radius of a product bounds |x| r_y + |y| r_x + r_x r_y
+        assert _abs_up(xr, xi) ** 2 >= xr * xr + xi * xi
+        rx, ry = rng.randrange(1, 2 ** 8), rng.randrange(1, 2 ** 8)
+        for ux, uy in ((1, 1), (-1, 1), (1, -1), (0, 1)):
+            # the points x + rx ux and y + ry uy, ux and uy real
+            p = _mul((xr, xi, rx), (yr, yi, ry), W)
+            a, b = xr + rx * ux, yr + ry * uy
+            z = (F(a * b - xi * yi, 2 ** W), F(a * yi + xi * b, 2 ** W))
+            assert _grid_contains(p, *z), (x, y, rx, ry)
+
+
+@pytest.mark.parametrize("prec", [64, 128])
+@pytest.mark.parametrize("tau_re, tau_im", [(F(0), F(1)), (F(1, 3), F(1)), (F(-1, 2), F(1)),
+                                            (F(0), F(3))])
+def test_theta_sums_contain_the_mpmath_sums(tau_re, tau_im, prec):
+    # each sum with its own tail: at N = 0 the tail is all of the sum past n = 0
+    tau = ComplexBall(tau_re, tau_im)
+    q = _nome(tau, 1, prec)
+    work = prec + 32
+    W = work + _GUARD
+    A, B = theta_sums_oracle(tau_re, tau_im)
+    for N in (0, 1, 2, 16):
+        a, b, _, _ = _theta_sums(q, q.abs_upper(), N, work, W)
+        assert _contains_oracle(_ball(a, W, q), A), (tau, N)
+        assert _contains_oracle(_ball(b, W, q), B), (tau, N)
