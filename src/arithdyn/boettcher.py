@@ -27,14 +27,8 @@ and E returned are the ones the full search finds.
 f*(tau) = 1/psi(phi(alpha) exp(-2 pi i (tau - i/24))) takes phi(alpha) and
 pi once per (map, alpha, order, precision) (``fstar_constants``), so a
 census of many tau computes them once per precision.  Each point then takes
-|w|'s lower bound and the psi tail once.  On the real axis of w (tau
-exactly on the imaginary axis, as for the census pullback i(1+q)/(1-q)),
-the exponential is exp of a real ball, with no cosine or sine, and the
-psi coefficients d_k are rational, so ``psi_eval`` runs its Horner loop
-over RealBall whenever 1/w, rounded, is exactly real.  For a real point
-the ComplexBall product's and rounding's moduli are exact, so both loops
-give the same midpoint and radius bit for bit; any other w takes the loop
-over ComplexBall.
+|w|'s lower bound and the psi tail once, and ``psi_eval`` sums its Horner
+loop on the fixed-point grid of ``exactnum.ball``.
 """
 
 from __future__ import annotations
@@ -44,6 +38,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, ResourceGuardError
 from .exactnum import ComplexBall, RealBall, ball_cexp, ball_exp, ball_log, ball_pi, ball_root, rad_up
+from .exactnum.ball import _GUARD, _ball, _enter, _grid_add, _mul
 from .exactnum.poly import horner
 from .exactnum.series import (
     TruncSeries,
@@ -215,23 +210,23 @@ def phi_eval(frame: BoettcherFrame, alpha) -> ComplexBall:
     return ComplexBall(val, 0, _phi_tail(frame, abs(alpha)))
 
 
-def psi_eval(frame: BoettcherFrame, w: ComplexBall, prec: int = 128,
-             tail: Fraction | None = None) -> ComplexBall:
+def psi_eval(frame: BoettcherFrame, w: ComplexBall, prec: int, tail: Fraction) -> ComplexBall:
     """Certified psi(w) for a complex ball with |w| >= 6 rho (any w != 0 for
-    pure power maps, where psi is the identity).  ``tail``, if given, is
+    pure power maps, where psi is the identity); ``tail`` is
     ``_psi_tail(frame, w)``, taken once by a caller that also reports it.
-    The Horner loop runs over RealBall when 1/w, rounded, is exactly real."""
+    The Horner loop in u = 1/w runs on the grid at prec + 32 + _GUARD bits.
+    u enters as the ball ``w.inverse()``, centred at 1/mid(w): the grid's
+    disk image of w (``_inv``) is centred off it by (rad/|w|)^2 relative,
+    which a wide phi(alpha) tail at a low order makes visible in the
+    printed digits."""
     if frame.distortion == 0:
         return w
-    if tail is None:
-        tail = _psi_tail(frame, w)
-    work = prec + 32
-    inv = w.inverse().round_to(work)
-    u = inv.real if inv.im == 0 else inv
-    acc = type(u).exact(0)
+    W = prec + 32 + _GUARD
+    u = _enter(w.inverse(), W)
+    acc = (0, 0, 0)
     for d in reversed(frame.psi):
-        acc = (acc * u + d).round_to(work)
-    return (w + acc).widen(tail)
+        acc = _grid_add(_mul(acc, u, W), _enter(d, W))
+    return (w + _ball(acc, W, w)).widen(tail)
 
 
 class FStarResult(NamedTuple):
@@ -303,36 +298,33 @@ def padic_abs(x: Fraction, p: int) -> Fraction:
 
 
 class DeltaV(NamedTuple):
-    """Escape threshold at one place.
+    """Escape threshold at one place, as the rational ``power`` =
+    delta_v^``power_exponent``, so comparisons stay exact.
 
-    For p not dividing D the threshold is rational and stored in ``exact``.
-    For p | D it involves p^(1/(p-1)); its (p-1)-th power is rational and is
-    stored in ``power`` (with ``power_exponent`` = p-1), so comparisons stay
-    exact.  The archimedean surrogate (prime None) stores the escape radius.
+    For p | D with p odd the threshold involves p^(1/(p-1)), and the
+    exponent is p-1.  Everywhere else it is 1 and delta_v is rational: for
+    p not dividing D, for p = 2, and at the archimedean surrogate (prime
+    None), which stores the escape radius.
     """
 
     prime: int | None
-    exact: Fraction | None = None
-    power: Fraction | None = None
-    power_exponent: int | None = None
+    power: Fraction
+    power_exponent: int = 1
+
+    @property
+    def exact(self) -> Fraction | None:
+        """delta_v when it is rational, else None."""
+        return self.power if self.power_exponent == 1 else None
 
     def is_trivial(self) -> bool:
-        if self.exact is not None:
-            return self.exact == 1
         return self.power == 1
 
     def exceeded_by(self, x: Fraction) -> bool:
         """Exact test |x|_v > delta_v."""
-        if self.prime is None:
-            return abs(Fraction(x)) > self.exact
-        ax = padic_abs(x, self.prime)
-        if self.exact is not None:
-            return ax > self.exact
+        ax = abs(Fraction(x)) if self.prime is None else padic_abs(x, self.prime)
         return ax ** self.power_exponent > self.power
 
     def value_ball(self, prec: int = 96) -> RealBall:
-        if self.exact is not None:
-            return RealBall.exact(self.exact)
         return ball_root(RealBall.exact(self.power), self.power_exponent, prec)
 
 
@@ -343,12 +335,9 @@ def delta_v(P: PolyMap, p: int) -> DeltaV:
     D = P.degree
     coeff_max = max([_ONE] + [padic_abs(c, p) for c in P.lower_coefficients() if c != 0])
     if D % p != 0:
-        return DeltaV(p, exact=coeff_max)
+        return DeltaV(p, coeff_max)
     abs_D = padic_abs(Fraction(D), p)
-    power = coeff_max ** (p - 1) * p / abs_D ** (p - 1)
-    if p == 2:
-        return DeltaV(p, exact=power, power=power, power_exponent=1)
-    return DeltaV(p, power=power, power_exponent=p - 1)
+    return DeltaV(p, coeff_max ** (p - 1) * p / abs_D ** (p - 1), p - 1)
 
 
 def delta_exception_set(P: PolyMap) -> list[int]:
@@ -383,6 +372,6 @@ def good_place(P: PolyMap, alpha) -> PlaceReport | None:
             return PlaceReport(p, av, dv, margin)
     arch = P.escape_radius
     if abs(alpha) > arch:
-        dv = DeltaV(None, exact=arch)
+        dv = DeltaV(None, arch)
         return PlaceReport(None, abs(alpha), dv, RealBall.exact(abs(alpha) / arch))
     return None

@@ -209,11 +209,10 @@ def _q(x) -> str:
 
 def _threshold(dv) -> str:
     """An escape threshold delta_v: "arch:R", "p=2:4" or "p=3:(243)^(1/2)"."""
-    if dv.prime is None:
-        return f"arch:{_q(dv.exact)}"
-    if dv.exact is not None:
-        return f"p={dv.prime}:{_q(dv.exact)}"
-    return f"p={dv.prime}:({_q(dv.power)})^(1/{dv.power_exponent})"
+    where = "arch" if dv.prime is None else f"p={dv.prime}"
+    if dv.power_exponent == 1:
+        return f"{where}:{_q(dv.power)}"
+    return f"{where}:({_q(dv.power)})^(1/{dv.power_exponent})"
 
 
 def _place(rep) -> str:
@@ -393,10 +392,12 @@ def _run_boettcher_series(a):
 def _run_delta_v(a):
     from .boettcher import delta_v
 
-    dv = delta_v(PolyMap.from_text(a.map), a.prime)
+    P = PolyMap.from_text(a.map)
+    dv = delta_v(P, a.prime)
+    p_divides_D = P.degree % a.prime == 0
     res = {"prime": a.prime, "exact": _fr(dv.exact) if dv.exact is not None else None,
-           "power": _fr(dv.power) if dv.power is not None else None,
-           "power_exponent": dv.power_exponent,
+           "power": _fr(dv.power) if p_divides_D else None,
+           "power_exponent": dv.power_exponent if p_divides_D else None,
            "value": _ball_cell(dv.value_ball(a.precision), a.precision)}
     return res, [res]
 

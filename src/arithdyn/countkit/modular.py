@@ -16,30 +16,11 @@ work = prec + 32 bits: the stopping test compares bit lengths of |q|'s
 certified upper bound, and only the stopping index's majorant is formed
 exactly.
 
-The series run on one fixed-point grid, after Arb's fixed-point series
-(Johansson, IEEE TC 2017; ARITH 2015).  A grid value is three ints
-(re, im, rad), read as the disk of radius rad 2^-W around (re + i im) 2^-W,
-with W = work + _GUARD.  The invariant: the disk of every grid value
-contains the exact value it stands for (a power, partial sum, product or
-quotient) at every point of the nome ball.  Each step keeps it:
-
-- the nome enters with its centre's parts rounded to the nearest grid
-  point and its radius rounded up, plus 1 ulp for the centre's rounding;
-- a sum adds centres and radii, exactly, and so does 1 - q^n and the
-  scaling by 2 or 16;
-- a product rounds its centre's parts to the nearest grid point with
-  ``ball._round_scaled``, the one rounding rule; its radius is
-  |x| r_y + |y| r_x + r_x r_y rounded up, plus 1 ulp for the centre
-  rounding (at most sqrt(2)/2 ulp), where |x| is an ``isqrt`` rounded up,
-  or |re| when im = 0;
-- the inverse 1/y is exact as a disk: z -> 1/z maps the disk of centre
-  y and radius r_y < |y| onto the disk of centre conj(y) / (|y|^2 - r_y^2)
-  and radius r_y / (|y|^2 - r_y^2), so it only rounds that centre to the
-  nearest grid point and that radius up, plus 1 ulp;
-- a theta tail enters in ulps, rounded up.
-
-A real nome keeps im = 0 throughout, so real and complex tau share one
-loop and the real one takes no cross products.
+The series run on the fixed-point grid of ``exactnum.ball`` (its module
+docstring states the invariant, the per-step error terms and the guard
+bits), with W = work + _GUARD: the nome enters the grid, the sums, 1 - q^n
+and the scalings by 2 or 16 are exact, the products and the inverse 1/B
+round once each, and a theta tail enters in ulps, rounded up.
 
 Balls appear only at the two ends.  In: the nome, exp of a real ball when
 tau is exactly purely imaginary (as for the disk pullback 2i/(1-q) in
@@ -51,15 +32,6 @@ multiplied by q (and (2 pi)^12) as balls and rounded once by ``round_to``.
 The value is returned as a ComplexBall, the disk of a RealBall for a real
 nome.
 
-Guard bits: the nome ball's own radius, about 2^-work relative to q,
-reaches the value through the out-end product just as through a ball loop.
-The grid adds K ulps to R^4 or P^24 (each near 1), K a few per product, so
-about K 2^-W relative to the value.  _GUARD = 40 keeps that below 2^-30 of
-the nome's share for K up to 2^10: no radius is wider, by more than that
-factor, than the one the ball loops of ``tests/oracles.py`` give (the
-slow-path reference, every product rounded at work bits).  The 40 bits add
-one or two 30-bit digits to integers of 200 to 600 bits.
-
 pi and (2 pi)^12 depend on the precision alone: ``modular_constants``
 builds them once, for a caller that evaluates many points.
 """
@@ -67,7 +39,6 @@ builds them once, for a caller that evaluates many points.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from typing import NamedTuple
 
 from ..errors import DomainError, ResourceGuardError
@@ -80,9 +51,9 @@ from ..exactnum import (
     ball_pi,
     rad_up,
 )
-from ..exactnum.ball import _round_scaled
+from ..exactnum.ball import (_GUARD, _RAD_BITS, _ball, _enter, _grid_add, _inv, _mul, _round_sig,
+                             _scaled_pair, _ulps)
 
-_GUARD = 40  # grid bits past work = prec + 32 (see the module docstring)
 # the largest Im tau.  |q| = exp(-scale pi Im tau) has about 4.5 scale Im tau
 # bits, and the exact tail majorants raise it to a power and divide, so the
 # cost grows about quadratically with Im tau: the discriminant at the default
@@ -130,64 +101,6 @@ def _shift(qa: Fraction) -> int:
     return qa.denominator.bit_length() - qa.numerator.bit_length() - 1
 
 
-# -- the grid: (re, im, rad) is the disk of radius rad 2^-W around (re + i im) 2^-W
-
-
-def _ulps(x: Fraction, W: int, up: bool = False) -> int:
-    """x 2^W rounded to an integer: to nearest, or up when ``up``."""
-    return _round_scaled(x.numerator, x.denominator, W, up)
-
-
-def _enter(q: RealBall | ComplexBall, W: int) -> tuple:
-    """The nome ball on the grid: its centre rounded, its radius rounded up,
-    plus 1 ulp for the centre."""
-    z = as_complex_ball(q)
-    return _ulps(z.re, W), _ulps(z.im, W), _ulps(z.rad, W, True) + 1
-
-
-def _abs_up(re: int, im: int) -> int:
-    if not im:
-        return abs(re)
-    n = re * re + im * im
-    r = isqrt(n)
-    return r if r * r == n else r + 1
-
-
-def _mul(x: tuple, y: tuple, W: int) -> tuple:
-    xr, xi, xe = x
-    yr, yi, ye = y
-    if xi or yi:
-        re = _round_scaled(xr * yr - xi * yi, 1, -W)
-        im = _round_scaled(xr * yi + xi * yr, 1, -W)
-    else:
-        re, im = _round_scaled(xr * yr, 1, -W), 0
-    err = _abs_up(xr, xi) * ye + _abs_up(yr, yi) * xe + xe * ye
-    return re, im, _round_scaled(err, 1, -W, True) + 1
-
-
-def _inv(y: tuple, W: int) -> tuple:
-    """1/y: z -> 1/z maps the disk |z - b| <= r < |b| onto the disk of
-    centre conj(b) / (|b|^2 - r^2) and radius r / (|b|^2 - r^2)."""
-    yr, yi, ye = y
-    d = yr * yr + yi * yi - ye * ye
-    if d <= 0:
-        raise DomainError("theta quotient: denominator not certified nonzero")
-    W2 = 2 * W
-    return (_round_scaled(yr, d, W2), _round_scaled(-yi, d, W2),
-            _round_scaled(ye, d, W2, True) + 1)
-
-
-def _add(x: tuple, y: tuple, k: int = 1) -> tuple:
-    """x + k y, exactly."""
-    return x[0] + k * y[0], x[1] + k * y[1], x[2] + abs(k) * y[2]
-
-
-def _ball(v: tuple, W: int, q: RealBall | ComplexBall) -> RealBall | ComplexBall:
-    """The grid value v as a ball of q's type (a real nome's values are real)."""
-    re, im, rad = (Fraction(x, 1 << W) for x in v)
-    return RealBall(re, rad) if isinstance(q, RealBall) else ComplexBall(re, im, rad)
-
-
 class ModularValue(NamedTuple):
     value: ComplexBall
     terms: int  # series terms summed (lambda: in each of its two sums), at most N
@@ -202,6 +115,21 @@ def _nome_checked(tau: ComplexBall, scale: int, prec: int,
     if qa >= 1:
         raise DomainError("nome modulus not certified below 1")
     return q, qa
+
+
+def _tail_up(qa: Fraction, c: int, k: int) -> Fraction:
+    """rad_up(c qa^k / (1 - qa)) for c = 1 or 2, from integers.
+
+    qa = n/2^e with n odd (the bound of a rounded ball is dyadic), so
+    c qa^k / (1 - qa) = c n^k / ((2^e - n) 2^(e(k-1))) is in lowest terms
+    once a factor c = 2 is shifted out of an even denominator: no Fraction
+    power and no gcd.  (For a qa that is not dyadic, 2^e is below its
+    denominator, and the result is a larger bound.)"""
+    n, d = qa.numerator, qa.denominator
+    den = (d - n) << (d.bit_length() - 1) * (k - 1)
+    if c == 2 and not den & 1:
+        c, den = 1, den >> 1
+    return Fraction(*_scaled_pair(*_round_sig(c * n ** k, den, _RAD_BITS, True)))
 
 
 def _theta_sums(q: RealBall | ComplexBall, qa: Fraction, N: int, work: int,
@@ -227,10 +155,10 @@ def _theta_sums(q: RealBall | ComplexBall, qa: Fraction, N: int, work: int,
             odd = _mul(odd, q2, W)
             b_term = _mul(b_term, odd, W)  # q^(n^2) = q^((n-1)^2) * q^(2n-1)
         m += 1
-        a = _add(a, a_term)
-        b = _add(b, b_term, 2)
-    a_tail = rad_up(qa ** ((m + 1) * (m + 2)) / (1 - qa))
-    b_tail = rad_up(2 * qa ** ((m + 1) ** 2) / (1 - qa))
+        a = _grid_add(a, a_term)
+        b = _grid_add(b, b_term, 2)
+    a_tail = _tail_up(qa, 1, (m + 1) * (m + 2))
+    b_tail = _tail_up(qa, 2, (m + 1) ** 2)
     a = a[0], a[1], a[2] + _ulps(a_tail, W, True)
     b = b[0], b[1], b[2] + _ulps(b_tail, W, True)
     return a, b, m, a_tail + b_tail
@@ -272,7 +200,7 @@ def delta_eval(tau: ComplexBall, N: int = 24, prec: int = 128,
         if m:
             qn = _mul(qn, qg, W)
         m += 1
-        term = _add(one, qn, -1)  # 1 - q^n
+        term = _grid_add(one, qn, -1)  # 1 - q^n
         prod = _mul(prod, term, W) if m > 1 else term
     if m:
         p8 = prod

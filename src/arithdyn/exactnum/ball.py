@@ -26,7 +26,7 @@ significant bits, from ``_RAD_BITS`` = 32).  ``widen`` is the one place
 where a rounding error or a truncation majorant enters a radius: the
 rounding errors of ``round_to`` and ``round_to_grid``, the growth term of
 ``ball_cexp``, the discriminant tail of ``countkit.modular`` (whose
-fixed-point series keep their own integer radii), the series tail of
+grid sums, below, keep their own integer radii), the series tail of
 ``boettcher.psi_eval`` and the escape tails of the archimedean local
 height in ``dynamics``.  So radii stay short and stay certified, following
 the midpoint-radius design of Arb (Johansson, IEEE TC 2017).  An orbit
@@ -44,6 +44,43 @@ use: a verb that takes no transcendental does not load it.
 
 ``ComplexBall.real``/``.imag`` (disk to interval) and ``as_complex_ball``
 (interval to disk) are the one crossing between the two ball types.
+
+The fixed-point grid, after Arb's fixed-point series (Johansson, IEEE TC
+2017; ARITH 2015), is the kernel of the long sums: the theta sums and the
+discriminant product of ``countkit.modular`` and the psi Horner loop of
+``boettcher.psi_eval``.  A grid value is three ints (re, im, rad), read as
+the disk of radius rad 2^-W around (re + i im) 2^-W; an ulp is 2^-W.  The
+invariant: the disk of every grid value contains the exact value it stands
+for (a power, partial sum, product or quotient) at every point of the input
+balls.  Each step keeps it:
+
+- a ball enters (``_enter``) with its centre's parts rounded to the nearest
+  grid point and its radius rounded up, plus 1 ulp for the centre's
+  rounding;
+- a sum (``_grid_add``) adds centres and radii, exactly, and so does a
+  scaling by an integer;
+- a product (``_mul``) rounds its centre's parts to the nearest grid point
+  with ``_round_scaled``, the one rounding rule; its radius is
+  |x| r_y + |y| r_x + r_x r_y rounded up, plus 1 ulp for the centre
+  rounding (at most sqrt(2)/2 ulp), where |x| is an ``isqrt`` rounded up
+  (``_grid_abs``), or |re| when im = 0;
+- the inverse 1/y (``_inv``) is exact as a disk: z -> 1/z maps the disk of
+  centre y and radius r_y < |y| onto the disk of centre
+  conj(y) / (|y|^2 - r_y^2) and radius r_y / (|y|^2 - r_y^2), so it only
+  rounds that centre to the nearest grid point and that radius up, plus
+  1 ulp;
+- a truncation majorant enters in ulps, rounded up (``_ulps``).
+
+A real input keeps im = 0 throughout, so real and complex inputs share one
+loop and the real one takes no cross products.  ``_ball`` turns a grid
+value back into a ball.
+
+Guard bits: a loop at work bits (work = prec + 32) runs on the grid
+W = work + _GUARD, and the grid adds K ulps to its result, K a few per
+product.  For the q-series, whose partial results are near 1 and whose
+nome's radius is about 2^-work relative to it, _GUARD = 40 keeps those
+K 2^-W below 2^-30 of the nome's share for K up to 2^10.  The 40 bits add
+one or two 30-bit digits to integers of 200 to 600 bits.
 
 Containment contract: every operation returns a ball whose closed disk (or
 closed interval for RealBall) contains f(z) for all z in the input balls.
@@ -641,3 +678,65 @@ def _dec_str(scaled: int, digits: int) -> str:
     sign = "-" if scaled < 0 else ""
     s = str(abs(scaled)).rjust(digits + 1, "0")
     return f"{sign}{s[:-digits]}.{s[-digits:]}" if digits else f"{sign}{s}"
+
+
+# -- the fixed-point grid: (re, im, rad) is the disk of radius rad 2^-W around
+# (re + i im) 2^-W (module docstring)
+
+_GUARD = 40  # grid bits past work = prec + 32
+
+
+def _ulps(x: Fraction, W: int, up: bool = False) -> int:
+    """x 2^W rounded to an integer: to nearest, or up when ``up``."""
+    return _round_scaled(x.numerator, x.denominator, W, up)
+
+
+def _enter(q: RealBall | ComplexBall, W: int) -> tuple:
+    """The ball q on the grid: its centre rounded, its radius rounded up,
+    plus 1 ulp for the centre."""
+    z = as_complex_ball(q)
+    return _ulps(z.re, W), _ulps(z.im, W), _ulps(z.rad, W, True) + 1
+
+
+def _grid_abs(re: int, im: int) -> int:
+    """|re + i im| rounded up to an integer."""
+    if not im:
+        return abs(re)
+    n = re * re + im * im
+    r = isqrt(n)
+    return r if r * r == n else r + 1
+
+
+def _mul(x: tuple, y: tuple, W: int) -> tuple:
+    xr, xi, xe = x
+    yr, yi, ye = y
+    if xi or yi:
+        re = _round_scaled(xr * yr - xi * yi, 1, -W)
+        im = _round_scaled(xr * yi + xi * yr, 1, -W)
+    else:
+        re, im = _round_scaled(xr * yr, 1, -W), 0
+    err = _grid_abs(xr, xi) * ye + _grid_abs(yr, yi) * xe + xe * ye
+    return re, im, _round_scaled(err, 1, -W, True) + 1
+
+
+def _inv(y: tuple, W: int) -> tuple:
+    """1/y: z -> 1/z maps the disk |z - b| <= r < |b| onto the disk of
+    centre conj(b) / (|b|^2 - r^2) and radius r / (|b|^2 - r^2)."""
+    yr, yi, ye = y
+    d = yr * yr + yi * yi - ye * ye
+    if d <= 0:
+        raise DomainError("inverse of disk containing zero")
+    W2 = 2 * W
+    return (_round_scaled(yr, d, W2), _round_scaled(-yi, d, W2),
+            _round_scaled(ye, d, W2, True) + 1)
+
+
+def _grid_add(x: tuple, y: tuple, k: int = 1) -> tuple:
+    """x + k y, exactly."""
+    return x[0] + k * y[0], x[1] + k * y[1], x[2] + abs(k) * y[2]
+
+
+def _ball(v: tuple, W: int, q: RealBall | ComplexBall) -> RealBall | ComplexBall:
+    """The grid value v as a ball of q's type (a real input's values are real)."""
+    re, im, rad = (Fraction(x, 1 << W) for x in v)
+    return RealBall(re, rad) if isinstance(q, RealBall) else ComplexBall(re, im, rad)

@@ -1,9 +1,10 @@
 """Complete factorization of univariate integer polynomials into irreducibles.
 
-Pipeline: content/sign normalization, then the squarefree split: a prime p
-not dividing lc(f) with f mod p squarefree certifies f squarefree, and only
-without one does Yun's decomposition over Q run.  Each squarefree part gets a
-Zassenhaus round: small primes are screened by distinct-degree factorization
+Pipeline: content/sign normalization, then a Zassenhaus round, whose first
+prime p not dividing lc(f) with f mod p squarefree also certifies f
+squarefree; only without one among the first primes does Yun's
+decomposition over Q run, and each of its parts gets a round of its own.
+In a round, small primes are screened by distinct-degree factorization
 alone (factor count, realizable degrees, and an early exit when f stays
 irreducible mod p); only the chosen prime, picked for fewest factors, gets
 equal-degree splitting.  Then quadratic multifactor Hensel lifting to a power
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from math import isqrt
 from typing import NamedTuple
 
@@ -108,21 +109,6 @@ def _yun_squarefree(f: IntPoly) -> list[tuple[IntPoly, int]]:
     return out
 
 
-def _squarefree_parts(f: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Squarefree decomposition of a primitive f with positive lc.
-
-    If p does not divide lc(f) and f mod p is squarefree, f is squarefree: a
-    square factor g^2 of f would reduce to a square of positive degree mod p.
-    Such a prime among the first ``_CERTIFICATE_PRIMES`` settles the common
-    case; otherwise Yun's algorithm over Q decides.
-    """
-    if f.degree >= 1:
-        for p in islice(primes_from(3), _CERTIFICATE_PRIMES):
-            if f.lead % p and modp.is_squarefree(modp.from_int_poly(f.coeffs, p), p):
-                return [(f, 1)]
-    return _yun_squarefree(f)
-
-
 def _mignotte_lift_bound(f: IntPoly) -> int:
     """2 * B * |lc| with B the factor-coefficient bound sqrt(n+1) 2^n |f|_inf."""
     n = f.degree
@@ -195,14 +181,22 @@ def _degree_mask(degrees: list[int]) -> int:
     return mask
 
 
-def _factor_squarefree(f: IntPoly, seed: int) -> list[IntPoly]:
-    """Irreducible factors of a primitive squarefree f with positive lc."""
+def _factor_squarefree(f: IntPoly, seed: int, certify: int | None = None) -> list[IntPoly] | None:
+    """Irreducible factors of a primitive squarefree f with positive lc.
+
+    With ``certify``, f need not be squarefree: the first prime p not
+    dividing lc(f) with f mod p squarefree certifies that f is (a square
+    factor g^2 of f would reduce to a square of positive degree mod p), and
+    None is returned when no such prime comes among the first ``certify``.
+    """
     n = f.degree
-    if n == 1:
-        return [f]
+    if n <= 1:
+        return [f] if n else []
     candidates = []  # (num_factors, p, distinct-degree pieces of f mod p)
     masks = []
-    for p in primes_from(3):
+    for i, p in enumerate(primes_from(3)):
+        if i == certify and not candidates:
+            return None
         if f.lead % p == 0:
             continue
         fp = modp.from_int_poly(f.coeffs, p)
@@ -293,10 +287,12 @@ def factor_over_Z(f: IntPoly, seed: int = 0) -> FactorReport:
     content, prim = f.primitive()
     unit = -1 if content < 0 else 1
     content = abs(content)
-    parts: dict[IntPoly, int] = {}
-    for sqf, mult in _squarefree_parts(prim):
-        for irr in _factor_squarefree(sqf, seed):
-            parts[irr] = parts.get(irr, 0) + mult
+    irreducible = _factor_squarefree(prim, seed, _CERTIFICATE_PRIMES)
+    if irreducible is not None:
+        parts = dict.fromkeys(irreducible, 1)
+    else:  # no prime certified prim squarefree: Yun's parts are, and are coprime
+        parts = {irr: m for sqf, m in _yun_squarefree(prim)
+                 for irr in _factor_squarefree(sqf, seed)}
     rep = FactorReport.from_parts(content, unit, parts)
     if rep.reconstruct() != f:
         raise DomainError("factorization reconstruction check failed")

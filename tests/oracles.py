@@ -26,10 +26,10 @@ reference for both kernels of ``factorint.capelli.chain``, and the expanded
 P^n(X) - P^n(alpha) as the reference for the factorization
 ``dynamics.snap_degree_multiset`` proves level by level.  The slow paths of
 the f* kernels are kept here as the references for their fast ones: the
-psi Horner loop over ComplexBall for every w (the reference for the
-real-axis loop of ``boettcher.psi_eval``), exp(x)(cos y + i sin y) with the
-cosine and sine always taken (the reference for ``ball_cexp`` on the real
-axis), and the search that computes E(rho) at every doubling of rho (the
+psi Horner loop over ComplexBall, rounded at every step (the reference for
+the fixed-point grid loop of ``boettcher.psi_eval``), exp(x)(cos y +
+i sin y) with the cosine and sine always taken (the reference for
+``ball_cexp`` on the real axis), and the search that computes E(rho) at every doubling of rho (the
 reference for the radii ``boettcher_frame`` skips).  mpmath's interval
 context (``MPIntervalContext``: each endpoint taken as a Fraction, rounded
 outward once, and the context's exp, log, sqrt, sin, cos and pi) is the

@@ -6,20 +6,16 @@ import pytest
 
 from arithdyn.countkit.census import enumerate_rationals, make_evaluator
 from arithdyn.countkit.modular import (
-    _GUARD,
-    _abs_up,
-    _ball,
-    _enter,
-    _inv,
-    _mul,
     _nome,
+    _tail_up,
     _theta_sums,
     delta_eval,
     lambda_eval,
     modular_eval,
 )
 from arithdyn.errors import DomainError
-from arithdyn.exactnum import ComplexBall, RealBall, as_complex_ball, ball_exp, ball_pi
+from arithdyn.exactnum import ComplexBall, RealBall, as_complex_ball, ball_exp, ball_pi, rad_up
+from arithdyn.exactnum.ball import _GUARD, _ball, _enter, _grid_abs, _inv, _mul
 from oracles import (
     ORACLE_DPS,
     delta_fixed_terms,
@@ -233,7 +229,7 @@ def test_grid_products_and_inverses_contain_the_exact_values():
         n = yr * yr + yi * yi
         assert _grid_contains(_inv(y, W), F(yr << 2 * W, n), F(-yi << 2 * W, n)), y
         # |x| is rounded up: the radius of a product bounds |x| r_y + |y| r_x + r_x r_y
-        assert _abs_up(xr, xi) ** 2 >= xr * xr + xi * xi
+        assert _grid_abs(xr, xi) ** 2 >= xr * xr + xi * xi
         rx, ry = rng.randrange(1, 2 ** 8), rng.randrange(1, 2 ** 8)
         for ux, uy in ((1, 1), (-1, 1), (1, -1), (0, 1)):
             # the points x + rx ux and y + ry uy, ux and uy real
@@ -241,6 +237,15 @@ def test_grid_products_and_inverses_contain_the_exact_values():
             a, b = xr + rx * ux, yr + ry * uy
             z = (F(a * b - xi * yi, 2 ** W), F(a * yi + xi * b, 2 ** W))
             assert _grid_contains(p, *z), (x, y, rx, ry)
+
+
+def test_integer_theta_tails_equal_the_fraction_formula():
+    rng = random.Random(11)
+    for _ in range(3000):
+        e = rng.randint(1, 500)
+        qa = F(rng.randrange(1, 2 ** e) | 1, 2 ** e)
+        c, k = rng.choice((1, 2)), rng.randint(1, 40)
+        assert _tail_up(qa, c, k) == rad_up(c * qa ** k / (1 - qa)), (qa, c, k)
 
 
 @pytest.mark.parametrize("prec", [64, 128])
